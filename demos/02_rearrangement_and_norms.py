@@ -1,7 +1,7 @@
 """Step functions, their rearrangement, and three routes to one norm.
 
-Everything in this library lives on a finite union of boxes split into
-equal cells; functions are constant on cells.  That makes distribution
+Everything in this library lives on a finite union of intervals split
+into equal cells; functions are constant on cells.  That makes distribution
 functions and decreasing rearrangements *exact* step computations, and
 gives three independently-coded routes to the same rearrangement norm:
 

@@ -8,7 +8,7 @@ The package solves
 
 by summing the series sum_m P^m h0 for the transfer-type operator
 P phi = sum_n g_n * (phi o f_n), on piecewise-constant functions over
-finite unions of boxes.  Everything is built on a Lorentz norm engine
+finite unions of intervals.  Everything is built on a Lorentz norm engine
 whose three independent computation routes cross-check each other, and
 every solve carries an explicit geometric tail bound as its error
 certificate.
@@ -51,7 +51,6 @@ from .maps import (
     IndicatrixCount,
     MapError,
     PiecewiseMap,
-    TensorMap,
     affine_map,
     banach_indicatrix,
     change_of_variables_check,
@@ -94,7 +93,6 @@ from .transfer import (
     InstanceError,
     OverlapEstimate,
     ProblemInstance,
-    apply_P,
     audit_contraction,
     estimate_multiplicity,
     estimate_overlap_L,
@@ -150,13 +148,11 @@ __all__ = [
     "StepDistribution",
     "StepFn",
     "TauFn",
-    "TensorMap",
     "TraceRow",
     "UniquenessReport",
     "YoungFn",
     "YoungFnError",
     "affine_map",
-    "apply_P",
     "audit_contraction",
     "axiom_suite",
     "banach_indicatrix",

@@ -114,6 +114,8 @@ def _psi_from_flags(args, default_family="power", default_param=2.0):
 
 
 def _cmd_solve(args):
+    if args.tol is not None and not args.tol > 0:
+        raise _InputError(f"--tol must be > 0, got {args.tol!r}")
     inst, _ = _load(args, require_admissible=True)
     try:
         solution, trace = solve_elementary(

@@ -37,8 +37,7 @@ Schema (INI-style sections; `#` starts a comment; no interpolation):
     h0_lorentz_norm = 1.4142135623730951
 
 Maps and coefficients are numbered from 1 and must be consecutive and
-paired.  Only 1-d instances are expressible in files; higher-dimensional
-instances are built programmatically.
+paired.
 """
 
 import configparser
@@ -202,8 +201,7 @@ def _parse_h0(cp, domain, m, source, base_dir):
             _compile(p, f"[h0] components[{i}]", source)
             for i, p in enumerate(parts)
         ]
-        probe = SampledFn.zeros(domain, m)
-        mids = probe.midpoints[:, 0] if domain.k == 1 else probe.midpoints
+        mids = SampledFn.zeros(domain, m).midpoints
         cols = [np.asarray(fn(mids), dtype=float) for fn in fns]
         return SampledFn(domain, m, np.stack(cols, axis=1))
     rel = cp.get("h0", "csv").strip()
@@ -257,8 +255,6 @@ def load_config(path_or_text, source=None):
     cp = _parser_for(text, source)
 
     domain = _parse_domain(cp, source)
-    if domain.k != 1:
-        raise ConfigError(f"{source}: instance files describe 1-d domains only")
     m = _get_int(cp, "grid", "m", source)
     if m < 1:
         raise ConfigError(f"{source}: [grid] m must be >= 1")

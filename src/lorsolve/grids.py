@@ -1,16 +1,15 @@
-"""Finite box-union domains and piecewise-constant sampled functions.
+"""Finite interval-union domains and piecewise-constant sampled functions.
 
 The whole norm/operator stack runs on one representation: a :class:`Domain`
-is a finite union of disjoint half-open boxes in R^k with finite measure,
-each box carries a uniform grid of ``m`` cells per axis, and a
-:class:`SampledFn` holds one value per cell (scalar, vector, real or
-complex).  Because the functions are exact step functions, distribution
-functions, non-increasing rearrangements and the norm integrals built on
-them are finite exact sums -- no quadrature error anywhere in this module.
+is a finite union of disjoint half-open intervals of finite length, each
+interval carries a uniform grid of ``m`` cells, and a :class:`SampledFn`
+holds one value per cell (scalar, vector, real or complex).  Because the
+functions are exact step functions, distribution functions, non-increasing
+rearrangements and the norm integrals built on them are finite exact sums
+-- no quadrature error anywhere in this module.
 
-Layout: cells are ordered box-major, then C-order over the per-axis indices
-within a box.  Projection of a callable onto the grid samples at cell
-midpoints.
+Layout: cells are ordered interval by interval, left to right within an
+interval.  Projection of a callable onto the grid samples at cell midpoints.
 """
 
 import csv
@@ -35,50 +34,36 @@ class GridError(ValueError):
     """Raised for malformed domains, grid mismatches, or bad cell data."""
 
 
-def _as_box(lo, hi):
-    lo = tuple(float(x) for x in np.atleast_1d(lo))
-    hi = tuple(float(x) for x in np.atleast_1d(hi))
-    if len(lo) != len(hi):
-        raise GridError(f"box corners of different dimension: {lo} vs {hi}")
-    for a, b in zip(lo, hi):
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise GridError("domains must have finite measure; infinite box")
-        if not a < b:
-            raise GridError(f"degenerate box edge [{a}, {b})")
-    return lo, hi
-
-
-def _boxes_disjoint(b1, b2):
-    (lo1, hi1), (lo2, hi2) = b1, b2
-    # Half-open boxes overlap iff they overlap on every axis.
-    return any(h1 <= l2 or h2 <= l1 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-
-
 @dataclass(frozen=True)
 class Domain:
-    """A finite union of pairwise disjoint half-open boxes [lo, hi) in R^k."""
+    """A finite union of pairwise disjoint half-open intervals [lo, hi).
+
+    ``boxes`` holds the intervals as (lo, hi) float pairs in the order
+    given (the name matches the ``boxes =`` key of instance files).
+    """
 
     boxes: tuple
 
     def __post_init__(self):
         if not self.boxes:
-            raise GridError("domain needs at least one box")
-        norm_boxes = tuple(_as_box(lo, hi) for lo, hi in self.boxes)
-        object.__setattr__(self, "boxes", norm_boxes)
-        k = len(norm_boxes[0][0])
-        for lo, hi in norm_boxes:
-            if len(lo) != k:
-                raise GridError("all boxes must share one dimension")
-        for i in range(len(norm_boxes)):
-            for j in range(i + 1, len(norm_boxes)):
-                if not _boxes_disjoint(norm_boxes[i], norm_boxes[j]):
+            raise GridError("domain needs at least one interval")
+        pairs = tuple((float(lo), float(hi)) for lo, hi in self.boxes)
+        for lo, hi in pairs:
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise GridError("domains must have finite measure; infinite interval")
+            if not lo < hi:
+                raise GridError(f"degenerate interval [{lo}, {hi})")
+        for i, (lo1, hi1) in enumerate(pairs):
+            for lo2, hi2 in pairs[i + 1:]:
+                if lo2 < hi1 and lo1 < hi2:
                     raise GridError(
-                        f"boxes {norm_boxes[i]} and {norm_boxes[j]} overlap"
+                        f"intervals [{lo1}, {hi1}) and [{lo2}, {hi2}) overlap"
                     )
+        object.__setattr__(self, "boxes", pairs)
 
     @staticmethod
     def interval(a, b):
-        return Domain(boxes=(((a,), (b,)),))
+        return Domain(boxes=((a, b),))
 
     @staticmethod
     def unit_interval():
@@ -86,54 +71,30 @@ class Domain:
 
     @staticmethod
     def from_intervals(pairs):
-        return Domain(boxes=tuple(((a,), (b,)) for a, b in pairs))
-
-    @staticmethod
-    def box(lo, hi):
-        return Domain(boxes=((tuple(lo), tuple(hi)),))
-
-    @property
-    def k(self):
-        return len(self.boxes[0][0])
-
-    @property
-    def box_volumes(self):
-        return tuple(
-            float(np.prod([h - l for l, h in zip(lo, hi)]))
-            for lo, hi in self.boxes
-        )
+        return Domain(boxes=tuple(pairs))
 
     @property
     def total_measure(self):
-        return float(sum(self.box_volumes))
+        return float(sum(hi - lo for lo, hi in self.boxes))
 
     def contains(self, points):
-        """Membership mask for an (n, k) array (or (n,) when k = 1)."""
+        """Membership mask of an array of points."""
         pts = np.asarray(points, dtype=float)
-        if self.k == 1 and pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[1] != self.k:
-            raise GridError(f"expected points of dimension {self.k}")
-        mask = np.zeros(pts.shape[0], dtype=bool)
+        mask = np.zeros(pts.shape, dtype=bool)
         for lo, hi in self.boxes:
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for ax in range(self.k):
-                inside &= (pts[:, ax] >= lo[ax]) & (pts[:, ax] < hi[ax])
-            mask |= inside
+            mask |= (pts >= lo) & (pts < hi)
         return mask
 
     def intervals(self):
-        """The boxes as (lo, hi) float pairs; k = 1 only."""
-        if self.k != 1:
-            raise GridError("intervals() requires a one-dimensional domain")
-        return [(lo[0], hi[0]) for lo, hi in self.boxes]
+        """The intervals as a list of (lo, hi) float pairs."""
+        return list(self.boxes)
 
 
 class SampledFn:
     """A piecewise-constant function on a domain's uniform cell grid.
 
     ``values`` has shape (ncells,) for scalar functions or (ncells, d) for
-    R^d / C^d valued ones, where ncells = nboxes * m**k.  Values are stored
+    R^d / C^d valued ones, where ncells = nintervals * m.  Values are stored
     read-only; all arithmetic returns new instances.  Two functions are grid
     compatible when they share the same domain and the same ``m``.
     """
@@ -145,8 +106,8 @@ class SampledFn:
             raise GridError("domain must be a Domain")
         m = int(m)
         if m < 1:
-            raise GridError(f"cells per axis must be >= 1, got {m}")
-        ncells = len(domain.boxes) * m**domain.k
+            raise GridError(f"cells per interval must be >= 1, got {m}")
+        ncells = len(domain.boxes) * m
         arr = np.array(values, copy=True)
         if arr.dtype.kind in "iub":
             arr = arr.astype(float)
@@ -178,9 +139,7 @@ class SampledFn:
     def from_callable(cls, domain, m, fn, target_dim=1):
         """Project a vectorized callable by sampling at cell midpoints."""
         obj = cls.zeros(domain, m, target_dim)
-        mids = obj.midpoints
-        arg = mids[:, 0] if domain.k == 1 else mids
-        vals = np.asarray(fn(arg))
+        vals = np.asarray(fn(obj.midpoints))
         if vals.ndim == 0:
             vals = np.full(obj.ncells if target_dim == 1 else (obj.ncells, target_dim),
                            vals[()])
@@ -189,21 +148,21 @@ class SampledFn:
     @classmethod
     def constant(cls, domain, m, value):
         value = np.asarray(value)
-        ncells = len(domain.boxes) * m**domain.k
+        ncells = len(domain.boxes) * m
         if value.ndim == 0:
             return cls(domain, m, np.full(ncells, value[()]))
         return cls(domain, m, np.tile(value, (ncells, 1)))
 
     @classmethod
     def zeros(cls, domain, m, target_dim=1):
-        ncells = len(domain.boxes) * m**domain.k
+        ncells = len(domain.boxes) * m
         shape = ncells if target_dim == 1 else (ncells, target_dim)
         return cls(domain, m, np.zeros(shape))
 
     @classmethod
     def indicator(cls, domain, m, subset):
         """Characteristic function of ``subset`` (a Domain, or (lo, hi)
-        interval pairs for k = 1), projected by midpoint membership."""
+        interval pairs), projected by midpoint membership."""
         if not isinstance(subset, Domain):
             subset = Domain.from_intervals(subset)
         probe = cls.zeros(domain, m)
@@ -227,41 +186,29 @@ class SampledFn:
     @property
     def cell_measures(self):
         if self._measures is None:
-            k, m = self.domain.k, self.m
-            per_box = [np.full(m**k, vol / m**k) for vol in self.domain.box_volumes]
-            object.__setattr__(self, "_measures", np.concatenate(per_box))
+            m = self.m
+            chunks = [np.full(m, (hi - lo) / m) for lo, hi in self.domain.boxes]
+            object.__setattr__(self, "_measures", np.concatenate(chunks))
             self._measures.setflags(write=False)
         return self._measures
 
     @property
     def midpoints(self):
-        """(ncells, k) midpoint coordinates, box-major then C-order."""
+        """(ncells,) midpoint coordinates in cell order."""
         if self._mids is None:
-            k, m = self.domain.k, self.m
-            chunks = []
-            for lo, hi in self.domain.boxes:
-                axes = [
-                    lo[ax] + (np.arange(m) + 0.5) * (hi[ax] - lo[ax]) / m
-                    for ax in range(k)
-                ]
-                mesh = np.meshgrid(*axes, indexing="ij")
-                chunks.append(np.stack([g.ravel() for g in mesh], axis=1))
-            object.__setattr__(self, "_mids", np.concatenate(chunks, axis=0))
+            m = self.m
+            chunks = [lo + (np.arange(m) + 0.5) * (hi - lo) / m
+                      for lo, hi in self.domain.boxes]
+            object.__setattr__(self, "_mids", np.concatenate(chunks))
             self._mids.setflags(write=False)
         return self._mids
 
     def cell_bounds(self):
-        """(ncells, k) left and right cell edges (two arrays)."""
-        k, m = self.domain.k, self.m
-        lefts, rights = [], []
-        for lo, hi in self.domain.boxes:
-            axl = [lo[ax] + np.arange(m) * (hi[ax] - lo[ax]) / m for ax in range(k)]
-            axr = [lo[ax] + (np.arange(m) + 1) * (hi[ax] - lo[ax]) / m for ax in range(k)]
-            meshl = np.meshgrid(*axl, indexing="ij")
-            meshr = np.meshgrid(*axr, indexing="ij")
-            lefts.append(np.stack([g.ravel() for g in meshl], axis=1))
-            rights.append(np.stack([g.ravel() for g in meshr], axis=1))
-        return np.concatenate(lefts, axis=0), np.concatenate(rights, axis=0)
+        """Left and right cell edges, two (ncells,) arrays."""
+        m = self.m
+        edges = [lo + np.arange(m + 1) * (hi - lo) / m for lo, hi in self.domain.boxes]
+        return (np.concatenate([e[:-1] for e in edges]),
+                np.concatenate([e[1:] for e in edges]))
 
     def cell_index_of(self, points):
         """Flat cell index per point; -1 for points outside the domain.
@@ -270,34 +217,21 @@ class SampledFn:
         (half-open convention).
         """
         pts = np.asarray(points, dtype=float)
-        if self.domain.k == 1 and pts.ndim == 1:
-            pts = pts[:, None]
-        k, m = self.domain.k, self.m
-        out = np.full(pts.shape[0], -1, dtype=np.int64)
+        m = self.m
+        out = np.full(pts.shape, -1, dtype=np.int64)
         for b, (lo, hi) in enumerate(self.domain.boxes):
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for ax in range(k):
-                inside &= (pts[:, ax] >= lo[ax]) & (pts[:, ax] < hi[ax])
+            inside = (pts >= lo) & (pts < hi)
             if not inside.any():
                 continue
-            flat = np.zeros(int(inside.sum()), dtype=np.int64)
-            for ax in range(k):
-                w = (hi[ax] - lo[ax]) / m
-                idx = np.floor((pts[inside, ax] - lo[ax]) / w).astype(np.int64)
-                np.clip(idx, 0, m - 1, out=idx)
-                flat = flat * m + idx
-            out[inside] = b * m**k + flat
+            idx = np.floor((pts[inside] - lo) / ((hi - lo) / m)).astype(np.int64)
+            np.clip(idx, 0, m - 1, out=idx)
+            out[inside] = b * m + idx
         return out
 
     def eval_at(self, points):
         """Piecewise-constant evaluation; zero outside the domain."""
         idx = self.cell_index_of(points)
-        if self.is_vector:
-            res = np.zeros((idx.size, self.target_dim), dtype=self.values.dtype)
-            ok = idx >= 0
-            res[ok] = self.values[idx[ok]]
-            return res
-        res = np.zeros(idx.size, dtype=self.values.dtype)
+        res = np.zeros(idx.shape + self.values.shape[1:], dtype=self.values.dtype)
         ok = idx >= 0
         res[ok] = self.values[idx[ok]]
         return res
@@ -362,26 +296,15 @@ class SampledFn:
         return float(np.abs(self.values[mask]) @ self.cell_measures[mask])
 
     def max_abs(self):
-        if self.is_vector:
-            return float(np.max(np.abs(self.values))) if self.ncells else 0.0
         return float(np.max(np.abs(self.values)))
 
     # -- serialization -----------------------------------------------------
 
     def write_csv(self, fobj):
-        """Write cells as CSV: per-axis left/right edges, then value columns.
-
-        k = 1 scalar produces the canonical header
-        ``cell_left,cell_right,value``.
-        """
+        """Write cells as CSV: ``cell_left,cell_right``, then value columns
+        (``value`` for scalars, ``value_0, value_1, ...`` for vectors)."""
         left, right = self.cell_bounds()
-        k = self.domain.k
-        if k == 1:
-            header = ["cell_left", "cell_right"]
-        else:
-            header = [f"axis{ax}_left" for ax in range(k)] + [
-                f"axis{ax}_right" for ax in range(k)
-            ]
+        header = ["cell_left", "cell_right"]
         if self.is_vector:
             header += [f"value_{j}" for j in range(self.target_dim)]
         else:
@@ -395,12 +318,7 @@ class SampledFn:
             return repr(complex(v) if complex_vals else float(v))
 
         for i in range(self.ncells):
-            if k == 1:
-                row = [repr(float(left[i, 0])), repr(float(right[i, 0]))]
-            else:
-                row = [repr(float(x)) for x in left[i]] + [
-                    repr(float(x)) for x in right[i]
-                ]
+            row = [repr(float(left[i])), repr(float(right[i]))]
             row += [fmt(v) for v in vals[i]]
             w.writerow(row)
 
@@ -418,7 +336,8 @@ class SampledFn:
         """Read values for a known grid, validating the cell edges.
 
         ``path_or_text`` is a filename or a CSV string.  The rows must match
-        the grid's cells in order (rel tolerance 1e-9 on edges).
+        the grid's cells in order (rel tolerance 1e-9 on edges), each with
+        as many numeric fields as the header.
         """
         if "\n" in str(path_or_text):
             rows = list(csv.reader(io.StringIO(path_or_text)))
@@ -428,9 +347,7 @@ class SampledFn:
         if not rows:
             raise GridError("empty CSV")
         header, data = rows[0], rows[1:]
-        k = domain.k
-        ncols_geom = 2 * k if k > 1 else 2
-        value_cols = len(header) - ncols_geom
+        value_cols = len(header) - 2
         if value_cols < 1:
             raise GridError(f"CSV header {header} has no value columns")
         probe = cls.zeros(domain, m)
@@ -439,23 +356,29 @@ class SampledFn:
                 f"CSV has {len(data)} cells, grid needs {probe.ncells}"
             )
         left, right = probe.cell_bounds()
-        has_complex = any(
-            "j" in x for row in data for x in row[ncols_geom:]
-        )
+        has_complex = any("j" in x for row in data for x in row[2:])
         vals = np.empty(
             (probe.ncells, value_cols),
             dtype=complex if has_complex else float,
         )
         parse = complex if has_complex else float
-        scale = max(1.0, float(np.max(np.abs(right))))
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(right))))
         for i, row in enumerate(data):
-            geom = np.array([float(x) for x in row[:ncols_geom]])
-            want = np.concatenate([left[i], right[i]]) if k > 1 else np.array(
-                [left[i, 0], right[i, 0]]
-            )
-            if np.max(np.abs(geom - want)) > 1e-9 * scale:
+            if len(row) != len(header):
+                raise GridError(
+                    f"CSV row {i + 1} has {len(row)} fields, header has "
+                    f"{len(header)}"
+                )
+            try:
+                lo, hi = float(row[0]), float(row[1])
+                vals[i] = [parse(x) for x in row[2:]]
+            except ValueError:
+                raise GridError(
+                    f"CSV row {i + 1} has a non-numeric field: {row!r}"
+                ) from None
+            # ``not <=`` so that a NaN edge fails the check.
+            if not (abs(lo - left[i]) <= tol and abs(hi - right[i]) <= tol):
                 raise GridError(f"CSV row {i + 1} cell edges do not match grid")
-            vals[i] = [parse(x) for x in row[ncols_geom:]]
         return cls(domain, m, vals[:, 0] if value_cols == 1 else vals)
 
 
@@ -575,11 +498,6 @@ class StepFn:
 
     def integral(self):
         return float(self.values @ np.diff(self.edges))
-
-    def integral_to(self, T):
-        """Exact partial integral over [0, T]."""
-        e = np.minimum(self.edges, T)
-        return float(self.values @ np.maximum(np.diff(e), 0.0))
 
     def distribution(self):
         if self.plateau_measures is not None:

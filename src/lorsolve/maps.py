@@ -11,10 +11,6 @@ identity
 
 holds with N_F the Banach indicatrix (number of preimages of y in E).
 :func:`change_of_variables_check` verifies it numerically on a grid.
-
-For k > 1 the module provides :class:`TensorMap`, a product of per-axis
-one-dimensional maps; evaluation and Jacobians factor across axes.  The
-indicatrix and the change-of-variables check stay one-dimensional.
 """
 
 from dataclasses import dataclass
@@ -23,12 +19,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._numeric import bisect_increasing
-from .grids import Domain, GridError, SampledFn
+from .grids import SampledFn
 
 __all__ = [
     "Branch",
     "PiecewiseMap",
-    "TensorMap",
     "MapError",
     "IndicatrixCount",
     "CovReport",
@@ -145,10 +140,6 @@ class PiecewiseMap:
         self.branches = branches
         self.label = label or f"piecewise[{len(branches)} branches]"
 
-    @property
-    def k(self):
-        return 1
-
     def _branch_masks(self, x):
         x = np.asarray(x, dtype=float)
         for b in self.branches:
@@ -183,67 +174,9 @@ class PiecewiseMap:
         return _merge_intervals(b.image for b in self.branches)
 
 
-class TensorMap:
-    """A k-dimensional tensor product of one-dimensional maps.
-
-    F(x_1, ..., x_k) = (F_1(x_1), ..., F_k(x_k)); the Jacobian determinant
-    is the product of the per-axis derivatives, preimage counts multiply
-    across axes, and images are products of per-axis interval unions.
-    """
-
-    def __init__(self, axis_maps, label=""):
-        axis_maps = tuple(axis_maps)
-        if not axis_maps:
-            raise MapError("TensorMap needs at least one axis map")
-        for f in axis_maps:
-            if not isinstance(f, PiecewiseMap):
-                raise MapError("TensorMap axes must be PiecewiseMap instances")
-        self.axis_maps = axis_maps
-        self.label = label or f"tensor[{len(axis_maps)} axes]"
-
-    @property
-    def k(self):
-        return len(self.axis_maps)
-
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        cols = [self.axis_maps[ax](pts[:, ax]) for ax in range(self.k)]
-        return np.stack(cols, axis=1)
-
-    def deriv(self, points):
-        """Jacobian determinant at each point (product of axis derivatives)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        out = np.ones(pts.shape[0])
-        for ax in range(self.k):
-            out = out * np.asarray(self.axis_maps[ax].deriv(pts[:, ax]), dtype=float)
-        return out
-
-    def covers(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        mask = np.ones(pts.shape[0], dtype=bool)
-        for ax in range(self.k):
-            mask &= self.axis_maps[ax].covers(pts[:, ax])
-        return mask
-
-    def image_boxes(self):
-        """Image as a list of per-axis interval-union products."""
-        return [f.image_intervals() for f in self.axis_maps]
-
-
 class IndicatrixCount(NamedTuple):
     count: int
     ambiguous: bool  # y within float tolerance of a branch image endpoint
-
-
-def _require_1d(F, what):
-    if getattr(F, "k", 1) != 1:
-        raise MapError(f"{what} requires a one-dimensional map")
 
 
 def indicatrix_profile(F, E, ys, boundary_atol=1e-12):
@@ -254,7 +187,6 @@ def indicatrix_profile(F, E, ys, boundary_atol=1e-12):
     ``boundary_atol`` (scaled) of some branch image endpoint, where the count
     is edge-sensitive.
     """
-    _require_1d(F, "indicatrix")
     ys = np.asarray(ys, dtype=float)
     counts = np.zeros(ys.shape, dtype=np.int64)
     ambiguous = np.zeros(ys.shape, dtype=bool)
@@ -325,20 +257,19 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
     flagged ambiguous are re-counted at a deterministically jittered level
     just inside the cell.
     """
-    _require_1d(F, "change_of_variables_check")
     if H.is_vector or H.values.dtype.kind == "c":
         raise MapError("H must be a real scalar function")
     if np.any(H.values < 0):
         raise MapError("H must be nonnegative")
     grid = SampledFn.zeros(E, m)
-    x = grid.midpoints[:, 0]
+    x = grid.midpoints
     if not np.all(F.covers(x)):
         raise MapError("map branches do not cover the integration domain")
     fx = np.asarray(F(x), dtype=float)
     jac = np.abs(np.asarray(F.deriv(x), dtype=float))
     lhs = float((H.eval_at(fx) * jac) @ grid.cell_measures)
 
-    ylev = H.midpoints[:, 0]
+    ylev = H.midpoints
     counts, amb = indicatrix_profile(F, E, ylev)
     n_amb = int(amb.sum())
     if n_amb:

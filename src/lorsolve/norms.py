@@ -363,9 +363,7 @@ class AxiomReport:
 
 
 def _set_label(domain):
-    return "+".join(f"({lo!r},{hi!r})" for lo, hi in
-                    (domain.intervals() if domain.k == 1
-                     else [(b[0], b[1]) for b in domain.boxes]))
+    return "+".join(f"({lo!r},{hi!r})" for lo, hi in domain.intervals())
 
 
 def default_test_sets(domain):

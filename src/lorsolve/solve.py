@@ -117,12 +117,17 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     The instance is audited first; a FAILed audit refuses to iterate unless
     ``force`` is set, and a forced run is recorded in the trace so its
     certificate reports verdict FAIL even when the tolerance is reached.
-    ``tol`` is absolute in norm units and defaults to 1e-8 * ||h0||.
-    Returns (solution, trace).
+    ``tol`` is absolute in norm units and defaults to 1e-8 * ||h0||; a
+    given ``tol`` must be > 0 (ValueError otherwise: zero, negative or NaN
+    tolerances are never reached, or reached only when the tail bound
+    underflows).  The default is 0 only for h0 = 0, where the 0-step
+    answer is exact.  Returns (solution, trace).
 
     Raises :class:`DivergenceError` when term norms grow faster than the
     certified factor 2*alpha for 3 consecutive steps.
     """
+    if tol is not None and not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     report = audit_contraction(inst)
     if not report.passed and not force:
         raise AuditFailure(report)

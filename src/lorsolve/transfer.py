@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import Domain, GridError, SampledFn
-from .maps import MapError, PiecewiseMap, TensorMap, _intersect_unions, indicatrix_profile
+from .grids import SampledFn
+from .maps import MapError, PiecewiseMap, _intersect_unions, indicatrix_profile
 from .norms import lorentz_norm, lorentz_norm_vector
 from .young import derive_tau
 
@@ -34,7 +34,6 @@ __all__ = [
     "InstanceError",
     "AuditFailure",
     "ProblemInstance",
-    "apply_P",
     "estimate_multiplicity",
     "OverlapEstimate",
     "estimate_overlap_L",
@@ -63,27 +62,23 @@ class AuditFailure(RuntimeError):
 
 
 def _clamp_to_domain(points, domain):
-    """Project points onto the closure of the nearest domain box.
+    """Project points onto the closure of the nearest domain interval.
 
     Returns (clamped points, distances); interior points come back with
-    distance 0.  The clamp lands on the boundary; a half-open-box nudge to
-    the interior is the caller's job via cell lookup on the clamped point.
+    distance 0.  The clamp lands on the boundary; a half-open nudge to the
+    interior is the caller's job via cell lookup on the clamped point.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     best = None
-    best_d = np.full(pts.shape[0], np.inf)
+    best_d = np.full(pts.shape, np.inf)
     for lo, hi in domain.boxes:
-        lo = np.asarray(lo)
-        hi = np.asarray(hi)
         cl = np.clip(pts, lo, hi)
-        d = np.linalg.norm(pts - cl, axis=1)
+        d = np.abs(pts - cl)
         if best is None:
             best, best_d = cl, d
         else:
             take = d < best_d
-            best = np.where(take[:, None], cl, best)
+            best = np.where(take, cl, best)
             best_d = np.where(take, d, best_d)
     return best, best_d
 
@@ -91,13 +86,13 @@ def _clamp_to_domain(points, domain):
 class ProblemInstance:
     """Fixed data of one functional equation phi = P phi + h0.
 
-    ``maps`` are the inner maps f_n (PiecewiseMap for 1-d domains, TensorMap
-    otherwise), ``coeffs`` the weights g_n (scalar SampledFn on h0's grid,
-    or vectorized callables sampled at construction), ``h0`` the
-    inhomogeneity (scalar or vector, real or complex).  K_decl and L_decl
-    are the declared multiplicity and overlap bounds entering the audited
-    inequality; alpha in [0, 1/2) is the declared contraction parameter;
-    psi selects the Young function generating the norm.
+    ``maps`` are the inner maps f_n (PiecewiseMap), ``coeffs`` the weights
+    g_n (scalar SampledFn on h0's grid, or vectorized callables sampled at
+    construction), ``h0`` the inhomogeneity (scalar or vector, real or
+    complex).  K_decl and L_decl are the declared multiplicity and overlap
+    bounds entering the audited inequality; alpha in [0, 1/2) is the
+    declared contraction parameter; psi selects the Young function
+    generating the norm.
 
     Construction precomputes, per map, the target cell index of every
     midpoint image; midpoints mapping outside the domain are clamped to the
@@ -120,10 +115,9 @@ class ProblemInstance:
                 f"{len(maps)} maps but {len(coeffs)} coefficients"
             )
         for F in maps:
-            if getattr(F, "k", None) != domain.k:
+            if not isinstance(F, PiecewiseMap):
                 raise InstanceError(
-                    f"map {getattr(F, 'label', F)!r} has dimension "
-                    f"{getattr(F, 'k', None)}, domain has {domain.k}"
+                    f"map {getattr(F, 'label', F)!r} is not a PiecewiseMap"
                 )
         if not (isinstance(K_decl, (int, np.integer)) and K_decl >= 1):
             raise InstanceError("K_decl must be an integer >= 1")
@@ -155,8 +149,7 @@ class ProblemInstance:
             sampled.append(g)
         self.coeffs = tuple(sampled)
 
-        mids = h0.midpoints
-        x = mids[:, 0] if domain.k == 1 else mids
+        x = h0.midpoints
         idx_arrays = []
         jac_arrays = []
         clamped_within = 0
@@ -169,11 +162,10 @@ class ProblemInstance:
                     f"({int((~covered).sum())} uncovered)"
                 )
             y = np.asarray(F(x), dtype=float)
-            ypts = y[:, None] if y.ndim == 1 else y
-            idx = h0.cell_index_of(ypts)
+            idx = h0.cell_index_of(y)
             outside = idx < 0
             if outside.any():
-                cl, dist = _clamp_to_domain(ypts[outside], domain)
+                cl, dist = _clamp_to_domain(y[outside], domain)
                 beyond = dist > _CLAMP_TOL
                 clamped_within += int((~beyond).sum())
                 clamped_beyond += int(beyond.sum())
@@ -194,7 +186,7 @@ class ProblemInstance:
                 idx[outside] = fixed
             idx_arrays.append(idx)
             jac_arrays.append(np.abs(np.asarray(F.deriv(x), dtype=float)))
-        n_checks = len(maps) * x.shape[0]
+        n_checks = len(maps) * x.size
         if clamped_beyond > _OUTSIDE_FRACTION_LIMIT * n_checks:
             raise InstanceError(
                 f"{clamped_beyond} of {n_checks} midpoint images fall "
@@ -234,26 +226,17 @@ class ProblemInstance:
         if phi.domain != self.h0.domain or phi.m != self.h0.m:
             raise InstanceError("phi is not on the instance grid")
         vals = phi.values
-        if phi.is_vector:
-            acc = np.zeros(vals.shape,
-                           dtype=np.result_type(vals, *[g.values for g in self.coeffs]))
-            for g, idx in zip(self.coeffs, self._target_idx):
-                acc = acc + g.values[:, None] * vals[idx]
-        else:
-            acc = np.zeros(vals.shape,
-                           dtype=np.result_type(vals, *[g.values for g in self.coeffs]))
-            for g, idx in zip(self.coeffs, self._target_idx):
-                acc = acc + g.values * vals[idx]
+        # Weights broadcast over the components of a vector phi.
+        cells = (-1,) + (1,) * (vals.ndim - 1)
+        acc = np.zeros(vals.shape,
+                       dtype=np.result_type(vals, *[g.values for g in self.coeffs]))
+        for g, idx in zip(self.coeffs, self._target_idx):
+            acc = acc + g.values.reshape(cells) * vals[idx]
         return SampledFn(self.domain, self.m, acc)
 
 
-def apply_P(phi, inst):
-    """Functional form of :meth:`ProblemInstance.apply`."""
-    return inst.apply(phi)
-
-
 def estimate_multiplicity(F, probes=512, domain=None):
-    """Estimate the essential preimage multiplicity of a 1-d map.
+    """Estimate the essential preimage multiplicity of a map.
 
     Probes the Banach indicatrix on a uniform interior grid of levels over
     ``domain`` (default: the span of the branch intervals); levels flagged
@@ -262,8 +245,6 @@ def estimate_multiplicity(F, probes=512, domain=None):
     multiplicity once the probes avoid the finite set of branch-image
     endpoints.
     """
-    if getattr(F, "k", 1) != 1:
-        raise MapError("estimate_multiplicity requires a one-dimensional map")
     if domain is None:
         lo = min(b.lo for b in F.branches)
         hi = max(b.hi for b in F.branches)
@@ -291,15 +272,13 @@ class OverlapEstimate(NamedTuple):
 
 def estimate_overlap_L(maps):
     """Largest number of maps whose image unions intersect with positive
-    measure, computed exactly from branch image intervals (1-d only).
+    measure, computed exactly from branch image intervals.
 
     Returns the order L and the per-subset intersection-measure table
     (all nonempty subsets for up to 6 maps, positive-measure rows only
     beyond that).
     """
     maps = list(maps)
-    if any(getattr(F, "k", 1) != 1 for F in maps):
-        raise MapError("estimate_overlap_L requires one-dimensional maps")
     n = len(maps)
     if n == 0:
         raise MapError("estimate_overlap_L needs at least one map")
@@ -389,9 +368,7 @@ def audit_contraction(inst, probes=512):
 
     Checks, per map and cell midpoint, the ratio form of the inequality
     (see :class:`AuditReport`), and cross-checks the declared K and L
-    against :func:`estimate_multiplicity` and :func:`estimate_overlap_L`
-    (1-d domains; in higher dimension the declared values stand
-    unestimated and the cellwise inequality alone decides).
+    against :func:`estimate_multiplicity` and :func:`estimate_overlap_L`.
     """
     n = inst.n_maps
     kl = float(inst.K_decl * inst.L_decl)
@@ -410,31 +387,24 @@ def audit_contraction(inst, probes=512):
         if w > worst or witness == "none":
             worst = max(worst, w)
             c = int(np.argmax(ratio))
+            # The slice keeps the report's one-element list form, x = [...].
             witness = (
-                f"map {i + 1}, cell {c} at x = {mids[c].tolist()!r}: "
+                f"map {i + 1}, cell {c} at x = {mids[c:c + 1].tolist()!r}: "
                 f"|g| = {float(absg[c])!r}, |J| = {float(absj[c])!r}, "
                 f"ratio = {float(ratio[c])!r}"
             )
 
-    if inst.domain.k == 1:
-        mults = tuple(
-            estimate_multiplicity(F, probes=probes, domain=inst.domain)
-            for F in inst.maps
-        )
-        k_est = max(mults)
-        overlap = estimate_overlap_L(inst.maps)
-        l_est = overlap.L
-        table = overlap.table
-    else:
-        mults = ()
-        k_est = 0
-        l_est = 0
-        table = ()
+    mults = tuple(
+        estimate_multiplicity(F, probes=probes, domain=inst.domain)
+        for F in inst.maps
+    )
+    k_est = max(mults)
+    overlap = estimate_overlap_L(inst.maps)
 
     passed = (
         worst <= inst.alpha + 1e-12
         and inst.K_decl >= k_est
-        and inst.L_decl >= l_est
+        and inst.L_decl >= overlap.L
     )
     return AuditReport(
         instance_label=inst.label,
@@ -445,9 +415,9 @@ def audit_contraction(inst, probes=512):
         k_decl=inst.K_decl,
         k_est=k_est,
         l_decl=inst.L_decl,
-        l_est=l_est,
+        l_est=overlap.L,
         multiplicities=mults,
-        overlap_table=table,
+        overlap_table=overlap.table,
         per_map_worst=tuple(per_map_worst),
         feasible_alpha=worst,
         worst_witness=witness,

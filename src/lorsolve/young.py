@@ -18,9 +18,8 @@ whose inverse maps measures to lengths in the Lorentz-type norm (see
 everything has closed form: ``tau(t) = t**m / m`` and
 ``tau^{-1}(s) = (m*s)**(1/m)``.
 
-Closed forms are supplied by the caller; nothing here differentiates
-symbolically.  Missing evaluators fall back to forward difference quotients
-(step ``max(1e-8, 1e-8*t)``) and bracketed bisection.  The audit helpers
+Closed forms for psi', psi^{-1} are supplied by the caller; nothing here
+differentiates symbolically.  The audit helpers
 (:func:`check_delta2`, :func:`check_n_function`, :func:`validate_young`,
 :func:`validate_tau`) sample fixed schedules and report finite numerical
 evidence -- PASS/FAIL/INCONCLUSIVE -- not proof.
@@ -46,13 +45,10 @@ __all__ = [
     "validate_young",
     "validate_tau",
     "young_family",
-    "register_young_family",
     "Delta2Report",
     "NFnReport",
     "ProbeReport",
 ]
-
-_DIFF_STEP = 1e-8
 
 
 class YoungFnError(ValueError):
@@ -61,11 +57,6 @@ class YoungFnError(ValueError):
 
 class TauUndefinedError(ValueError):
     """Raised when 1/psi(1/t) is 0 or infinite at a sampled interior point."""
-
-
-def _forward_quotient(fn, t):
-    h = np.maximum(_DIFF_STEP, _DIFF_STEP * np.asarray(t, dtype=float))
-    return (fn(t + h) - fn(t)) / h
 
 
 def _expanding_inverse(fn, v):
@@ -82,18 +73,18 @@ def _expanding_inverse(fn, v):
 
 @dataclass(frozen=True)
 class YoungFn:
-    """A Young function with optional closed-form derivative and inverse.
+    """A Young function with its closed-form derivative and inverse.
 
-    ``fn`` (and the optional evaluators) must be vectorized over numpy
-    arrays.  ``deriv`` is the right derivative; ``inv`` the inverse where
-    psi is strictly increasing; ``delta2_const`` a doubling constant if one
-    is known.  Instances are immutable and safe to share across threads.
+    ``fn``, ``deriv`` and ``inv`` must be vectorized over numpy arrays.
+    ``deriv`` is the right derivative; ``inv`` the inverse where psi is
+    strictly increasing; ``delta2_const`` a doubling constant if one is
+    known.  Instances are immutable and safe to share across threads.
     """
 
     label: str
     fn: Callable
-    deriv: Optional[Callable] = None
-    inv: Optional[Callable] = None
+    deriv: Callable
+    inv: Callable
     delta2_const: Optional[float] = None
 
     def __post_init__(self):
@@ -109,14 +100,10 @@ class YoungFn:
         return self.fn(t)
 
     def right_deriv(self, t):
-        if self.deriv is not None:
-            return self.deriv(t)
-        return _forward_quotient(self.fn, t)
+        return self.deriv(t)
 
     def inverse(self, v):
-        if self.inv is not None:
-            return self.inv(v)
-        return _expanding_inverse(self.fn, v)
+        return self.inv(v)
 
 
 @dataclass(frozen=True)
@@ -208,13 +195,8 @@ _FAMILIES = {
 }
 
 
-def register_young_family(name, builder, lorentz_admissible=False):
-    """Register a named single-parameter family for config files."""
-    _FAMILIES[name] = (builder, bool(lorentz_admissible))
-
-
 def young_family(name, param, require_admissible=False):
-    """Instantiate a registered family by name ("power", "monomial", ...)."""
+    """Instantiate a family by name ("power" or "monomial")."""
     try:
         builder, admissible = _FAMILIES[name]
     except KeyError:
@@ -234,13 +216,13 @@ _TAU_PROBE = np.logspace(-8.0, 8.0, 33)
 def derive_tau(psi, probe_grid=None):
     """Build tau(t) = 1/psi(1/t) with inverse and derivative evaluators.
 
-    Uses psi's closed forms when present:
+    Uses psi's closed forms:
 
         tau^{-1}(s)    = 1 / psi^{-1}(1/s)
         tau'(t)        = psi'(1/t) / (t * psi(1/t))**2
         (tau^{-1})'(s) = 1 / tau'(tau^{-1}(s))
 
-    otherwise falls back to bisection / forward differences.  Raises
+    Raises
     :class:`TauUndefinedError` if psi(1/t) is 0 or non-finite at a sampled
     interior t (tau would be ill-defined there).
     """
@@ -260,55 +242,38 @@ def derive_tau(psi, probe_grid=None):
         out[pos] = 1.0 / np.asarray(psi(1.0 / t[pos]), dtype=float)
         return out if out.ndim else float(out)
 
-    if psi.inv is not None:
-        def tau_inv(s):
-            s = np.asarray(s, dtype=float)
-            out = np.zeros_like(s)
-            pos = s > 0
-            out[pos] = 1.0 / np.asarray(psi.inv(1.0 / s[pos]), dtype=float)
-            return out if out.ndim else float(out)
-    else:
-        def tau_inv(s):
-            s = np.asarray(s, dtype=float)
-            out = np.zeros_like(s)
-            pos = s > 0
-            out[pos] = _expanding_inverse(tau, s[pos])
-            return out if out.ndim else float(out)
+    def tau_inv(s):
+        s = np.asarray(s, dtype=float)
+        out = np.zeros_like(s)
+        pos = s > 0
+        out[pos] = 1.0 / np.asarray(psi.inv(1.0 / s[pos]), dtype=float)
+        return out if out.ndim else float(out)
 
-    if psi.deriv is not None:
-        def tau_deriv(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                u = 1.0 / t
-                return np.asarray(psi.deriv(u), dtype=float) / (
-                    t * np.asarray(psi(u), dtype=float)
-                ) ** 2
-    else:
-        def tau_deriv(t):
-            return _forward_quotient(tau, t)
+    def tau_deriv(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = 1.0 / t
+            return np.asarray(psi.deriv(u), dtype=float) / (
+                t * np.asarray(psi(u), dtype=float)
+            ) ** 2
 
-    if psi.deriv is not None:
-        def tau_inv_deriv(s):
-            # At t = tau_inv(s) we have psi(1/t) = 1/s, so
-            # 1/tau'(t) = (t * psi(1/t))**2 / psi'(1/t) = (t/s)**2 / psi'(1/t).
-            # Grouped as a * (a / psi') every intermediate stays below
-            # max(a, result): convexity gives psi'(1/t) >= 1/(s*t) = a, so the
-            # inner quotient is <= 1 and nothing overflows where the result
-            # itself is representable (the naive chain blows up near s = 0,
-            # where the weight has its integrable singularity).
-            s = np.asarray(s, dtype=float)
-            out = np.full(s.shape, np.inf)
-            pos = s > 0
-            t = np.asarray(tau_inv(s[pos]), dtype=float)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                a = t / s[pos]
-                dpsi = np.asarray(psi.deriv(1.0 / t), dtype=float)
-                out[pos] = a * (a / dpsi)
-            return out if out.ndim else float(out)
-    else:
-        def tau_inv_deriv(s):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return 1.0 / tau_deriv(tau_inv(s))
+    def tau_inv_deriv(s):
+        # At t = tau_inv(s) we have psi(1/t) = 1/s, so
+        # 1/tau'(t) = (t * psi(1/t))**2 / psi'(1/t) = (t/s)**2 / psi'(1/t).
+        # Grouped as a * (a / psi') every intermediate stays below
+        # max(a, result): convexity gives psi'(1/t) >= 1/(s*t) = a, so the
+        # inner quotient is <= 1 and nothing overflows where the result
+        # itself is representable (the naive chain blows up near s = 0,
+        # where the weight has its integrable singularity).
+        s = np.asarray(s, dtype=float)
+        out = np.full(s.shape, np.inf)
+        pos = s > 0
+        t = np.asarray(tau_inv(s[pos]), dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a = t / s[pos]
+            dpsi = np.asarray(psi.deriv(1.0 / t), dtype=float)
+            out[pos] = a * (a / dpsi)
+        return out if out.ndim else float(out)
 
     def tau_deriv_inverse(u):
         return _expanding_inverse(tau_deriv, u)

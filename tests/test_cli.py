@@ -196,6 +196,26 @@ class TestInputErrors:
         assert rc == 2
         assert "missing section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_degenerate_tolerance(self, tmp_path, capsys, tol):
+        rc = main(["solve", "--instance", "doubling", "--tol", tol,
+                   "--max-steps", "3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--tol must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.txt").exists()
+
+    def test_non_numeric_h0_csv(self, tmp_path, capsys):
+        rows = ["cell_left,cell_right,value"]
+        rows += [f"{i / 16!r},{(i + 1) / 16!r},1.0" for i in range(16)]
+        rows[5] = rows[5].replace("1.0", "one")
+        (tmp_path / "h0.csv").write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TIGHT.replace("m = 128", "m = 16")
+                       .replace("expr = 1\n", "csv = h0.csv\n", 1))
+        rc = main(["solve", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "non-numeric" in capsys.readouterr().err
+
     def test_monomial_family_rejected_for_solve(self, tmp_path, capsys):
         rc = main(["solve", "--instance", "doubling", "--psi", "monomial",
                    "--out", str(tmp_path)])

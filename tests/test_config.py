@@ -112,7 +112,7 @@ class TestLoadInstance:
     def test_expression_h0(self):
         text = MINIMAL.replace("expr = 1\n", "expr = x^2\n", 1)
         inst, _ = load_instance(text)
-        mid0 = inst.h0.midpoints[0, 0]
+        mid0 = inst.h0.midpoints[0]
         assert inst.h0.values[0] == mid0**2
 
 

@@ -1,0 +1,137 @@
+"""Golden digests of the CLI's deterministic outputs.
+
+The solver promises byte-identical ``solution.csv``, ``trace.csv``,
+``certificate.txt`` and ``audit.txt`` for the same inputs.  These digests
+pin those bytes, so a refactor that claims to keep behaviour proves it by
+running the suite.  A change that alters an output on purpose updates the
+digest here and says why.
+"""
+
+import hashlib
+import textwrap
+
+import pytest
+
+from lorsolve.cli import main
+
+from test_cli import TIGHT
+
+# Two intervals of unequal width, a vector h0 and two maps whose images
+# overlap: covers the multi-interval geometry, the vector CSV columns and
+# the audit's overlap table.
+PAIR = textwrap.dedent("""\
+    [instance]
+    name = pair
+
+    [domain]
+    boxes = 0, 1; 2, 2.5
+
+    [grid]
+    m = 32
+
+    [young]
+    family = power
+    m = 2.0
+
+    [constants]
+    K = 1
+    L = 2
+    alpha = 0.25
+
+    [h0]
+    components = 1 + x; 0.5; x*x
+
+    [map1]
+    branch1 = 0, 1, x/2, 0.5
+    branch2 = 2, 2.5, 2 + (x - 2)/2, 0.5
+
+    [map2]
+    branch1 = 0, 1, 2 + x/2, 0.5
+    branch2 = 2, 2.5, 2*(x - 2), 2
+
+    [coeff1]
+    expr = 0.05
+
+    [coeff2]
+    expr = 0.02*x
+    """)
+
+SOLVE_FILES = ("solution.csv", "trace.csv", "certificate.txt")
+
+GOLDEN = {
+    "solve-doubling": {
+        "solution.csv":
+            "0aae345ec43c102b534cfb1846e914bacee5ffd0c05a276ed7a1e70cb1c8f28b",
+        "trace.csv":
+            "bb1d2e9236923d6601a4ccb9b947535190e18881fddb02fded826ca24277efc1",
+        "certificate.txt":
+            "b7a37d63ee5742190a95242dd78911b4a8667f194f8d747561eeb906a90203e6",
+    },
+    "solve-twobranch": {
+        "solution.csv":
+            "0aae345ec43c102b534cfb1846e914bacee5ffd0c05a276ed7a1e70cb1c8f28b",
+        "trace.csv":
+            "bb1d2e9236923d6601a4ccb9b947535190e18881fddb02fded826ca24277efc1",
+        "certificate.txt":
+            "c64541c4f3c44e9dba022bc06ffe4d66d2a19538682bc1fd33e0d354669ae9ab",
+    },
+    "solve-linear_h0": {
+        "solution.csv":
+            "73fd4a5434c949c320f12ae2c50dcb486005a057da31b03c7a5c9ef11b47f5ca",
+        "trace.csv":
+            "510f0bcac4e0e7b934e8975a87a103346bf06f299e3b10bc3eb3486bdc534e68",
+        "certificate.txt":
+            "61f7daece8b522043418336d20cbd078d33a04995780e5613e26a7e3ba42645d",
+    },
+    "audit-tight": {
+        "audit.txt":
+            "a28c6f6a2b4ce750b798c37566299036bbbf884aa8ad8ae652d1ef659b4b7e92",
+    },
+    "solve-pair": {
+        "solution.csv":
+            "d885c1a9f0db4156c7d82d97a8e2d2a5001bf21b8a951aa9b844d41aa06b40c4",
+        "trace.csv":
+            "c6091c817e32a0192fea528c2d13e3567b51ad5ce6b3ab35b4d63fb349d25075",
+        "certificate.txt":
+            "983afdb253a22cc2485d359b430967f8d6af4d3ea8d6aa671a4feb3eaf153a61",
+    },
+    "audit-pair": {
+        "audit.txt":
+            "78c5ed1fbe778570ec18014756fa6ceedc7d79cb07c0029f18da4dd7d9eb1803",
+    },
+}
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# case -> (subcommand, bundled instance or config text, expected exit status)
+CASES = {
+    "solve-doubling": ("solve", "doubling", 0),
+    "solve-twobranch": ("solve", "twobranch", 0),
+    "solve-linear_h0": ("solve", "linear_h0", 0),
+    "audit-tight": ("audit", TIGHT, 1),
+    "solve-pair": ("solve", PAIR, 0),
+    "audit-pair": ("audit", PAIR, 0),
+}
+
+
+def _run(tmp_path, case):
+    """Run one golden case; returns {file name: sha256} of its outputs."""
+    command, instance, rc = CASES[case]
+    args = [command, "--out", str(tmp_path / "out")]
+    if "\n" in instance:
+        cfg = tmp_path / "instance.cfg"
+        cfg.write_text(instance)
+        args += ["--instance", str(cfg)]
+    else:
+        args += ["--instance", instance, "--grid", "64"]
+    assert main(args) == rc
+    files = SOLVE_FILES if command == "solve" else ("audit.txt",)
+    return {f: _digest(tmp_path / "out" / f) for f in files}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_golden_digests(tmp_path, case):
+    assert _run(tmp_path, case) == GOLDEN[case]

@@ -7,7 +7,6 @@ from lorsolve import (
     MapError,
     PiecewiseMap,
     SampledFn,
-    TensorMap,
     affine_map,
     banach_indicatrix,
     change_of_variables_check,
@@ -83,20 +82,6 @@ class TestPiecewiseMap:
         assert len(ivs) == 1
         lo, hi = ivs[0]
         assert (lo, hi) == (0.0, 1.0)
-
-
-class TestTensorMap:
-    def test_two_dim_apply_and_jacobian(self):
-        F = TensorMap([doubling_map(), halving_map()])
-        assert F.k == 2
-        pts = np.array([[0.25, 0.5]])
-        out = F(pts)
-        assert np.allclose(out, [[0.5, 0.25]])
-        assert F.deriv(pts)[0] == pytest.approx(1.0, rel=1e-12)  # 2 * 0.5
-
-    def test_covers_box(self):
-        F = TensorMap([doubling_map(), halving_map()])
-        assert F.covers(np.array([[0.1, 0.9]]))[0]
 
 
 class TestIndicatrix:

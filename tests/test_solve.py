@@ -69,6 +69,18 @@ class TestSolveDoubling:
         assert not trace.certified
         assert trace.m_stop == 5
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_degenerate_tolerance_refused(self, tol):
+        inst = make_doubling_instance(m=64)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            solve_elementary(inst, tol=tol, max_steps=5)
+
+    def test_zero_h0_default_tolerance_is_exact_at_step_zero(self, unit):
+        inst = make_doubling_instance(m=64, h0=SampledFn.zeros(unit, 64))
+        solution, trace = solve_elementary(inst)
+        assert trace.tol == 0.0 and trace.m_stop == 0 and trace.certified
+        assert not np.any(solution.values)
+
     def test_partial_norms_nondecreasing(self):
         inst = make_doubling_instance(m=256)
         _, trace = solve_elementary(inst)

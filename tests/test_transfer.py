@@ -7,7 +7,6 @@ from lorsolve import (
     ProblemInstance,
     SampledFn,
     affine_map,
-    apply_P,
     audit_contraction,
     doubling_map,
     estimate_multiplicity,
@@ -30,7 +29,7 @@ class TestApply:
         rng = np.random.default_rng(2)
         phi = SampledFn(inst.domain, 128, rng.normal(size=128))
         out = inst.apply(phi)
-        y = np.mod(2.0 * phi.midpoints[:, 0], 1.0)
+        y = np.mod(2.0 * phi.midpoints, 1.0)
         want = 0.25 * phi.values[phi.cell_index_of(y)]
         assert np.array_equal(out.values, want)
 
@@ -47,12 +46,6 @@ class TestApply:
         inst = make_twobranch_instance(m=64)
         out = inst.apply(SampledFn.constant(inst.domain, 64, 1.0))
         assert np.all(out.values == 0.25)  # 1/8 + 1/8
-
-    def test_functional_form(self):
-        inst = make_doubling_instance(m=64)
-        phi = SampledFn.constant(inst.domain, 64, 2.0)
-        assert np.array_equal(apply_P(phi, inst).values,
-                              inst.apply(phi).values)
 
     def test_vector_input(self):
         inst = make_doubling_instance(m=64)
@@ -91,6 +84,13 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError):
             ProblemInstance(unit, (doubling_map(),), (g,), h0,
                             K_decl=2, L_decl=2, alpha=0.25, psi=psi)
+
+    def test_non_piecewise_map_rejected(self, unit):
+        h0 = SampledFn.constant(unit, 32, 1.0)
+        g = SampledFn.constant(unit, 32, 0.25)
+        with pytest.raises(InstanceError, match="not a PiecewiseMap"):
+            ProblemInstance(unit, (lambda x: x,), (g,), h0, K_decl=1,
+                            L_decl=1, alpha=0.25, psi=power_young(2.0))
 
     def test_empty_maps_rejected(self, unit):
         h0 = SampledFn.constant(unit, 32, 1.0)
