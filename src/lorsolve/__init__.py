@@ -81,6 +81,7 @@ from .norms import (
 from .solve import (
     DivergenceError,
     IterationTrace,
+    ToleranceError,
     TraceRow,
     UniquenessReport,
     residual,
@@ -148,6 +149,7 @@ __all__ = [
     "StepDistribution",
     "StepFn",
     "TauFn",
+    "ToleranceError",
     "TraceRow",
     "UniquenessReport",
     "YoungFn",

@@ -39,7 +39,7 @@ from .norms import (
     lorentz_norm,
     seeded_corpus,
 )
-from .solve import DivergenceError, solve_elementary
+from .solve import DivergenceError, ToleranceError, solve_elementary
 from .transfer import AuditFailure, InstanceError, audit_contraction
 from .young import YoungFnError, derive_tau, monomial_young, young_family
 
@@ -58,6 +58,11 @@ def _atomic_write(out_dir, filename, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the artifact the mode open() would.
+        # Reading the umask means setting it, so set it straight back.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -387,7 +392,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (_InputError, ConfigError, InstanceError, GridError, MapError,
-            YoungFnError) as exc:
+            ToleranceError, YoungFnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

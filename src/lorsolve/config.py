@@ -205,19 +205,13 @@ def _parse_h0(cp, domain, m, source, base_dir):
         cols = [np.asarray(fn(mids), dtype=float) for fn in fns]
         return SampledFn(domain, m, np.stack(cols, axis=1))
     rel = cp.get("h0", "csv").strip()
-    path = base_dir.joinpath(rel) if base_dir is not None else rel
+    path = base_dir.joinpath(rel) if base_dir is not None else pathlib.Path(rel)
     try:
-        if hasattr(path, "read_text"):
-            text = path.read_text()
-        else:
-            with open(path, "r") as fh:
-                text = fh.read()
+        return SampledFn.from_csv(path, domain, m)
     except OSError as exc:
         raise ConfigError(
             f"{source}: [h0] csv: cannot read {rel!r}: {exc}"
         ) from exc
-    try:
-        return SampledFn.from_csv(text, domain, m)
     except GridError as exc:
         raise ConfigError(f"{source}: [h0] csv {rel!r}: {exc}") from exc
 

@@ -13,6 +13,7 @@ to ||P^m h0||) is recomputed independently each step as a cross-check.
 """
 
 import csv
+import sys
 from dataclasses import dataclass
 
 from .norms import NormValue
@@ -22,6 +23,7 @@ __all__ = [
     "TraceRow",
     "IterationTrace",
     "DivergenceError",
+    "ToleranceError",
     "solve_elementary",
     "residual",
     "UniquenessReport",
@@ -111,6 +113,10 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
 
 
+class ToleranceError(ValueError):
+    """A requested tolerance that the solver cannot certify."""
+
+
 def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     """Sum the series sum P^k h0 until the tail bound certifies ``tol``.
 
@@ -118,26 +124,34 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     ``force`` is set, and a forced run is recorded in the trace so its
     certificate reports verdict FAIL even when the tolerance is reached.
     ``tol`` is absolute in norm units and defaults to 1e-8 * ||h0||; a
-    given ``tol`` must be > 0 (ValueError otherwise: zero, negative or NaN
-    tolerances are never reached, or reached only when the tail bound
-    underflows).  The default is 0 only for h0 = 0, where the 0-step
-    answer is exact.  Returns (solution, trace).
+    given ``tol`` must be > 0 and at least one ulp of the bound
+    ||h0|| / (1 - 2*alpha) on ||phi|| (:class:`ToleranceError` otherwise:
+    such tolerances are never reached, or reached only when the tail bound
+    underflows, while the stored values are already further off than
+    ``tol``).  The default is 0 only for h0 = 0, where the 0-step answer
+    is exact.  Returns (solution, trace).
 
     Raises :class:`DivergenceError` when term norms grow faster than the
     certified factor 2*alpha for 3 consecutive steps.
     """
     if tol is not None and not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+        raise ToleranceError(f"tol must be > 0, got {tol!r}")
     report = audit_contraction(inst)
     if not report.passed and not force:
         raise AuditFailure(report)
 
     h0_norm = inst.norm(inst.h0)
-    if tol is None:
-        tol = _DEFAULT_REL_TOL * h0_norm
-    tol = float(tol)
     rate = 2.0 * inst.alpha
     prefactor = h0_norm / (1.0 - rate)
+    resolution = sys.float_info.epsilon * prefactor
+    if tol is None:
+        tol = _DEFAULT_REL_TOL * h0_norm
+    elif tol < resolution:
+        raise ToleranceError(
+            f"tol {tol!r} is below float resolution {resolution!r}, one ulp "
+            f"of the bound ||h0||/(1-2*alpha) = {prefactor!r} on ||phi||"
+        )
+    tol = float(tol)
 
     partial = 0.0 * inst.h0
     term = inst.h0

@@ -1,3 +1,5 @@
+import os
+import stat
 import textwrap
 
 import pytest
@@ -71,6 +73,19 @@ class TestSolve:
         cert = (tmp_path / "certificate.txt").read_text()
         assert "audit = FAIL (forced run)" in cert
         assert "verdict = FAIL" in cert
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+    def test_artifacts_follow_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            rc = main(["solve", "--instance", "doubling", "--grid", "64",
+                       "--out", str(tmp_path)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        for name in ("solution.csv", "trace.csv", "certificate.txt"):
+            mode = stat.S_IMODE((tmp_path / name).stat().st_mode)
+            assert mode == 0o666 & ~umask, (name, oct(mode))
 
     def test_grid_override_changes_solution_rows(self, tmp_path):
         rc = main(["solve", "--instance", "doubling", "--grid", "64",
@@ -203,6 +218,26 @@ class TestInputErrors:
         assert rc == 2
         assert "--tol must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "certificate.txt").exists()
+
+    def test_tolerance_below_float_resolution(self, tmp_path, capsys):
+        rc = main(["solve", "--instance", "doubling", "--tol", "1e-300",
+                   "--max-steps", "2000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "below float resolution" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.txt").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("cell_left,cell_right,value", "CSV has 0 cells, grid needs 16"),
+    ])
+    def test_h0_csv_without_cells(self, tmp_path, capsys, text, message):
+        (tmp_path / "h0.csv").write_text(text)
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TIGHT.replace("m = 128", "m = 16")
+                       .replace("expr = 1\n", "csv = h0.csv\n", 1))
+        rc = main(["solve", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_non_numeric_h0_csv(self, tmp_path, capsys):
         rows = ["cell_left,cell_right,value"]

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +14,7 @@ from lorsolve import (
     pointwise_norm,
     rearrangement,
 )
+from lorsolve import grids
 
 
 class TestDomain:
@@ -132,6 +136,56 @@ class TestCsvRoundTrip:
         rows[1] = "nan," + rows[1].split(",", 1)[1]
         with pytest.raises(GridError, match="row 1 cell edges"):
             SampledFn.from_csv("\n".join(rows) + "\n", unit, 4)
+
+
+def _reference_csv(f):
+    """Row-by-row writer that SampledFn.write_csv must match byte for byte."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    left, right = f.cell_bounds()
+    if f.is_vector:
+        w.writerow(["cell_left", "cell_right"]
+                   + [f"value_{j}" for j in range(f.target_dim)])
+    else:
+        w.writerow(["cell_left", "cell_right", "value"])
+    vals = f.values if f.is_vector else f.values[:, None]
+    fmt = complex if np.iscomplexobj(vals) else float
+    for i in range(f.ncells):
+        w.writerow([repr(float(left[i])), repr(float(right[i]))]
+                   + [repr(fmt(v)) for v in vals[i]])
+    return buf.getvalue()
+
+
+def _awkward_levels(rng, n):
+    """A long run of one level, then random draws from +-0.0, subnormals
+    and normal numbers of mixed scale."""
+    k = n - n // 2
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320,
+                     1e16, 1e-5, 4.0 / 3.0])
+    normal = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, k)
+    mixed = np.where(rng.random(k) < 0.5, rng.choice(pool, k), normal)
+    return np.concatenate([np.full(n // 2, 4.0 / 3.0), mixed])
+
+
+class TestCsvWriter:
+    """write_csv against the row-by-row reference, across chunk boundaries
+    and on two intervals of unequal width."""
+
+    @pytest.mark.parametrize("kind", ["real", "vector", "complex"])
+    def test_matches_reference(self, kind):
+        m = 2 * grids._CSV_CHUNK_ROWS + 5
+        domain = Domain.from_intervals([(-0.3, 0.7), (2.0, 2.125)])
+        rng = np.random.default_rng(7)
+        n = 2 * m
+        if kind == "real":
+            vals = _awkward_levels(rng, n)
+        elif kind == "vector":
+            vals = np.stack([_awkward_levels(rng, n) for _ in range(3)], axis=1)
+        else:
+            imag = rng.permutation(_awkward_levels(rng, n))
+            vals = _awkward_levels(rng, n) + 1j * imag
+        f = SampledFn(domain, m, vals)
+        assert f.csv_text() == _reference_csv(f)
 
 
 class TestDistribution:

@@ -8,6 +8,7 @@ from lorsolve import (
     AuditFailure,
     DivergenceError,
     SampledFn,
+    ToleranceError,
     residual,
     solve_elementary,
     uniqueness_probe,
@@ -74,6 +75,16 @@ class TestSolveDoubling:
         inst = make_doubling_instance(m=64)
         with pytest.raises(ValueError, match="tol must be > 0"):
             solve_elementary(inst, tol=tol, max_steps=5)
+
+    def test_tolerance_below_float_resolution_refused(self):
+        inst = make_doubling_instance(m=64)
+        # One ulp of ||h0|| / (1 - 2*alpha) = 2*sqrt(2), the bound on ||phi||.
+        ulp = np.finfo(float).eps * 2 * SQRT2
+        for tol in (1e-300, 0.99 * ulp):
+            with pytest.raises(ToleranceError, match="below float resolution"):
+                solve_elementary(inst, tol=tol, max_steps=2000)
+        _, trace = solve_elementary(inst, tol=1.01 * ulp)
+        assert trace.certified
 
     def test_zero_h0_default_tolerance_is_exact_at_step_zero(self, unit):
         inst = make_doubling_instance(m=64, h0=SampledFn.zeros(unit, 64))
