@@ -531,12 +531,16 @@ class StepFn:
         return _distribution_from(self.values, np.diff(self.edges))
 
 
+def _levels(values, measures):
+    """The distinct values in increasing order and the total measure of each."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=measures, minlength=uniq.size)
+
+
 def _distribution_from(values, measures):
     """Exact StepDistribution of nonnegative step data (value, measure)."""
-    vals = np.asarray(values, dtype=float)
-    meas = np.asarray(measures, dtype=float)
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    agg = np.bincount(inverse, weights=meas, minlength=uniq.size)
+    uniq, agg = _levels(np.asarray(values, dtype=float),
+                        np.asarray(measures, dtype=float))
     # tail[j] = measure{value > uniq[j]}
     tail = np.concatenate([np.cumsum(agg[::-1])[::-1][1:], [0.0]])
     if uniq[0] > 0.0:
@@ -565,9 +569,7 @@ def rearrangement(f):
     if f.is_vector:
         raise GridError("rearrangement() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    a = np.abs(f.values)
-    uniq, inverse = np.unique(a, return_inverse=True)
-    agg = np.bincount(inverse, weights=f.cell_measures, minlength=uniq.size)
+    uniq, agg = _levels(np.abs(f.values), f.cell_measures)
     vals = uniq[::-1].copy()
     widths = agg[::-1].copy()
     edges = np.concatenate([[0.0], np.cumsum(widths)])

@@ -113,16 +113,6 @@ def _merge_intervals(ivals):
     return out
 
 
-def _intersect_unions(u1, u2):
-    out = []
-    for a1, b1 in u1:
-        for a2, b2 in u2:
-            a, b = max(a1, a2), min(b1, b2)
-            if a < b:
-                out.append((a, b))
-    return _merge_intervals(out)
-
-
 class PiecewiseMap:
     """A one-dimensional map assembled from disjoint monotone branches."""
 

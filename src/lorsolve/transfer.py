@@ -15,19 +15,20 @@ inequality
 
 where K bounds the preimage multiplicity of each map, L the overlap order
 of their images, and N is the number of maps.  K and L are declared by the
-caller and cross-checked against estimates (never silently inferred); a
-PASS is evidence at grid resolution, a FAIL is authoritative.
+caller and cross-checked against their exact values, computed by one sweep
+over the branch image intervals (never silently inferred).  The ratio
+|g_n|/|J_n| is sampled at midpoints, so a PASS is evidence at grid
+resolution; a FAIL is authoritative.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .grids import SampledFn
-from .maps import MapError, PiecewiseMap, _intersect_unions, indicatrix_profile
-from .norms import lorentz_norm, lorentz_norm_vector
+from .maps import MapError, PiecewiseMap
+from .norms import lorentz_norm_vector
 from .young import derive_tau
 
 __all__ = [
@@ -214,9 +215,7 @@ class ProblemInstance:
 
     def norm(self, f):
         """The instance norm: exact distribution-route Lorentz norm."""
-        if f.is_vector:
-            return lorentz_norm_vector(f, self.tau).value
-        return lorentz_norm(f, self.tau, "distribution").value
+        return lorentz_norm_vector(f, self.tau).value
 
     def apply(self, phi):
         """Evaluate P phi on the instance grid (exact cell arithmetic).
@@ -235,72 +234,67 @@ class ProblemInstance:
         return SampledFn(self.domain, self.m, acc)
 
 
-def estimate_multiplicity(F, probes=512, domain=None):
-    """Estimate the essential preimage multiplicity of a map.
+def _max_depth(intervals):
+    """Largest number of intervals that share a segment of positive length.
 
-    Probes the Banach indicatrix on a uniform interior grid of levels over
-    ``domain`` (default: the span of the branch intervals); levels flagged
-    as image-endpoint-ambiguous are re-probed with a deterministic quarter-
-    spacing jitter.  For branch maps this equals the true essential
-    multiplicity once the probes avoid the finite set of branch-image
-    endpoints.
+    Returns (depth, segment): ``segment`` is the first (a, b) with a < b on
+    which that depth is reached, or None when no interval has positive
+    length.  Intervals that only touch at an endpoint do not overlap.
+    """
+    events = []
+    for a, b in intervals:
+        if a < b:
+            events += [(a, 1), (b, -1)]
+    events.sort()  # at equal points, ends (-1) come before starts (+1)
+    depth, best, segment = 0, 0, None
+    for (x, step), (nxt, _) in zip(events, events[1:]):
+        depth += step
+        if depth > best and x < nxt:
+            best, segment = depth, (x, nxt)
+    return best, segment
+
+
+def estimate_multiplicity(F, domain=None):
+    """Essential preimage multiplicity of a map, exact for branch maps.
+
+    The largest number of branches whose images share a segment of
+    positive length.  With ``domain`` given, each branch is cut to each
+    domain interval and each piece's image is clipped to the domain, so
+    only preimages and levels inside the domain count.
     """
     if domain is None:
-        lo = min(b.lo for b in F.branches)
-        hi = max(b.hi for b in F.branches)
-        intervals = [(lo, hi)]
-    else:
-        intervals = domain.intervals()
-    best = 0
-    for lo, hi in intervals:
-        step = (hi - lo) / probes
-        ys = lo + (np.arange(probes) + 0.5) * step
-        counts, amb = indicatrix_profile(F, domain, ys)
-        if amb.any():
-            redo, _ = indicatrix_profile(F, domain, ys[amb] + 0.25 * step)
-            counts = counts.copy()
-            counts[amb] = redo
-        if counts.size:
-            best = max(best, int(counts.max()))
-    return best
+        return _max_depth(b.image for b in F.branches)[0]
+    boxes = domain.intervals()
+    images = []
+    for b in F.branches:
+        for lo, hi in boxes:
+            a, c = max(b.lo, lo), min(b.hi, hi)
+            if a < c:
+                ya, yc = sorted(np.asarray(b.fn(np.array([a, c])),
+                                           dtype=float).tolist())
+                images += [(max(ya, y0), min(yc, y1)) for y0, y1 in boxes]
+    return _max_depth(images)[0]
 
 
 class OverlapEstimate(NamedTuple):
     L: int
-    table: tuple  # ((subset indices 1-based, intersection measure), ...)
+    witness: tuple  # (map indices 1-based, (a, b)): the maps covering [a, b)
 
 
 def estimate_overlap_L(maps):
-    """Largest number of maps whose image unions intersect with positive
-    measure, computed exactly from branch image intervals.
+    """Largest number of maps whose images share a segment of positive
+    length, computed exactly from branch image intervals.
 
-    Returns the order L and the per-subset intersection-measure table
-    (all nonempty subsets for up to 6 maps, positive-measure rows only
-    beyond that).
+    Returns the order L and a witness: the maps whose images cover the
+    first segment where L is reached.
     """
-    maps = list(maps)
-    n = len(maps)
-    if n == 0:
-        raise MapError("estimate_overlap_L needs at least one map")
-    if n > 16:
-        raise MapError("overlap enumeration is limited to 16 maps")
     images = [F.image_intervals() for F in maps]
-    table = []
-    L = 0
-    keep_all = n <= 6
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            inter = images[subset[0]]
-            for j in subset[1:]:
-                inter = _intersect_unions(inter, images[j])
-                if not inter:
-                    break
-            measure = float(sum(b - a for a, b in inter))
-            if measure > 0.0:
-                L = max(L, size)
-            if keep_all or measure > 0.0:
-                table.append((tuple(i + 1 for i in subset), measure))
-    return OverlapEstimate(L=L, table=tuple(table))
+    if not images:
+        raise MapError("estimate_overlap_L needs at least one map")
+    L, (a, b) = _max_depth(iv for image in images for iv in image)
+    covering = tuple(i for i, image in enumerate(images, start=1)
+                     if any(lo <= a and b <= hi for lo, hi in image))
+    return OverlapEstimate(L=L, witness=(covering, (a, b)))
 
 
 @dataclass(frozen=True)
@@ -310,8 +304,11 @@ class AuditReport:
     ``feasible_alpha`` is the largest cellwise ratio
     |g_n(x)| * max{K*L/|J_n(x)|, N} over all maps and cells: the smallest
     alpha the grid data would admit.  PASS requires it to be at most the
-    declared alpha (+1e-12) and the declared K, L to dominate the
-    estimates.
+    declared alpha (+1e-12) and the declared K, L to dominate ``k_est``
+    and ``l_est``, which are exact: computed from the branch image
+    intervals, not sampled.  ``overlap_witness`` names the maps whose
+    images cover the first segment where the overlap order ``l_est`` is
+    reached.
     """
 
     instance_label: str
@@ -324,7 +321,7 @@ class AuditReport:
     l_decl: int
     l_est: int
     multiplicities: tuple
-    overlap_table: tuple
+    overlap_witness: tuple
     per_map_worst: tuple
     feasible_alpha: float
     worst_witness: str
@@ -346,10 +343,10 @@ class AuditReport:
             f"L_estimated = {self.l_est}",
             f"multiplicity_estimates = {list(self.multiplicities)!r}",
         ]
-        for subset, measure in self.overlap_table:
-            lines.append(
-                "overlap_measure_" + "_".join(map(str, subset)) + f" = {measure!r}"
-            )
+        covering, (a, b) = self.overlap_witness
+        lines.append(
+            f"overlap_witness = maps {list(covering)!r} on [{a!r}, {b!r})"
+        )
         for i, worst in enumerate(self.per_map_worst, start=1):
             lines.append(f"worst_ratio_map_{i} = {worst!r}")
         lines += [
@@ -363,12 +360,13 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def audit_contraction(inst, probes=512):
+def audit_contraction(inst):
     """Audit the contraction inequality on the instance grid.
 
     Checks, per map and cell midpoint, the ratio form of the inequality
     (see :class:`AuditReport`), and cross-checks the declared K and L
-    against :func:`estimate_multiplicity` and :func:`estimate_overlap_L`.
+    against :func:`estimate_multiplicity` and :func:`estimate_overlap_L`,
+    which compute them exactly from the branch image intervals.
     """
     n = inst.n_maps
     kl = float(inst.K_decl * inst.L_decl)
@@ -394,10 +392,8 @@ def audit_contraction(inst, probes=512):
                 f"ratio = {float(ratio[c])!r}"
             )
 
-    mults = tuple(
-        estimate_multiplicity(F, probes=probes, domain=inst.domain)
-        for F in inst.maps
-    )
+    mults = tuple(estimate_multiplicity(F, domain=inst.domain)
+                  for F in inst.maps)
     k_est = max(mults)
     overlap = estimate_overlap_L(inst.maps)
 
@@ -417,7 +413,7 @@ def audit_contraction(inst, probes=512):
         l_decl=inst.L_decl,
         l_est=overlap.L,
         multiplicities=mults,
-        overlap_table=overlap.table,
+        overlap_witness=overlap.witness,
         per_map_worst=tuple(per_map_worst),
         feasible_alpha=worst,
         worst_witness=witness,

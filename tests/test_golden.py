@@ -18,7 +18,7 @@ from test_cli import TIGHT
 
 # Two intervals of unequal width, a vector h0 and two maps whose images
 # overlap: covers the multi-interval geometry, the vector CSV columns and
-# the audit's overlap table.
+# the audit's overlap witness.
 PAIR = textwrap.dedent("""\
     [instance]
     name = pair
@@ -85,7 +85,7 @@ GOLDEN = {
     },
     "audit-tight": {
         "audit.txt":
-            "a28c6f6a2b4ce750b798c37566299036bbbf884aa8ad8ae652d1ef659b4b7e92",
+            "0c54f544d9c57d2a028cff000b7c850f2e8e418bb1d377e3d57fbe7d6442fcf8",
     },
     "solve-pair": {
         "solution.csv":
@@ -97,7 +97,7 @@ GOLDEN = {
     },
     "audit-pair": {
         "audit.txt":
-            "78c5ed1fbe778570ec18014756fa6ceedc7d79cb07c0029f18da4dd7d9eb1803",
+            "2026bce5e8897b5201992f26eb202abe0a8ba2d6ca593c4676aadbc152be908c",
     },
 }
 

@@ -15,6 +15,7 @@ from lorsolve import (
     power_young,
     tent3_map,
 )
+from lorsolve.transfer import _max_depth
 from conftest import make_doubling_instance, make_twobranch_instance
 
 
@@ -161,11 +162,37 @@ class TestEstimates:
         est = estimate_overlap_L((lower, upper))
         assert est.L == 1
 
-    def test_overlap_table_measures(self):
-        est = estimate_overlap_L((doubling_map(), doubling_map()))
-        # the pair subset overlaps on the whole image (0,1)
-        pair_rows = [r for r in est.table if len(r[0]) == 2]
-        assert pair_rows and pair_rows[0][1] == pytest.approx(1.0, rel=1e-12)
+    def test_overlap_witness(self):
+        lower = affine_map([(0.0, 1.0, 0.5, 0.0)])   # image [0, 0.5]
+        middle = affine_map([(0.0, 1.0, 0.5, 0.25)])  # image [0.25, 0.75]
+        upper = affine_map([(0.0, 1.0, 0.5, 0.5)])   # image [0.5, 1]
+        est = estimate_overlap_L((lower, middle, upper))
+        # depth 2 first on [0.25, 0.5), where lower and middle overlap
+        assert est.L == 2
+        assert est.witness == ((1, 2), (0.25, 0.5))
+
+    def test_multiplicity_ignores_what_lies_outside_the_domain(self, unit):
+        # the second branch lies outside [0, 1) and maps onto it
+        outside_part = affine_map([(0.0, 1.0, 1.0, 0.0), (1.0, 2.0, 1.0, -1.0)])
+        assert estimate_multiplicity(outside_part) == 2
+        assert estimate_multiplicity(outside_part, domain=unit) == 1
+        # the branch images [0.75, 1.25] and [1, 1.5] overlap beyond 1 only
+        outside_image = affine_map([(0.0, 0.5, 1.0, 0.75), (0.5, 1.0, 1.0, 0.5)])
+        assert estimate_multiplicity(outside_image) == 2
+        assert estimate_multiplicity(outside_image, domain=unit) == 1
+
+
+class TestMaxDepth:
+    def test_touching_intervals_do_not_overlap(self):
+        assert _max_depth([(0.0, 1.0), (1.0, 2.0)]) == (1, (0.0, 1.0))
+
+    def test_empty_input(self):
+        assert _max_depth([]) == (0, None)
+        assert _max_depth([(1.0, 1.0)]) == (0, None)
+
+    def test_first_deepest_segment(self):
+        ivals = [(0.0, 3.0), (2.0, 4.0), (1.0, 2.5), (5.0, 6.0), (5.0, 6.0)]
+        assert _max_depth(ivals) == (3, (2.0, 2.5))
 
 
 class TestAudit:
@@ -191,6 +218,29 @@ class TestAudit:
         rep = audit_contraction(inst)
         assert not rep.passed
         assert rep.k_est == 2 > rep.k_decl
+
+    def test_narrow_branch_overlap_fails(self, unit):
+        # images [0, 0.5001] and [0.5, 1]: two branches reach (0.5, 0.5001)
+        narrow = affine_map([(0.0, 0.5, 1.0002, 0.0), (0.5, 1.0, 1.0, 0.0)])
+        h0 = SampledFn.constant(unit, 64, 1.0)
+        g = SampledFn.constant(unit, 64, 0.25)
+        inst = ProblemInstance(unit, (narrow,), (g,), h0, K_decl=1,
+                               L_decl=1, alpha=0.3, psi=power_young(2.0))
+        rep = audit_contraction(inst)
+        assert rep.feasible_alpha <= inst.alpha
+        assert not rep.passed
+        assert rep.k_est == 2
+
+    def test_seventeen_maps_audit(self, unit):
+        h0 = SampledFn.constant(unit, 64, 1.0)
+        g = SampledFn.constant(unit, 64, 0.01)
+        inst = ProblemInstance(unit, [identity_map()] * 17, [g] * 17, h0,
+                               K_decl=1, L_decl=17, alpha=0.2,
+                               psi=power_young(2.0))
+        rep = audit_contraction(inst)
+        assert rep.passed
+        assert rep.l_est == 17
+        assert "overlap_witness = maps [1, 2, 3," in rep.as_text()
 
     def test_zero_coefficient_gives_zero_ratio(self):
         inst = make_doubling_instance(m=64, g=0.0, alpha=0.0)
