@@ -455,11 +455,16 @@ class StepDistribution:
         return float(self.thresholds[-1]) if self.measures.size else 0.0
 
     def lorentz_integral(self, tau_inverse):
-        """Exact integral of tau_inverse(mu_f(s)) ds over [0, max|f|]."""
+        """Exact integral of tau_inverse(mu_f(s)) ds over [0, max|f|].
+
+        Summed by numpy's pairwise sum, not a BLAS dot product, whose
+        rounding depends on how many threads split the vector.
+        """
         if not self.measures.size:
             return 0.0
         widths = np.diff(self.thresholds)
-        return float(np.asarray(tau_inverse(self.measures), dtype=float) @ widths)
+        return float(np.sum(np.asarray(tau_inverse(self.measures), dtype=float)
+                            * widths))
 
     def equals(self, other):
         return np.array_equal(self.thresholds, other.thresholds) and np.array_equal(
@@ -532,15 +537,34 @@ class StepFn:
 
 
 def _levels(values, measures):
-    """The distinct values in increasing order and the total measure of each."""
+    """The distinct values in increasing order and the total measure of each.
+
+    ``measures`` is one shared measure per value (a float) or an array of
+    one measure per value.  With a shared measure the levels come from one
+    sort and its run boundaries, and a level of ``count`` values measures
+    ``count * measures`` (one rounding; exact for dyadic measures).  Per-value
+    measures are summed per level in value order.
+    """
+    if np.ndim(measures) == 0:
+        v = np.sort(values)
+        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        counts = np.diff(np.append(starts, v.size))
+        return v[starts], counts * float(measures)
     uniq, inverse = np.unique(values, return_inverse=True)
     return uniq, np.bincount(inverse, weights=measures, minlength=uniq.size)
 
 
+def _grid_measures(f):
+    """The cell measure of f's grid when every cell shares it (a float),
+    else ``f.cell_measures``; the width is computed as ``cell_measures``
+    computes it."""
+    widths = {(hi - lo) / f.m for lo, hi in f.domain.boxes}
+    return widths.pop() if len(widths) == 1 else f.cell_measures
+
+
 def _distribution_from(values, measures):
     """Exact StepDistribution of nonnegative step data (value, measure)."""
-    uniq, agg = _levels(np.asarray(values, dtype=float),
-                        np.asarray(measures, dtype=float))
+    uniq, agg = _levels(np.asarray(values, dtype=float), measures)
     # tail[j] = measure{value > uniq[j]}
     tail = np.concatenate([np.cumsum(agg[::-1])[::-1][1:], [0.0]])
     if uniq[0] > 0.0:
@@ -557,19 +581,29 @@ def _distribution_from(values, measures):
 
 
 def distribution(f):
-    """Exact distribution function mu_f(s) = measure{|f| > s} of a scalar f."""
+    """Exact distribution function mu_f(s) = measure{|f| > s} of a scalar f.
+
+    When all intervals of the domain have the same cell width ``w``, the
+    levels of |f| come from one sort and a level of ``count`` cells
+    measures ``count * w``; otherwise the per-cell measures are summed
+    per level.
+    """
     if f.is_vector:
         raise GridError("distribution() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    return _distribution_from(np.abs(f.values), f.cell_measures)
+    return _distribution_from(np.abs(f.values), _grid_measures(f))
 
 
 def rearrangement(f):
-    """Exact non-increasing rearrangement f* on [0, measure(domain))."""
+    """Exact non-increasing rearrangement f* on [0, measure(domain)).
+
+    The plateaus are the levels of |f|, built as in :func:`distribution`:
+    one sort and ``count * w`` when every cell has the same width ``w``.
+    """
     if f.is_vector:
         raise GridError("rearrangement() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    uniq, agg = _levels(np.abs(f.values), f.cell_measures)
+    uniq, agg = _levels(np.abs(f.values), _grid_measures(f))
     vals = uniq[::-1].copy()
     widths = agg[::-1].copy()
     edges = np.concatenate([[0.0], np.cumsum(widths)])

@@ -194,6 +194,8 @@ class ProblemInstance:
                 "outside the domain beyond tolerance; the maps are not "
                 "self-maps of the domain"
             )
+        if any(idx.min() < 0 or idx.max() >= h0.ncells for idx in idx_arrays):
+            raise InstanceError("target cell index outside the grid")
         self._target_idx = tuple(idx_arrays)
         self._abs_jac = tuple(jac_arrays)
         self.clamped_within_tol = clamped_within
@@ -224,13 +226,20 @@ class ProblemInstance:
         """
         if phi.domain != self.h0.domain or phi.m != self.h0.m:
             raise InstanceError("phi is not on the instance grid")
-        vals = phi.values
         # Weights broadcast over the components of a vector phi.
-        cells = (-1,) + (1,) * (vals.ndim - 1)
-        acc = np.zeros(vals.shape,
-                       dtype=np.result_type(vals, *[g.values for g in self.coeffs]))
+        cells = (-1,) + (1,) * (phi.values.ndim - 1)
+        dtype = np.result_type(phi.values, *[g.values for g in self.coeffs])
+        # np.take needs ``out`` of the source dtype (real phi, complex g).
+        vals = phi.values.astype(dtype, copy=False)
+        acc = np.zeros(vals.shape, dtype=dtype)
+        # One gather buffer for all maps: per-map temporaries of this size
+        # are mmapped and page-faulted afresh.  ``mode="clip"`` writes into
+        # ``buf`` directly ("raise" copies); __init__ checked every index.
+        buf = np.empty(vals.shape, dtype=dtype)
         for g, idx in zip(self.coeffs, self._target_idx):
-            acc = acc + g.values.reshape(cells) * vals[idx]
+            np.take(vals, idx, axis=0, out=buf, mode="clip")
+            buf *= g.values.reshape(cells)
+            acc += buf
         return SampledFn(self.domain, self.m, acc)
 
 

@@ -8,6 +8,10 @@ digest here and says why.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -90,10 +94,12 @@ GOLDEN = {
     "solve-pair": {
         "solution.csv":
             "d885c1a9f0db4156c7d82d97a8e2d2a5001bf21b8a951aa9b844d41aa06b40c4",
+        # Norms summed by np.sum instead of a BLAS dot product moved the
+        # last digit of some trace and certificate values.
         "trace.csv":
-            "c6091c817e32a0192fea528c2d13e3567b51ad5ce6b3ab35b4d63fb349d25075",
+            "86c96e901c72dca3fc21b3f3c479fc5d4340308ea7e6a745eb15b91cef3b4850",
         "certificate.txt":
-            "983afdb253a22cc2485d359b430967f8d6af4d3ea8d6aa671a4feb3eaf153a61",
+            "c114fc60ea0af864897998448cb4652bcdc280818cd17f014ba890591665e1d4",
     },
     "audit-pair": {
         "audit.txt":
@@ -135,3 +141,33 @@ def _run(tmp_path, case):
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_golden_digests(tmp_path, case):
     assert _run(tmp_path, case) == GOLDEN[case]
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs 2 CPUs for 2 BLAS threads")
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Reruns are byte-identical whatever the BLAS thread count.
+
+    32768 cells give the norm more levels than OpenBLAS's dot product
+    keeps on one thread, so a norm summed by BLAS rounds differently with
+    1 and 2 threads.
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lorsolve.cli", "solve", "--instance",
+             "linear_h0", "--grid", "32768", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append({f: _digest(out / f) for f in SOLVE_FILES})
+    assert digests[0] == digests[1]

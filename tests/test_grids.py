@@ -213,6 +213,78 @@ class TestDistribution:
         assert mu.measures.tolist() == [1.0]
 
 
+def _tied_values(rng, n, nlevels):
+    """n values drawn from nlevels distinct ones (0.0 and -0.0 among them)."""
+    pool = np.concatenate([[0.0, -0.0], rng.normal(size=max(nlevels - 2, 0))])
+    return rng.choice(pool[:nlevels], size=n)
+
+
+class TestLevels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1),
+           st.integers(min_value=0, max_value=9),
+           st.integers(min_value=-3, max_value=3),
+           st.integers(min_value=1, max_value=12))
+    @example(seed=0, log_m=4, log_len=0, nlevels=1)  # the zero function
+    @example(seed=0, log_m=4, log_len=0, nlevels=2)  # 0.0 and -0.0 only
+    def test_shared_measure_matches_per_cell_on_dyadic_widths(
+            self, seed, log_m, log_len, nlevels):
+        rng = np.random.default_rng(seed)
+        m, length = 2 ** log_m, 2.0 ** log_len
+        domain = Domain.interval(1.0, 1.0 + length)
+        vals = _tied_values(rng, m, nlevels)
+        if nlevels > 2 and seed % 3 == 0:
+            vals = np.full(m, vals[0])  # a constant function
+        f = SampledFn(domain, m, vals)
+        w = grids._grid_measures(f)
+        assert isinstance(w, float) and w == length / m
+        levels, measures = grids._levels(vals, w)
+        ref_levels, ref_measures = grids._levels(vals, f.cell_measures)
+        assert np.array_equal(levels, ref_levels)  # +-0.0 share a level
+        assert measures.tobytes() == ref_measures.tobytes()
+        # The callers pass magnitudes, where the bits agree too.
+        levels, measures = grids._levels(np.abs(vals), w)
+        ref_levels, ref_measures = grids._levels(np.abs(vals), f.cell_measures)
+        assert levels.tobytes() == ref_levels.tobytes()
+        assert measures.tobytes() == ref_measures.tobytes()
+        ref = grids._distribution_from(np.abs(vals), f.cell_measures)
+        assert distribution(f).equals(ref)
+
+    def test_equal_width_intervals_share_one_measure(self):
+        domain = Domain.from_intervals([(0.0, 0.5), (2.0, 2.5)])
+        rng = np.random.default_rng(1)
+        f = SampledFn(domain, 16, rng.choice([0.0, 1.0, 3.0], size=32))
+        assert grids._grid_measures(f) == 0.5 / 16
+        distribution(f)
+        rearrangement(f)
+        assert f._measures is None  # no per-cell measure array was built
+
+    def test_unequal_width_intervals_keep_per_cell_measures(self):
+        domain = Domain.from_intervals([(0.0, 1.0), (2.0, 2.5)])
+        f = SampledFn.constant(domain, 16, 1.0)
+        assert grids._grid_measures(f) is f.cell_measures
+        assert distribution(f).measures.tolist() == [1.5]
+
+    def test_level_measure_is_count_times_width(self):
+        # 0.3 / 4096 is not dyadic: a running sum of the width drifts, while
+        # count * width rounds once.
+        m = 4096
+        domain = Domain.interval(0.0, 0.3)
+        rng = np.random.default_rng(2)
+        vals = np.ones(m)
+        vals[3300:] = rng.choice([0.0, 2.5, 7.0], size=m - 3300)
+        f = SampledFn(domain, m, vals)
+        fs = rearrangement(f)
+        w = 0.3 / m
+        for level, measure in zip(fs.values, fs.plateau_measures):
+            assert measure == np.count_nonzero(vals == level) * w
+        ones = fs.values.tolist().index(1.0)
+        assert fs.plateau_measures[ones] == 0.24169921875  # 3300 * w
+        running = np.bincount(np.zeros(3300, dtype=int),
+                              weights=f.cell_measures[:3300])[0]
+        assert running == 0.24169921874998565
+
+
 class TestRearrangement:
     def test_equimeasurable_bitwise(self, unit):
         rng = np.random.default_rng(5)

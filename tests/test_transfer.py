@@ -62,6 +62,35 @@ class TestApply:
         out = inst.apply(SampledFn.constant(inst.domain, 64, 1.0))
         assert np.all(out.values == 0.25j)
 
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "complex_g",
+                                      "complex_phi"])
+    def test_matches_reference_loop(self, kind):
+        m = 64
+        domain = Domain.unit_interval()
+        maps = (doubling_map(), affine_map([(0.0, 1.0, 0.5, 0.25)]))
+        g_fns = [lambda x: 0.1 + 0.05 * x, lambda x: 0.2 - 0.1 * x * x]
+        if kind == "complex_g":
+            g_fns = [lambda x: 0.1 + 0.05j * x, lambda x: 0.2j - 0.1 * x]
+        coeffs = [SampledFn.from_callable(domain, m, g) for g in g_fns]
+        inst = ProblemInstance(domain=domain, maps=maps, coeffs=coeffs,
+                               h0=SampledFn.constant(domain, m, 1.0), K_decl=2,
+                               L_decl=2, alpha=0.25, psi=power_young(2.0))
+        rng = np.random.default_rng(4)
+        shape = (m, 3) if kind == "vector" else m
+        vals = rng.normal(size=shape)
+        if kind == "complex_phi":
+            vals = vals + 1j * rng.normal(size=shape)
+        phi = SampledFn(domain, m, vals)
+        want = 0.0
+        for F, g in zip(maps, coeffs):
+            idx = phi.cell_index_of(F(phi.midpoints))
+            assert np.all(idx >= 0)
+            weight = g.values[:, None] if phi.is_vector else g.values
+            want = want + weight * phi.values[idx]
+        out = inst.apply(phi).values
+        assert out.dtype == want.dtype
+        assert out.tobytes() == want.tobytes()
+
     def test_wrong_grid_rejected(self):
         inst = make_doubling_instance(m=64)
         with pytest.raises(InstanceError):
