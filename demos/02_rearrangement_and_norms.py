@@ -1,14 +1,12 @@
-"""Step functions, their rearrangement, and three routes to one norm.
+"""Step functions, their rearrangement, and two routes to one norm.
 
 Everything in this library lives on a finite union of intervals split
 into equal cells; functions are constant on cells.  That makes distribution
 functions and decreasing rearrangements *exact* step computations, and
-gives three independently-coded routes to the same rearrangement norm:
+gives two independently coded routes to the same rearrangement norm:
 
   distribution          exact sum over level plateaus
   rearrangement_tau     exact sum after the monotone substitution
-  rearrangement_weight  decreasing rearrangement against the weight,
-                        integrated with singularity-aware panels
 
 Their agreement on every input is one of the library's standing checks.
 
@@ -18,6 +16,7 @@ Run:  python3 demos/02_rearrangement_and_norms.py
 import numpy as np
 
 from lorsolve import (
+    ROUTES,
     Domain,
     SampledFn,
     derive_tau,
@@ -57,10 +56,10 @@ def main():
 
     print()
     print("=" * 70)
-    print("2. Three routes, one number")
+    print("2. Two routes, one number")
     print("=" * 70)
     tau = derive_tau(power_young(2.0))
-    for route in ("distribution", "rearrangement_tau", "rearrangement_weight"):
+    for route in ROUTES:
         nv = lorentz_norm(f, tau, route)
         print(f"  {route:<22} -> {nv.value!r}")
     print("The norm only sees the rearrangement: any shuffle of the cell")

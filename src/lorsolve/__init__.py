@@ -9,7 +9,7 @@ The package solves
 by summing the series sum_m P^m h0 for the transfer-type operator
 P phi = sum_n g_n * (phi o f_n), on piecewise-constant functions over
 finite unions of intervals.  Everything is built on a Lorentz norm engine
-whose three independent computation routes cross-check each other, and
+whose two independently coded exact routes cross-check each other, and
 every solve carries an explicit geometric tail bound as its error
 certificate.
 
@@ -19,7 +19,7 @@ Layers, bottom up:
 ``grids``        domains, sampled step functions, rearrangements
 ``maps``         piecewise monotone maps, indicatrix counts,
                  change-of-variables checks
-``norms``        Lorentz / Orlicz norms, axiom and Fatou suites
+``norms``        Lorentz / Orlicz norms, the axiom suite
 ``transfer``     problem instances, the operator P, contraction audits
 ``solve``        series summation, stopping certificates, uniqueness probes
 ``expressions``  tiny arithmetic expression language for config files
@@ -40,15 +40,12 @@ from .grids import (
     GridError,
     SampledFn,
     StepDistribution,
-    StepFn,
     distribution,
     pointwise_norm,
     rearrangement,
 )
 from .maps import (
     Branch,
-    CovReport,
-    IndicatrixCount,
     MapError,
     PiecewiseMap,
     affine_map,
@@ -62,16 +59,10 @@ from .maps import (
 )
 from .norms import (
     ROUTES,
-    AxiomReport,
-    BridgeReport,
-    FatouReport,
-    LuxemburgBracketError,
     NormError,
-    NormValue,
     axiom_suite,
     check_orlicz_lorentz_bridge,
     default_test_sets,
-    fatou_check,
     lorentz_norm,
     lorentz_norm_vector,
     luxemburg_norm,
@@ -82,28 +73,19 @@ from .solve import (
     DivergenceError,
     IterationTrace,
     ToleranceError,
-    TraceRow,
-    UniquenessReport,
     residual,
     solve_elementary,
     uniqueness_probe,
 )
 from .transfer import (
     AuditFailure,
-    AuditReport,
     InstanceError,
-    OverlapEstimate,
     ProblemInstance,
     audit_contraction,
     estimate_multiplicity,
     estimate_overlap_L,
 )
 from .young import (
-    Delta2Report,
-    NFnReport,
-    ProbeReport,
-    TauFn,
-    YoungFn,
     YoungFnError,
     check_delta2,
     check_n_function,
@@ -119,40 +101,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditFailure",
-    "AuditReport",
-    "AxiomReport",
     "BUNDLED_INSTANCES",
     "Branch",
-    "BridgeReport",
     "ConfigError",
-    "CovReport",
-    "Delta2Report",
     "DivergenceError",
     "Domain",
     "ExpressionError",
-    "FatouReport",
     "GridError",
-    "IndicatrixCount",
     "InstanceError",
     "IterationTrace",
-    "LuxemburgBracketError",
     "MapError",
-    "NFnReport",
     "NormError",
-    "NormValue",
-    "OverlapEstimate",
     "PiecewiseMap",
-    "ProbeReport",
     "ProblemInstance",
     "ROUTES",
     "SampledFn",
     "StepDistribution",
-    "StepFn",
-    "TauFn",
     "ToleranceError",
-    "TraceRow",
-    "UniquenessReport",
-    "YoungFn",
     "YoungFnError",
     "affine_map",
     "audit_contraction",
@@ -168,7 +133,6 @@ __all__ = [
     "derive_tau",
     "distribution",
     "doubling_map",
-    "fatou_check",
     "halving_map",
     "identity_map",
     "indicatrix_profile",

@@ -7,7 +7,7 @@ across runs.
 
 import numpy as np
 
-__all__ = ["bisect_increasing", "gauss_panels", "integrate_weight"]
+__all__ = ["bisect_increasing", "integrate_weight"]
 
 # 24-point Gauss-Legendre rule; spectrally accurate on panels where the
 # integrand is analytic, which the dyadic panel layout below guarantees.

@@ -208,8 +208,7 @@ def _cmd_bridge(args):
     report = check_orlicz_lorentz_bridge(inst.h0, psi_orlicz, inst.psi)
     _atomic_write(args.out, "bridge.txt", report.as_text())
     print(f"bridge {inst.label}: modular {report.modular!r}, verdict "
-          f"{report.verdict} (diagnostic {report.diagnostic_verdict}); "
-          f"wrote bridge.txt to {args.out}")
+          f"{report.verdict}; wrote bridge.txt to {args.out}")
     return 1 if report.verdict == "FAIL" else 0
 
 

@@ -307,16 +307,16 @@ class SampledFn:
     def integral(self):
         """Exact integral of f over the domain (sum of value * cell measure)."""
         if self.is_vector:
-            return self.values.T @ self.cell_measures
-        return complex(self.values @ self.cell_measures) if \
-            self.values.dtype.kind == "c" else float(self.values @ self.cell_measures)
+            return np.sum(self.values * self.cell_measures[:, None], axis=0)
+        total = np.sum(self.values * self.cell_measures)
+        return complex(total) if self.values.dtype.kind == "c" else float(total)
 
     def integral_abs_over(self, subset):
         """Exact integral of |f| over ``subset`` (midpoint membership)."""
         if self.is_vector:
             raise GridError("integral_abs_over() is for scalar functions")
         mask = subset.contains(self.midpoints)
-        return float(np.abs(self.values[mask]) @ self.cell_measures[mask])
+        return float(np.sum(np.abs(self.values[mask]) * self.cell_measures[mask]))
 
     def max_abs(self):
         return float(np.max(np.abs(self.values)))
@@ -528,7 +528,7 @@ class StepFn:
         return float(self.edges[-1])
 
     def integral(self):
-        return float(self.values @ np.diff(self.edges))
+        return float(np.sum(self.values * np.diff(self.edges)))
 
     def distribution(self):
         if self.plateau_measures is not None:

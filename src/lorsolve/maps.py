@@ -257,7 +257,7 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
         raise MapError("map branches do not cover the integration domain")
     fx = np.asarray(F(x), dtype=float)
     jac = np.abs(np.asarray(F.deriv(x), dtype=float))
-    lhs = float((H.eval_at(fx) * jac) @ grid.cell_measures)
+    lhs = float(np.sum(H.eval_at(fx) * jac * grid.cell_measures))
 
     ylev = H.midpoints
     counts, amb = indicatrix_profile(F, E, ylev)
@@ -268,7 +268,7 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
         redo, _ = indicatrix_profile(F, E, ylev[amb] + 1e-6 * width)
         counts = counts.copy()
         counts[amb] = redo
-    rhs = float((H.values * counts) @ H.cell_measures)
+    rhs = float(np.sum(H.values * counts * H.cell_measures))
 
     scale = max(abs(lhs), abs(rhs), 1e-30)
     rel_gap = abs(lhs - rhs) / scale

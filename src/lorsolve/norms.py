@@ -4,7 +4,7 @@ The Lorentz norm here is the rearrangement-invariant functional
 
     rho(f) = integral_0^inf tau_inv(mu_f(s)) ds,
 
-computed by three deliberately different routes that must agree:
+computed by two independently coded routes that must agree:
 
 ``distribution``
     exact finite sum over the step distribution function (the reference
@@ -12,23 +12,17 @@ computed by three deliberately different routes that must agree:
 ``rearrangement_tau``
     exact finite sum over the rearrangement f* after the monotone
     substitution u = tau(s), with breakpoints at tau_inv of f*'s plateau
-    edges,
-``rearrangement_weight``
-    integral of f*(s) against the weight (tau_inv)'(s); the plateau
-    structure of f* is exact and the weight integral uses panel quadrature,
-    so this route is an independent numerical check rather than a
-    rearranged copy of the second one.
+    edges.
 
-The Orlicz (Luxemburg) norm, the Orlicz-Lorentz comparison check, the
-function-norm axiom suite (P1)-(P5) and a Fatou-type lower-semicontinuity
-check complete the module.
+The Orlicz (Luxemburg) norm, the Orlicz-Lorentz comparison check and the
+function-norm axiom suite (P1)-(P5) complete the module.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import gauss_panels, integrate_weight
+from ._numeric import integrate_weight
 from .grids import (
     Domain,
     GridError,
@@ -52,11 +46,9 @@ __all__ = [
     "check_orlicz_lorentz_bridge",
     "AxiomReport",
     "axiom_suite",
-    "FatouReport",
-    "fatou_check",
 ]
 
-ROUTES = ("distribution", "rearrangement_tau", "rearrangement_weight")
+ROUTES = ("distribution", "rearrangement_tau")
 
 
 class NormError(ValueError):
@@ -91,10 +83,7 @@ def _scalar_magnitude(f):
 def lorentz_norm(f, tau, route="distribution"):
     """Lorentz norm of a scalar sampled function by the chosen route.
 
-    All three routes are exact finite sums over the step structure of f,
-    except that ``rearrangement_weight`` evaluates its weight integrals by
-    Gauss panels (octave-limited, so accurate to ~1e-14 for the smooth
-    weights the admissible families produce).
+    Both routes are exact finite sums over the step structure of f.
     """
     if route not in ROUTES:
         raise NormError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -107,40 +96,7 @@ def lorentz_norm(f, tau, route="distribution"):
         return NormValue(float(value), route, tau.source_label)
 
     fs = rearrangement(f)
-    lo = fs.edges[:-1]
-    hi = fs.edges[1:]
-    vals = fs.values
-    live = vals > 0.0
-    if not live.any():
-        return NormValue(0.0, route, tau.source_label)
-
-    if route == "rearrangement_tau":
-        tinv = tau.inverse(fs.edges)
-        value = float(vals @ np.diff(tinv))
-        return NormValue(value, route, tau.source_label)
-
-    # rearrangement_weight: integral of f*(s) * (tau_inv)'(s) ds, plateau by
-    # plateau.  The first plateau starts at 0 where the weight may blow up
-    # (integrably); interior plateaus span less than an octave almost always
-    # and get one batched Gauss panel each, with a per-plateau fallback for
-    # wide ones.
-    weight = tau.inv_right_deriv
-    lo = lo[live]
-    hi = hi[live]
-    vals = vals[live]
-    parts = np.zeros(vals.shape)
-    first = lo == 0.0
-    for i in np.nonzero(first)[0]:
-        parts[i] = integrate_weight(weight, 0.0, float(hi[i]))
-    rest = ~first
-    if rest.any():
-        wide = rest & (hi > 2.0 * lo)
-        narrow = rest & ~wide
-        if narrow.any():
-            parts[narrow] = gauss_panels(weight, lo[narrow], hi[narrow])
-        for i in np.nonzero(wide)[0]:
-            parts[i] = integrate_weight(weight, float(lo[i]), float(hi[i]))
-    value = float(vals @ parts)
+    value = float(np.sum(fs.values * np.diff(tau.inverse(fs.edges))))
     return NormValue(value, route, tau.source_label)
 
 
@@ -158,7 +114,8 @@ def orlicz_modular(u, psi_orlicz, scale=1.0):
     g = _scalar_magnitude(u)
     if scale <= 0.0:
         raise NormError("modular scale must be positive")
-    return float(psi_orlicz.fn(np.abs(g.values) / scale) @ g.cell_measures)
+    levels = psi_orlicz.fn(np.abs(g.values) / scale)
+    return float(np.sum(levels * g.cell_measures))
 
 
 _LUX_REL_WIDTH = 1e-10
@@ -229,8 +186,6 @@ class BridgeReport:
     bound: float
     slack: float
     inequality_passed: bool
-    diagnostic_values: tuple
-    diagnostic_verdict: str
     verdict: str  # PASS / FAIL / NO_CLAIM
 
     def as_text(self):
@@ -244,42 +199,9 @@ class BridgeReport:
             f"orlicz_norm = {self.orlicz!r}",
             f"bound = {self.bound!r}",
             f"slack = {self.slack!r}",
+            f"verdict = {self.verdict}",
         ]
-        for j, val in self.diagnostic_values:
-            lines.append(f"diagnostic_truncation_1e{j} = {val!r}")
-        lines.append(f"diagnostic_verdict = {self.diagnostic_verdict}")
-        lines.append(f"verdict = {self.verdict}")
         return "\n".join(lines) + "\n"
-
-
-def _normalization_diagnostic(tau, psi):
-    """Truncated quadrature probe of integral over t of
-    (tau')^{-1}(1 / psi'(t)) dt, with divergence detection.
-
-    This integral is reported only; no inequality is gated on it.  For the
-    power family the integrand is proportional to 1/t, so the truncations
-    grow linearly in the exponent range and the verdict is DIVERGENT.
-    """
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return tau.right_deriv_inverse(1.0 / psi.right_deriv(t))
-
-    values = []
-    for j in range(1, 7):
-        lo, hi = 10.0 ** (-j), 10.0 ** j
-        try:
-            values.append((j, integrate_weight(integrand, lo, hi)))
-        except (FloatingPointError, OverflowError, ValueError):
-            values.append((j, float("inf")))
-    nums = np.array([v for _, v in values])
-    if not np.all(np.isfinite(nums)):
-        return tuple(values), "DIVERGENT"
-    if abs(nums[-1] - nums[-2]) <= 1e-6 * max(abs(nums[-1]), 1e-300):
-        return tuple(values), "CONVERGED"
-    if nums[-1] > nums[-2] > nums[-3]:
-        return tuple(values), "DIVERGENT"
-    return tuple(values), "UNDECIDED"
 
 
 def check_orlicz_lorentz_bridge(h, psi_orlicz, psi):
@@ -288,9 +210,7 @@ def check_orlicz_lorentz_bridge(h, psi_orlicz, psi):
     The comparison is asserted only when the gate holds: the modular
     integral of psi_orlicz(|h|) must be <= 1.  With the gate open the check
     is  lorentz_norm(h) <= 2 * luxemburg_norm(h)  with float slack 1e-9;
-    with it closed the verdict is NO_CLAIM.  A normalization integral that
-    relates the two scales is evaluated as a diagnostic with divergence
-    detection; it never gates the inequality.
+    with it closed the verdict is NO_CLAIM.
     """
     tau = derive_tau(psi)
     g = _scalar_magnitude(h)
@@ -305,7 +225,6 @@ def check_orlicz_lorentz_bridge(h, psi_orlicz, psi):
         verdict = "NO_CLAIM"
     else:
         verdict = "PASS" if ineq else "FAIL"
-    diag_values, diag_verdict = _normalization_diagnostic(tau, psi)
     return BridgeReport(
         psi_label=psi.label,
         orlicz_label=psi_orlicz.label,
@@ -316,8 +235,6 @@ def check_orlicz_lorentz_bridge(h, psi_orlicz, psi):
         bound=bound,
         slack=slack,
         inequality_passed=ineq,
-        diagnostic_values=diag_values,
-        diagnostic_verdict=diag_verdict,
         verdict=verdict,
     )
 
@@ -563,82 +480,4 @@ def axiom_suite(tau, corpus, sets):
         n_corpus=n,
         axioms=tuple(axioms),
         constants=tuple(constants),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fatou-type lower semicontinuity.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FatouReport:
-    n_seq: int
-    norms: tuple
-    settled_from: int
-    surrogate: float
-    limit_norm: float
-    passed: bool
-
-    def as_text(self):
-        lines = [
-            "check = fatou",
-            f"sequence_length = {self.n_seq}",
-            f"norms = {list(self.norms)!r}",
-            f"settled_from = {self.settled_from}",
-            f"liminf_surrogate = {self.surrogate!r}",
-            f"limit_norm = {self.limit_norm!r}",
-            f"verdict = {'PASS' if self.passed else 'FAIL'}",
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def fatou_check(seq, tau):
-    """Lower-semicontinuity check: rho(limit) <= liminf of the norms.
-
-    The limit of the finite sequence is taken to be its last element, and
-    the check requires the cellwise distance to that element to be
-    nonincreasing along the sequence (otherwise the input is rejected as
-    non-convergent, with a witness cell).  liminf is replaced by its finite
-    surrogate: the minimum over the settled suffix of the norm sequence
-    (consecutive relative steps <= 1e-9), which degenerates to the final
-    norm when the sequence is still moving.
-    """
-    if not seq:
-        raise NormError("fatou_check needs a nonempty sequence")
-    base = seq[0]
-    for i, f in enumerate(seq):
-        if not base.same_grid(f):
-            raise NormError(f"seq[{i}] is on a different grid")
-    limit = seq[-1]
-    dists = [(f - limit).max_abs() if f is not limit else 0.0 for f in seq]
-    slack = 1e-12 * max(1.0, max(dists, default=0.0))
-    for i in range(len(dists) - 1):
-        if dists[i + 1] > dists[i] + slack:
-            diff = np.abs(
-                (_scalar_magnitude(seq[i + 1]) - _scalar_magnitude(limit)).values
-            )
-            cell = int(np.argmax(diff))
-            raise NormError(
-                "sequence does not converge cellwise: distance to the last "
-                f"element rises at step {i} -> {i + 1} (witness cell {cell})"
-            )
-
-    norms = [lorentz_norm_vector(f, tau).value for f in seq]
-    settled_from = len(norms) - 1
-    for i in range(len(norms) - 2, -1, -1):
-        step = abs(norms[i + 1] - norms[i])
-        if step <= 1e-9 * max(1.0, norms[i], norms[i + 1]):
-            settled_from = i
-        else:
-            break
-    surrogate = min(norms[settled_from:])
-    limit_norm = norms[-1]
-    return FatouReport(
-        n_seq=len(seq),
-        norms=tuple(norms),
-        settled_from=settled_from,
-        surrogate=surrogate,
-        limit_norm=limit_norm,
-        passed=bool(limit_norm <= surrogate + 1e-10),
     )

@@ -30,8 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numeric import bisect_increasing
-
 __all__ = [
     "YoungFn",
     "TauFn",
@@ -57,18 +55,6 @@ class YoungFnError(ValueError):
 
 class TauUndefinedError(ValueError):
     """Raised when 1/psi(1/t) is 0 or infinite at a sampled interior point."""
-
-
-def _expanding_inverse(fn, v):
-    """Inverse of an increasing fn by bracket doubling + bisection."""
-    v = np.asarray(v, dtype=float)
-    hi = np.ones_like(v)
-    for _ in range(200):
-        low = fn(hi) < v
-        if not low.any():
-            break
-        hi = np.where(low, hi * 2.0, hi)
-    return bisect_increasing(fn, v, np.zeros_like(v), hi)
 
 
 @dataclass(frozen=True)
@@ -110,18 +96,14 @@ class YoungFn:
 class TauFn:
     """The transform tau(t) = 1/psi(1/t) of a Young function, tau(0) = 0.
 
-    Carries the same evaluator surface as :class:`YoungFn` plus the two
-    derived quantities the norm routes need: ``inv_deriv`` = (tau^-1)' and
-    ``deriv_inverse`` = the functional inverse of tau's right derivative
-    (used only by the embedding diagnostic).
+    Carries the same evaluator surface as :class:`YoungFn`; the norm
+    routes need only ``inv`` = tau^-1.
     """
 
     label: str
     fn: Callable
     inv: Callable
     deriv: Callable
-    inv_deriv: Callable
-    deriv_inverse: Callable
     delta2_const: Optional[float] = None
     source_label: str = ""
 
@@ -133,12 +115,6 @@ class TauFn:
 
     def right_deriv(self, t):
         return self.deriv(t)
-
-    def inv_right_deriv(self, s):
-        return self.inv_deriv(s)
-
-    def right_deriv_inverse(self, u):
-        return self.deriv_inverse(u)
 
     def as_young(self):
         return YoungFn(
@@ -218,9 +194,8 @@ def derive_tau(psi, probe_grid=None):
 
     Uses psi's closed forms:
 
-        tau^{-1}(s)    = 1 / psi^{-1}(1/s)
-        tau'(t)        = psi'(1/t) / (t * psi(1/t))**2
-        (tau^{-1})'(s) = 1 / tau'(tau^{-1}(s))
+        tau^{-1}(s) = 1 / psi^{-1}(1/s)
+        tau'(t)     = psi'(1/t) / (t * psi(1/t))**2
 
     Raises
     :class:`TauUndefinedError` if psi(1/t) is 0 or non-finite at a sampled
@@ -257,34 +232,11 @@ def derive_tau(psi, probe_grid=None):
                 t * np.asarray(psi(u), dtype=float)
             ) ** 2
 
-    def tau_inv_deriv(s):
-        # At t = tau_inv(s) we have psi(1/t) = 1/s, so
-        # 1/tau'(t) = (t * psi(1/t))**2 / psi'(1/t) = (t/s)**2 / psi'(1/t).
-        # Grouped as a * (a / psi') every intermediate stays below
-        # max(a, result): convexity gives psi'(1/t) >= 1/(s*t) = a, so the
-        # inner quotient is <= 1 and nothing overflows where the result
-        # itself is representable (the naive chain blows up near s = 0,
-        # where the weight has its integrable singularity).
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, np.inf)
-        pos = s > 0
-        t = np.asarray(tau_inv(s[pos]), dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            a = t / s[pos]
-            dpsi = np.asarray(psi.deriv(1.0 / t), dtype=float)
-            out[pos] = a * (a / dpsi)
-        return out if out.ndim else float(out)
-
-    def tau_deriv_inverse(u):
-        return _expanding_inverse(tau_deriv, u)
-
     return TauFn(
         label=f"tau[{psi.label}]",
         fn=tau,
         inv=tau_inv,
         deriv=tau_deriv,
-        inv_deriv=tau_inv_deriv,
-        deriv_inverse=tau_deriv_inverse,
         delta2_const=psi.delta2_const,
         source_label=psi.label,
     )

@@ -41,7 +41,7 @@ from lorsolve import (
 )
 
 SQRT2 = math.sqrt(2.0)
-ROUTES = ("distribution", "rearrangement_tau", "rearrangement_weight")
+ROUTES = ("distribution", "rearrangement_tau")
 
 
 def _bundled(name, **kw):
@@ -149,7 +149,7 @@ def test_criterion_03_norm_routes_agree_and_converge():
         if order < 1.0:
             failures.append(f"{route}: empirical order {order:.2f} < 1")
     worst = max(errs[route][4096] for route in ROUTES)
-    _report(3, "three norm routes agree with 2*sqrt(2)/3 "
+    _report(3, "two norm routes agree with 2*sqrt(2)/3 "
                f"(worst rel {worst:.1e} at 4096, orders "
                f"{min(orders.values()):.2f}..{max(orders.values()):.2f})",
             failures)

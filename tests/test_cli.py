@@ -4,6 +4,7 @@ import textwrap
 
 import pytest
 
+from lorsolve import ROUTES
 from lorsolve.cli import main
 
 TIGHT = textwrap.dedent("""\
@@ -118,7 +119,9 @@ class TestNorm:
         assert rc == 0
         lines = (tmp_path / "norms.csv").read_text().splitlines()
         assert lines[0] == "function_id,route,value"
-        assert len(lines) == 4
+        assert len(lines) == 1 + len(ROUTES)
+        routes = [line.split(",")[1] for line in lines[1:]]
+        assert routes == ["distribution", "rearrangement_tau"]
 
     def test_single_route(self, tmp_path):
         rc = main(["norm", "--instance", "doubling", "--route",
@@ -126,6 +129,14 @@ class TestNorm:
         assert rc == 0
         lines = (tmp_path / "norms.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_weight_route_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", "--instance", "doubling", "--route",
+                  "rearrangement_weight", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "norms.csv").exists()
 
 
 class TestAxioms:
@@ -149,6 +160,7 @@ class TestBridge:
         assert rc == 0
         text = (tmp_path / "bridge.txt").read_text()
         assert "verdict =" in text
+        assert "diagnostic" not in text
 
 
 class TestCovCheck:

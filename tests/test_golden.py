@@ -150,14 +150,8 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-@pytest.mark.skipif(_cpus() < 2, reason="needs 2 CPUs for 2 BLAS threads")
-def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """Reruns are byte-identical whatever the BLAS thread count.
-
-    32768 cells give the norm more levels than OpenBLAS's dot product
-    keeps on one thread, so a norm summed by BLAS rounds differently with
-    1 and 2 threads.
-    """
+def _digests_per_blas_thread_count(tmp_path, args, files):
+    """Run ``lorsolve <args>`` with 1 and 2 BLAS threads; sha256 per file."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     digests = []
     for threads in ("1", "2"):
@@ -165,9 +159,39 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "lorsolve.cli", "solve", "--instance",
-             "linear_h0", "--grid", "32768", "--out", str(out)],
+            [sys.executable, "-m", "lorsolve.cli", *args, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests.append({f: _digest(out / f) for f in SOLVE_FILES})
-    assert digests[0] == digests[1]
+        digests.append({f: _digest(out / f) for f in files})
+    return digests
+
+
+needs_two_cpus = pytest.mark.skipif(
+    _cpus() < 2, reason="needs 2 CPUs for 2 BLAS threads")
+
+
+@needs_two_cpus
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Reruns are byte-identical whatever the BLAS thread count.
+
+    32768 cells give the norm more levels than OpenBLAS's dot product
+    keeps on one thread, so a norm summed by BLAS rounds differently with
+    1 and 2 threads.
+    """
+    a, b = _digests_per_blas_thread_count(
+        tmp_path, ["solve", "--instance", "linear_h0", "--grid", "32768"],
+        SOLVE_FILES)
+    assert a == b
+
+
+@needs_two_cpus
+def test_norm_routes_do_not_depend_on_blas_threads(tmp_path):
+    """Both norm routes of ``lorsolve norm`` sum without BLAS.
+
+    At 262144 cells a BLAS dot product over the rearrangement's plateaus
+    moved the last digit of ``rearrangement_tau`` between 1 and 2 threads.
+    """
+    a, b = _digests_per_blas_thread_count(
+        tmp_path, ["norm", "--instance", "linear_h0", "--grid", "262144"],
+        ("norms.csv",))
+    assert a == b

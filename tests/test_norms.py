@@ -12,7 +12,6 @@ from lorsolve import (
     check_orlicz_lorentz_bridge,
     default_test_sets,
     derive_tau,
-    fatou_check,
     lorentz_norm,
     lorentz_norm_vector,
     luxemburg_norm,
@@ -70,8 +69,9 @@ class TestLorentzRoutes:
 
     def test_unknown_route_rejected(self, unit, tau2):
         f = SampledFn.zeros(unit, 16)
-        with pytest.raises(NormError):
-            lorentz_norm(f, tau2, "nope")
+        for route in ("nope", "rearrangement_weight"):
+            with pytest.raises(NormError):
+                lorentz_norm(f, tau2, route)
 
     def test_zero_function(self, unit, tau2):
         f = SampledFn.zeros(unit, 16)
@@ -175,13 +175,6 @@ class TestBridge:
         assert rep.verdict == "NO_CLAIM"
         assert not rep.gate_passed
 
-    def test_diagnostic_diverges_for_power_pair(self, unit, psi2):
-        chi = SampledFn.indicator(unit, 64, [(0.0, 0.25)])
-        rep = check_orlicz_lorentz_bridge(chi, monomial_young(2.0), psi2)
-        assert rep.diagnostic_verdict == "DIVERGENT"
-        vals = np.array(rep.diagnostic_values)
-        assert np.all(np.diff(vals) > 0)  # grows with the truncation window
-
     def test_report_text(self, unit, psi2):
         chi = SampledFn.indicator(unit, 64, [(0.0, 0.25)])
         text = check_orlicz_lorentz_bridge(
@@ -233,20 +226,6 @@ class TestAxiomSuite:
         ]
 
 
-class TestWeightRouteSubadditivity:
-    def test_triangle_inequality_of_quadrature_route(self, unit, tau2):
-        # the weight route integrates f* against (tau_inv)'; subadditivity
-        # must survive its quadrature error
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            f = SampledFn(unit, 128, rng.uniform(0.0, 3.0, 128))
-            g = SampledFn(unit, 128, rng.uniform(0.0, 3.0, 128))
-            a = lorentz_norm(f, tau2, "rearrangement_weight").value
-            b = lorentz_norm(g, tau2, "rearrangement_weight").value
-            c = lorentz_norm(f + g, tau2, "rearrangement_weight").value
-            assert c <= a + b + 1e-9 * max(1.0, a + b)
-
-
 class TestSeededCorpus:
     def test_deterministic(self, unit):
         a = seeded_corpus(unit, 64, 12, seed=7)
@@ -262,28 +241,3 @@ class TestSeededCorpus:
         corpus = seeded_corpus(unit, 64, 9, seed=0)
         assert len(corpus) == 9
         assert all(np.all(f.values >= 0) for f in corpus)
-
-
-class TestFatou:
-    def test_increasing_truncations_pass(self, unit, tau2):
-        f = SampledFn.from_callable(unit, 128, lambda x: 2.0 * x)
-        seq = [f.clip_at(t) for t in (0.25, 0.5, 1.0, 1.5, 2.0)] + [f]
-        rep = fatou_check(seq, tau2)
-        assert rep.passed
-        assert rep.limit_norm <= rep.surrogate + 1e-10
-
-    def test_constant_sequence_passes(self, unit, tau2):
-        f = SampledFn.constant(unit, 64, 1.0)
-        rep = fatou_check([f, f, f], tau2)
-        assert rep.passed
-        assert rep.settled_from == 0
-
-    def test_alternating_sequence_rejected(self, unit, tau2):
-        a = SampledFn.constant(unit, 64, 1.0)
-        b = SampledFn.constant(unit, 64, 2.0)
-        with pytest.raises(NormError, match="witness cell"):
-            fatou_check([a, b, a, b, a], tau2)
-
-    def test_empty_sequence_rejected(self, tau2):
-        with pytest.raises(NormError):
-            fatou_check([], tau2)

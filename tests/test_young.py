@@ -106,8 +106,6 @@ class TestTauTransform:
         assert tau2(2.0) == pytest.approx(2.0, rel=1e-14)  # t^2 / 2
         assert tau2.inverse(0.5) == pytest.approx(1.0, rel=1e-14)
         assert tau2.right_deriv(3.0) == pytest.approx(3.0, rel=1e-14)
-        assert tau2.inv_right_deriv(0.5) == pytest.approx(1.0, rel=1e-14)
-        assert tau2.right_deriv_inverse(4.0) == pytest.approx(4.0, rel=1e-14)
 
     def test_inverse_at_zero(self, tau2):
         assert tau2.inverse(0.0) == 0.0
