@@ -8,6 +8,7 @@ verdicts, 1 for FAIL verdicts, 2 for input errors.
 """
 
 import argparse
+import ctypes
 import io
 import os
 import pathlib
@@ -50,6 +51,10 @@ class _InputError(ValueError):
     """CLI-level input problem: reported on stderr, exit status 2."""
 
 
+# Characters per write in _atomic_write.
+_WRITE_SLICE = 2**16
+
+
 def _atomic_write(out_dir, filename, text):
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -57,7 +62,10 @@ def _atomic_write(out_dir, filename, text):
     fd, tmp = tempfile.mkstemp(dir=str(out_dir), prefix=f".{filename}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            # In slices: the encoder then never holds a second copy of a
+            # large text (solution.csv at 2^16 cells is over 3 MiB).
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
         # mkstemp creates 0600; give the artifact the mode open() would.
         # Reading the umask means setting it, so set it straight back.
         umask = os.umask(0)
@@ -71,6 +79,35 @@ def _atomic_write(out_dir, filename, text):
             pass
         raise
     return target
+
+
+# glibc mallopt parameters.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_malloc_thresholds(block):
+    """Serve blocks up to ``block`` bytes from glibc's heap from now on.
+
+    glibc's thresholds adapt by default: the first free of a large mmapped
+    block raises the mmap threshold, and the heap top is returned to the
+    system whenever more than twice that is free.  Whether the grid-sized
+    temporaries of each solve step then reuse heap memory or are
+    page-faulted afresh depends on how the process left the heap before
+    the solve: one import order made the same 2^16-cell solve 20% slower
+    than another (2-core Xeon, glibc 2.36).  Pinned, blocks up to
+    ``block`` bytes (at most 32 MiB) come from the heap and freed memory
+    stays there for reuse; larger ones, such as the text of solution.csv,
+    are still mapped and unmapped whole.  Does nothing on other C
+    libraries.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, min(block, 32 * 2**20))
+    mallopt(_M_TRIM_THRESHOLD, 256 * 2**20)
 
 
 def _check_grid(m):
@@ -122,6 +159,8 @@ def _cmd_solve(args):
     if args.tol is not None and not args.tol > 0:
         raise _InputError(f"--tol must be > 0, got {args.tol!r}")
     inst, _ = _load(args, require_admissible=True)
+    # A complex step doubles the bytes of a real h0.
+    _pin_malloc_thresholds(2 * inst.h0.values.nbytes + 2**16)
     try:
         solution, trace = solve_elementary(
             inst, tol=args.tol, max_steps=args.max_steps, force=args.force

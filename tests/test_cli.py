@@ -5,7 +5,7 @@ import textwrap
 import pytest
 
 from lorsolve import ROUTES
-from lorsolve.cli import main
+from lorsolve.cli import _WRITE_SLICE, _atomic_write, main
 
 TIGHT = textwrap.dedent("""\
     [instance]
@@ -94,6 +94,14 @@ class TestSolve:
         assert rc == 0
         rows = (tmp_path / "solution.csv").read_text().splitlines()
         assert len(rows) == 65
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("size", [0, 1, _WRITE_SLICE, 2 * _WRITE_SLICE + 3])
+    def test_text_is_written_whole(self, tmp_path, size):
+        text = ("0.25,1e-05\n" * (size // 11 + 1))[:size]
+        _atomic_write(tmp_path, "t.csv", text)
+        assert (tmp_path / "t.csv").read_text() == text
 
 
 class TestAudit:
