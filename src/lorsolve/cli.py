@@ -158,6 +158,8 @@ def _psi_from_flags(args, default_family="power", default_param=2.0):
 def _cmd_solve(args):
     if args.tol is not None and not args.tol > 0:
         raise _InputError(f"--tol must be > 0, got {args.tol!r}")
+    if args.max_steps < 0:
+        raise _InputError(f"--max-steps must be >= 0, got {args.max_steps!r}")
     inst, _ = _load(args, require_admissible=True)
     # A complex step doubles the bytes of a real h0.
     _pin_malloc_thresholds(2 * inst.h0.values.nbytes + 2**16)

@@ -113,7 +113,9 @@ class SampledFn:
     """A piecewise-constant function on a domain's uniform cell grid.
 
     ``values`` has shape (ncells,) for scalar functions or (ncells, d) for
-    R^d / C^d valued ones, where ncells = nintervals * m.  Values are stored
+    R^d / C^d valued ones, where ncells = nintervals * m.  Vector values
+    may be C- or Fortran-ordered (``ProblemInstance.apply`` returns the
+    latter); no result depends on which.  Values are stored
     read-only; all arithmetic returns new instances.  Two functions are grid
     compatible when they share the same domain and the same ``m``.
     """
@@ -305,9 +307,15 @@ class SampledFn:
         return SampledFn(self.domain, self.m, np.minimum(self.values, level))
 
     def integral(self):
-        """Exact integral of f over the domain (sum of value * cell measure)."""
+        """Exact integral of f over the domain (sum of value * cell measure).
+
+        A vector f is summed one contiguous component row at a time, so
+        each component's integral is that of the scalar component, bit for
+        bit, whatever the memory order of ``values``.
+        """
         if self.is_vector:
-            return np.sum(self.values * self.cell_measures[:, None], axis=0)
+            rows = np.ascontiguousarray(self.values.T)
+            return np.sum(rows * self.cell_measures, axis=1)
         total = np.sum(self.values * self.cell_measures)
         return complex(total) if self.values.dtype.kind == "c" else float(total)
 
@@ -617,12 +625,22 @@ def pointwise_norm(f):
     m = max |component|; this is exact when only one component is nonzero,
     so lifting a scalar problem to (f, 0, ..., 0) reproduces the scalar
     pipeline bit for bit.
+
+    The components are processed one row of ncells at a time: a running
+    maximum over the rows, then the squares added up from left to right.
+    For d <= 7 components this is bit for bit numpy's row reduction along
+    ``axis=1``; for d >= 8 numpy sums each row pairwise, so the result may
+    differ from that in the last bit.
     """
     if not f.is_vector:
         return f.abs()
-    a = np.abs(f.values)
-    mx = a.max(axis=1)
-    safe = np.where(mx > 0, mx, 1.0)
-    r = a / safe[:, None]
-    out = mx * np.sqrt((r * r).sum(axis=1))
-    return SampledFn(f.domain, f.m, out)
+    a = np.abs(f.values.T, order="C")
+    mx = a[0].copy()
+    for row in a[1:]:
+        np.maximum(mx, row, out=mx)
+    a /= np.where(mx > 0, mx, 1.0)
+    a *= a
+    total = a[0]
+    for row in a[1:]:
+        total += row
+    return SampledFn(f.domain, f.m, mx * np.sqrt(total))

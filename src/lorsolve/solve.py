@@ -131,11 +131,16 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     ``tol``).  The default is 0 only for h0 = 0, where the 0-step answer
     is exact.  Returns (solution, trace).
 
+    ``max_steps`` must be >= 0 (``ValueError`` otherwise); at 0 the trace
+    holds the single row m = 0.
+
     Raises :class:`DivergenceError` when term norms grow faster than the
     certified factor 2*alpha for 3 consecutive steps.
     """
     if tol is not None and not tol > 0:
         raise ToleranceError(f"tol must be > 0, got {tol!r}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
     report = audit_contraction(inst)
     if not report.passed and not force:
         raise AuditFailure(report)

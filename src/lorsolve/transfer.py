@@ -222,25 +222,29 @@ class ProblemInstance:
     def apply(self, phi):
         """Evaluate P phi on the instance grid (exact cell arithmetic).
 
-        phi may have any target dimension; only the grid must match.
+        phi may have any target dimension; only the grid must match.  A
+        vector phi is processed one component row at a time: the work runs
+        on ``values.T``, one contiguous row of ncells per component, and the
+        result comes back as the transpose of that (d, ncells) array, so it
+        is Fortran-ordered and the next call reads its rows without a copy.
+        A scalar phi takes the same code (``.T`` of a 1-d array is itself).
         """
         if phi.domain != self.h0.domain or phi.m != self.h0.m:
             raise InstanceError("phi is not on the instance grid")
-        # Weights broadcast over the components of a vector phi.
-        cells = (-1,) + (1,) * (phi.values.ndim - 1)
         dtype = np.result_type(phi.values, *[g.values for g in self.coeffs])
-        # np.take needs ``out`` of the source dtype (real phi, complex g).
-        vals = phi.values.astype(dtype, copy=False)
-        acc = np.zeros(vals.shape, dtype=dtype)
+        # np.take needs ``out`` of the source dtype (real phi, complex g),
+        # and copies a source that is not C-contiguous on every call.
+        rows = np.asarray(phi.values.T, dtype=dtype, order="C")
+        acc = np.zeros(rows.shape, dtype=dtype)
         # One gather buffer for all maps: per-map temporaries of this size
         # are mmapped and page-faulted afresh.  ``mode="clip"`` writes into
         # ``buf`` directly ("raise" copies); __init__ checked every index.
-        buf = np.empty(vals.shape, dtype=dtype)
+        buf = np.empty(rows.shape, dtype=dtype)
         for g, idx in zip(self.coeffs, self._target_idx):
-            np.take(vals, idx, axis=0, out=buf, mode="clip")
-            buf *= g.values.reshape(cells)
+            np.take(rows, idx, axis=-1, out=buf, mode="clip")
+            buf *= g.values
             acc += buf
-        return SampledFn(self.domain, self.m, acc)
+        return SampledFn(self.domain, self.m, acc.T)
 
 
 def _max_depth(intervals):

@@ -239,6 +239,13 @@ class TestInputErrors:
         assert "--tol must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "certificate.txt").exists()
 
+    def test_negative_max_steps(self, tmp_path, capsys):
+        rc = main(["solve", "--instance", "doubling", "--max-steps", "-1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--max-steps must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tolerance_below_float_resolution(self, tmp_path, capsys):
         rc = main(["solve", "--instance", "doubling", "--tol", "1e-300",
                    "--max-steps", "2000", "--out", str(tmp_path)])

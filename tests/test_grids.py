@@ -60,6 +60,15 @@ class TestSampledFn:
         g = SampledFn.from_callable(d, 16, lambda x: x)
         assert g.integral() == pytest.approx(0.40625, rel=1e-14)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_vector_integral_is_componentwise(self, order):
+        d = Domain.from_intervals([(0.0, 0.25), (0.5, 1.0)])
+        rng = np.random.default_rng(12)
+        vals = np.asarray(rng.normal(size=(4096, 3)), order=order)
+        got = SampledFn(d, 2048, vals).integral()
+        want = [SampledFn(d, 2048, vals[:, j]).integral() for j in range(3)]
+        assert got.tolist() == want
+
     def test_eval_at_zero_outside(self, unit):
         f = SampledFn.constant(unit, 8, 3.0)
         vals = f.eval_at(np.array([0.5, 1.5, -1.0]))
@@ -186,6 +195,18 @@ class TestCsvWriter:
             vals = _awkward_levels(rng, n) + 1j * imag
         f = SampledFn(domain, m, vals)
         assert f.csv_text() == _reference_csv(f)
+
+    def test_vector_layout_does_not_change_bytes(self):
+        # ProblemInstance.apply returns Fortran-ordered vector values.
+        m = grids._CSV_CHUNK_ROWS + 3
+        domain = Domain.from_intervals([(-0.3, 0.7), (2.0, 2.125)])
+        rng = np.random.default_rng(8)
+        vals = np.stack([_awkward_levels(rng, 2 * m) for _ in range(4)], axis=1)
+        c_order = SampledFn(domain, m, vals)
+        f_order = SampledFn(domain, m, np.asfortranarray(vals))
+        assert f_order.values.flags.f_contiguous
+        assert not f_order.values.flags.c_contiguous
+        assert f_order.csv_text() == c_order.csv_text()
 
 
 class TestDistribution:
@@ -365,3 +386,48 @@ class TestPointwiseNorm:
     def test_scalar_passthrough(self, unit):
         f = SampledFn.from_callable(unit, 8, lambda x: x - 0.5)
         assert np.array_equal(pointwise_norm(f).values, np.abs(f.values))
+
+    @staticmethod
+    def _axis1_reference(vals):
+        """The row reduction along ``axis=1`` that pointwise_norm replaced."""
+        a = np.abs(vals)
+        mx = a.max(axis=1)
+        safe = np.where(mx > 0, mx, 1.0)
+        r = a / safe[:, None]
+        return mx * np.sqrt((r * r).sum(axis=1))
+
+    @staticmethod
+    def _awkward_vectors(d, dtype):
+        """Rows of normal draws, all-zero rows, rows with single nonzero
+        components, and components near 1e+300 and 1e-300, mixed."""
+        rng = np.random.default_rng(100 + d)
+        n = 512
+        vals = rng.normal(size=(n, d))
+        if dtype == "complex":
+            vals = vals + 1j * rng.normal(size=(n, d))
+        vals[:32] = 0.0
+        vals[32:64, 1:] = 0.0
+        vals[64:128] *= 1e300
+        vals[128:192] *= 1e-300
+        vals[192:256, ::2] *= 1e300
+        vals[256:320, 1::2] *= 1e-300
+        vals[320:352, -1] = 1.7e308
+        return vals
+
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_matches_axis1_reference_bit_for_bit(self, unit, d, order, dtype):
+        vals = self._awkward_vectors(d, dtype)
+        f = SampledFn(unit, vals.shape[0], np.asarray(vals, order=order))
+        got = pointwise_norm(f).values
+        assert got.tobytes() == self._axis1_reference(vals).tobytes()
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_pairwise_row_sum_differs_by_at_most_2_ulp(self, unit, d):
+        # For d >= 8 numpy sums a C-ordered row pairwise, pointwise_norm
+        # from left to right.
+        vals = self._awkward_vectors(d, "real")
+        got = pointwise_norm(SampledFn(unit, vals.shape[0], vals)).values
+        want = self._axis1_reference(vals)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))

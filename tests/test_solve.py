@@ -70,6 +70,11 @@ class TestSolveDoubling:
         assert not trace.certified
         assert trace.m_stop == 5
 
+    def test_negative_max_steps_refused(self):
+        inst = make_doubling_instance(m=64)
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            solve_elementary(inst, max_steps=-1)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_degenerate_tolerance_refused(self, tol):
         inst = make_doubling_instance(m=64)

@@ -63,7 +63,8 @@ class TestApply:
         assert np.all(out.values == 0.25j)
 
     @pytest.mark.parametrize("kind", ["scalar", "vector", "complex_g",
-                                      "complex_phi"])
+                                      "complex_phi", "vector5",
+                                      "vector_fortran"])
     def test_matches_reference_loop(self, kind):
         m = 64
         domain = Domain.unit_interval()
@@ -76,11 +77,16 @@ class TestApply:
                                h0=SampledFn.constant(domain, m, 1.0), K_decl=2,
                                L_decl=2, alpha=0.25, psi=power_young(2.0))
         rng = np.random.default_rng(4)
-        shape = (m, 3) if kind == "vector" else m
+        shape = {"vector": (m, 3), "vector5": (m, 5),
+                 "vector_fortran": (m, 4)}.get(kind, m)
         vals = rng.normal(size=shape)
         if kind == "complex_phi":
             vals = vals + 1j * rng.normal(size=shape)
+        if kind == "vector_fortran":
+            vals = np.asfortranarray(vals)
         phi = SampledFn(domain, m, vals)
+        if phi.is_vector:
+            assert phi.values.flags.c_contiguous != (kind == "vector_fortran")
         want = 0.0
         for F, g in zip(maps, coeffs):
             idx = phi.cell_index_of(F(phi.midpoints))
