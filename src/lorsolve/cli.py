@@ -132,6 +132,9 @@ def _resolve_instance(arg):
 
 
 def _load(args, require_admissible=False):
+    # A --grid override is checked before the instance is built on it.
+    if args.grid is not None:
+        _check_grid(args.grid)
     path = _resolve_instance(args.instance)
     inst, oracle = load_instance(
         path,

@@ -223,6 +223,30 @@ class TestInputErrors:
         assert main(["audit", "--instance", "doubling", "--grid", "8",
                      "--out", str(tmp_path)]) == 2
 
+    def test_bad_grid_refused_before_loading(self, tmp_path, capsys,
+                                             monkeypatch):
+        def load_instance(*args, **kwargs):
+            raise AssertionError("instance built before --grid was checked")
+
+        monkeypatch.setattr("lorsolve.cli.load_instance", load_instance)
+        rc = main(["solve", "--instance", "twobranch", "--grid", "1000000",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "power of two" in capsys.readouterr().err
+
+    def test_bad_grid_on_csv_instance(self, tmp_path, capsys):
+        rows = ["cell_left,cell_right,value"]
+        rows += [f"{i / 16!r},{(i + 1) / 16!r},1.0" for i in range(16)]
+        (tmp_path / "h0.csv").write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TIGHT.replace("m = 128", "m = 16")
+                       .replace("expr = 1\n", "csv = h0.csv\n", 1))
+        rc = main(["solve", "--instance", str(cfg), "--grid", "1000",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "power of two" in err and "CSV" not in err
+
     def test_broken_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("[instance]\nname = broken\n")

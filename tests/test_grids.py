@@ -147,6 +147,182 @@ class TestCsvRoundTrip:
             SampledFn.from_csv("\n".join(rows) + "\n", unit, 4)
 
 
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308,
+             1e16, 1.5e-7, -3.0e-300, 123456789012345680.0]
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(_EXTREMES))
+_CSV_DOMAINS = [
+    Domain.unit_interval(),
+    Domain.from_intervals([(0.0, 1 / 3), (0.5, 2.0)]),
+    Domain.from_intervals([(-1000.0, -999.9), (3.0, 3.1)]),
+]
+
+
+def _np_reads(field, dtype):
+    """Whether np.loadtxt reads ``field`` as one number of ``dtype``."""
+    try:
+        a = np.loadtxt(io.StringIO(f"0,{field}\n"), dtype=dtype, delimiter=",",
+                       comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return False
+    return a.shape == (1, 2)
+
+
+class TestCsvParser:
+    """SampledFn.from_csv: what it accepts, bit for bit, and the row its
+    error messages name."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_CSV_DOMAINS), st.integers(1, 9),
+           st.integers(1, 3), st.booleans(), st.data())
+    def test_round_trip_bit_for_bit(self, domain, m, d, is_complex, data):
+        n = len(domain.boxes) * m * d * (2 if is_complex else 1)
+        vals = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+        if is_complex:
+            # Set both halves: arithmetic would turn -0.0 parts into 0.0.
+            vals = vals.view(complex)
+        vals = vals.reshape(-1, d) if d > 1 else vals
+        f = SampledFn(domain, m, vals)
+        g = SampledFn.from_csv(f.csv_text(), domain, m)
+        assert g.values.dtype == f.values.dtype
+        assert g.values.shape == f.values.shape
+        assert g.values.tobytes() == f.values.tobytes()
+
+    @staticmethod
+    def _rows(m=5000):
+        f = SampledFn.from_callable(Domain.unit_interval(), m,
+                                    lambda x: np.cos(3 * x))
+        return f.csv_text().splitlines()
+
+    @staticmethod
+    def _read(rows, m=5000, end="\n"):
+        return SampledFn.from_csv(end.join(rows) + end,
+                                  Domain.unit_interval(), m)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({4097: lambda r: r.rsplit(",", 1)[0] + ",abc"},
+         "CSV row 4097 has a non-numeric field: "),
+        ({3000: lambda r: r + ",0.0"},
+         "CSV row 3000 has 4 fields, header has 3"),
+        ({4999: lambda r: "0.5," + r.split(",", 1)[1]},
+         "CSV row 4999 cell edges do not match grid"),
+        ({2500: lambda r: ""}, "CSV row 2500 has 0 fields, header has 3"),
+        ({2500: lambda r: r + "\n"}, "CSV has 5001 cells, grid needs 5000"),
+        ({5000: lambda r: r + "\n"}, "CSV has 5001 cells, grid needs 5000"),
+        ({4999: lambda r: None}, "CSV has 4999 cells, grid needs 5000"),
+        # The first bad row is named, whatever kind of fault comes later.
+        ({3000: lambda r: r + ",0.0", 4097: lambda r: r + "x",
+          4999: lambda r: "0.5," + r.split(",", 1)[1]},
+         "CSV row 3000 has 4 fields"),
+        ({10: lambda r: "0.5," + r.split(",", 1)[1], 4097: lambda r: r + "x"},
+         "CSV row 10 cell edges do not match grid"),
+    ])
+    def test_first_fault_is_named(self, edit, message):
+        rows = self._rows()
+        for i, change in edit.items():
+            rows[i] = change(rows[i])
+        rows = [r for r in rows if r is not None]
+        with pytest.raises(GridError) as err:
+            self._read(rows)
+        assert str(err.value).startswith(message)
+
+    def test_non_numeric_message_lists_the_fields(self):
+        rows = self._rows(16)
+        rows[5] = rows[5].rsplit(",", 1)[0] + ", one "
+        fields = next(csv.reader([rows[5]]))
+        with pytest.raises(GridError) as err:
+            self._read(rows, 16)
+        assert str(err.value) == f"CSV row 5 has a non-numeric field: {fields!r}"
+
+    @pytest.mark.parametrize("value", ["0.5#", "#0.5", "0.5 # note"])
+    def test_hash_is_not_a_comment(self, value):
+        rows = self._rows(16)
+        rows[7] = rows[7].rsplit(",", 1)[0] + "," + value
+        with pytest.raises(GridError, match="CSV row 7 has a non-numeric"):
+            self._read(rows, 16)
+
+    def test_comment_line_is_a_row(self):
+        rows = self._rows(16)
+        rows.insert(3, "# a comment")
+        with pytest.raises(GridError, match="CSV has 17 cells, grid needs 16"):
+            self._read(rows, 16)
+
+    @pytest.mark.parametrize("value", ["1_0", "١", "2J", "1+j", "1e"])
+    def test_refused_numbers(self, value):
+        rows = self._rows(16)
+        rows[16] = rows[16].rsplit(",", 1)[0] + "," + value
+        with pytest.raises(GridError, match="CSV row 16 has a non-numeric"):
+            self._read(rows, 16)
+
+    def test_crlf_quotes_and_spaces_accepted(self):
+        rows = self._rows(16)
+        want = self._read(rows, 16).values
+        styled = []
+        for i, row in enumerate(rows):
+            lo, hi, v = row.split(",")
+            styled.append(row if i == 0 else
+                          [f'"{lo}",{hi},{v}', f' {lo} ,\t{hi},"  {v} "',
+                           f'{lo},"{hi}", {v}'][i % 3])
+        got = self._read(styled, 16, end="\r\n").values
+        assert got.tobytes() == want.tobytes()
+
+    def test_missing_final_newline_accepted(self):
+        rows = self._rows(16)
+        got = SampledFn.from_csv("\n".join(rows), Domain.unit_interval(), 16)
+        assert got.values.tobytes() == self._read(rows, 16).values.tobytes()
+
+    def test_complex_forms(self, unit):
+        rows = ["cell_left,cell_right,value",
+                "0.0,0.25,(1+2j)", "0.25,0.5,3j", "0.5,0.75, ( -1-0j ) ",
+                "0.75,1.0,1.5"]
+        g = self._read(rows, 4)
+        assert g.values.tolist() == [1 + 2j, 3j, complex(-1.0, -0.0), 1.5]
+
+    def test_complex_edge_is_non_numeric(self):
+        rows = ["cell_left,cell_right,value",
+                "0.0,0.25,1j", "0.25j,0.5,1j", "0.5,0.75,1j", "0.75,1.0,1j"]
+        with pytest.raises(GridError, match="CSV row 2 has a non-numeric"):
+            self._read(rows, 4)
+
+    def test_line_break_inside_quotes_refused(self):
+        rows = self._rows(16)
+        rows[4] = rows[4].rsplit(",", 1)[0] + ',"0.5\n"'
+        with pytest.raises(GridError,
+                           match="CSV row 4 has a line break inside a quoted"):
+            self._read(rows, 16)
+
+    def test_stray_carriage_return_refused(self):
+        rows = self._rows(16)
+        # Data row 6 is line 7 of the file.
+        rows[6] = rows[6] + "\r" + rows[7]
+        del rows[7]
+        with pytest.raises(GridError, match="CSV line 7: "):
+            self._read(rows, 16)
+        rows = self._rows(16)
+        rows[0] = rows[0].replace(",", "\r", 1)
+        with pytest.raises(GridError, match="CSV header: "):
+            self._read(rows, 16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        list("0123456789.eE+-jJ() \t_#x") + ["\xa0", "١", "inf", "nan",
+                                             "infinity", "NaN", "1", "5"]),
+        max_size=8).map("".join), st.booleans())
+    def test_bad_row_is_the_one_numpy_refuses(self, field, complex_file):
+        # Row 1 holds ``field`` and row 2 is never a number: the message
+        # names row 1 exactly when np.loadtxt refuses ``field``.
+        last = "1j" if complex_file else "1.0"
+        rows = ["cell_left,cell_right,value", f"0.0,0.25,{field}",
+                "0.25,0.5,x", "0.5,0.75,1.0", f"0.75,1.0,{last}"]
+        dtype = complex if complex_file or "j" in field else float
+        bad_row = 2 if _np_reads(field, dtype) else 1
+        with pytest.raises(GridError) as err:
+            self._read(rows, 4)
+        assert str(err.value).startswith(
+            f"CSV row {bad_row} has a non-numeric field")
+
+
 def _reference_csv(f):
     """Row-by-row writer that SampledFn.write_csv must match byte for byte."""
     buf = io.StringIO()
