@@ -8,8 +8,8 @@ verdicts, 1 for FAIL verdicts, 2 for input errors.
 """
 
 import argparse
+import contextlib
 import ctypes
-import io
 import os
 import pathlib
 import sys
@@ -55,30 +55,44 @@ class _InputError(ValueError):
 _WRITE_SLICE = 2**16
 
 
-def _atomic_write(out_dir, filename, text):
+@contextlib.contextmanager
+def _atomic_file(out_dir, filename):
+    """Yield a UTF-8 text file that becomes ``out_dir/filename`` on success.
+
+    The file is a temporary one in ``out_dir``; when the block ends it
+    gets the mode ``open()`` would give and is renamed over the target in
+    one step.  If the block raises, the temporary file is removed and the
+    target, new or pre-existing, is left as it was.  Writing into the
+    handle piece by piece keeps a large artifact from ever sitting in
+    memory whole.
+    """
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / filename
     fd, tmp = tempfile.mkstemp(dir=str(out_dir), prefix=f".{filename}.")
     try:
-        with os.fdopen(fd, "w") as fh:
-            # In slices: the encoder then never holds a second copy of a
-            # large text (solution.csv at 2^16 cells is over 3 MiB).
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start:start + _WRITE_SLICE])
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
         # mkstemp creates 0600; give the artifact the mode open() would.
         # Reading the umask means setting it, so set it straight back.
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, target)
+        os.replace(tmp, out_dir / filename)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
-    return target
+
+
+def _atomic_write(out_dir, filename, text):
+    with _atomic_file(out_dir, filename) as fh:
+        # In slices: the encoder then never holds a second copy of a
+        # large text.
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start:start + _WRITE_SLICE])
+    return pathlib.Path(out_dir) / filename
 
 
 # glibc mallopt parameters.
@@ -96,9 +110,8 @@ def _pin_malloc_thresholds(block):
     the solve: one import order made the same 2^16-cell solve 20% slower
     than another (2-core Xeon, glibc 2.36).  Pinned, blocks up to
     ``block`` bytes (at most 32 MiB) come from the heap and freed memory
-    stays there for reuse; larger ones, such as the text of solution.csv,
-    are still mapped and unmapped whole.  Does nothing on other C
-    libraries.
+    stays there for reuse; larger ones are still mapped and unmapped
+    whole.  Does nothing on other C libraries.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -159,6 +172,12 @@ def _psi_from_flags(args, default_family="power", default_param=2.0):
 
 
 def _cmd_solve(args):
+    """Audit, solve and write solution.csv, trace.csv, certificate.txt.
+
+    solution.csv and trace.csv are written straight into their atomic
+    files, solution.csv ``_CSV_CHUNK_ROWS`` rows at a time, so neither
+    text is ever built whole (at 2^16 cells solution.csv is 3.6 MB).
+    """
     if args.tol is not None and not args.tol > 0:
         raise _InputError(f"--tol must be > 0, got {args.tol!r}")
     if args.max_steps < 0:
@@ -178,10 +197,10 @@ def _cmd_solve(args):
     except DivergenceError as exc:
         print(f"solve aborted: {exc}", file=sys.stderr)
         return 1
-    _atomic_write(args.out, "solution.csv", solution.csv_text())
-    buf = io.StringIO()
-    trace.write_csv(buf)
-    _atomic_write(args.out, "trace.csv", buf.getvalue())
+    with _atomic_file(args.out, "solution.csv") as fh:
+        solution.write_csv(fh)
+    with _atomic_file(args.out, "trace.csv") as fh:
+        trace.write_csv(fh)
     _atomic_write(args.out, "certificate.txt", trace.certificate_text())
     ok = trace.certified
     print(

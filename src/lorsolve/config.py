@@ -233,14 +233,14 @@ def load_config(path_or_text, source=None):
         source = source or str(path_or_text)
         try:
             if hasattr(path_or_text, "read_text"):
-                text = path_or_text.read_text()
+                text = path_or_text.read_text(encoding="utf-8")
                 parent = getattr(path_or_text, "parent", None)
                 base_dir = parent
             else:
-                with open(path_or_text, "r") as fh:
+                with open(path_or_text, "r", encoding="utf-8") as fh:
                     text = fh.read()
                 base_dir = pathlib.Path(path_or_text).parent
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(
                 f"cannot read instance file {source}: {exc}"
             ) from exc

@@ -390,8 +390,11 @@ class SampledFn:
         if not (isinstance(text, str) and "\n" in text):
             # Read whole: streaming rows through csv.reader left the later
             # solve ~35% slower (glibc mmap threshold, ROADMAP item 1b(d)).
-            with open(path_or_text, newline="") as fobj:
-                text = fobj.read()
+            try:
+                with open(path_or_text, newline="", encoding="utf-8") as fobj:
+                    text = fobj.read()
+            except UnicodeDecodeError as exc:
+                raise GridError(f"CSV is not UTF-8 text: {exc}") from None
         if not text:
             raise GridError("empty CSV")
         head, _, body = text.partition("\n")
@@ -411,8 +414,9 @@ class SampledFn:
             # first; an all-blank body would also make it warn.
             if nlines != probe.ncells or body.isspace():
                 raise ValueError
-            vals = _loadtxt(body, complex if is_complex else float)
-            edges = _loadtxt(body, float, usecols=(0, 1)) if is_complex else vals
+            lines = body.split("\n")
+            vals = _loadtxt(lines, complex if is_complex else float)
+            edges = _loadtxt(lines, float, usecols=(0, 1)) if is_complex else vals
             if vals.shape != (probe.ncells, len(header)):
                 raise ValueError
         except ValueError:
@@ -426,10 +430,14 @@ class SampledFn:
         return cls(domain, m, vals[:, 0] if vals.shape[1] == 1 else vals)
 
 
-def _loadtxt(text, dtype, usecols=None):
-    """The comma-separated rows of ``text`` as a 2-d array (numpy's C
-    reader; ``comments=None`` so that a ``#`` is a non-numeric field)."""
-    return np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=",",
+def _loadtxt(lines, dtype, usecols=None):
+    """The comma-separated ``lines`` as a 2-d array (numpy's C reader;
+    ``comments=None`` so that a ``#`` is a non-numeric field).
+
+    A list of lines, not an ``io.StringIO``: that would hold a copy of
+    the whole text at 4 bytes per character.  Empty lines are skipped.
+    """
+    return np.loadtxt(lines, dtype=dtype, delimiter=",",
                       comments=None, quotechar='"', ndmin=2, usecols=usecols)
 
 

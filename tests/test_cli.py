@@ -5,7 +5,7 @@ import textwrap
 import pytest
 
 from lorsolve import ROUTES
-from lorsolve.cli import _WRITE_SLICE, _atomic_write, main
+from lorsolve.cli import _WRITE_SLICE, _atomic_file, _atomic_write, main
 
 TIGHT = textwrap.dedent("""\
     [instance]
@@ -102,6 +102,21 @@ class TestAtomicWrite:
         text = ("0.25,1e-05\n" * (size // 11 + 1))[:size]
         _atomic_write(tmp_path, "t.csv", text)
         assert (tmp_path / "t.csv").read_text() == text
+
+    @pytest.mark.parametrize("existing", [None, b"old\n"])
+    def test_failed_writer_leaves_target_alone(self, tmp_path, existing):
+        target = tmp_path / "solution.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+        with pytest.raises(RuntimeError, match="halfway"):
+            with _atomic_file(tmp_path, "solution.csv") as fh:
+                fh.write("cell_left,cell_right,value\n" * 1000)
+                raise RuntimeError("halfway")
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
+        assert not list(tmp_path.glob(".solution.csv.*"))
 
 
 class TestAudit:
@@ -246,6 +261,27 @@ class TestInputErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "power of two" in err and "CSV" not in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(TIGHT.replace("name = tight", "name = tight\u00e9")
+                        .encode("latin-1"))
+        rc = main(["solve", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "utf-8" in capsys.readouterr().err
+        assert not (tmp_path / "solution.csv").exists()
+
+    def test_h0_csv_not_utf8(self, tmp_path, capsys):
+        rows = ["cell_left,cell_right,value\u00e9"]
+        rows += [f"{i / 16!r},{(i + 1) / 16!r},1.0" for i in range(16)]
+        (tmp_path / "h0.csv").write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TIGHT.replace("m = 128", "m = 16")
+                       .replace("expr = 1\n", "csv = h0.csv\n", 1))
+        rc = main(["solve", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "h0.csv" in err and "not UTF-8" in err
 
     def test_broken_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"

@@ -17,6 +17,7 @@ import textwrap
 import pytest
 
 from lorsolve.cli import main
+from lorsolve.grids import SampledFn
 
 from test_cli import TIGHT
 
@@ -141,6 +142,37 @@ def _run(tmp_path, case):
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_golden_digests(tmp_path, case):
     assert _run(tmp_path, case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", ["solve-twobranch", "solve-pair"])
+def test_solve_streams_without_csv_text(tmp_path, case, monkeypatch):
+    """``solve`` writes solution.csv with ``write_csv`` into its file."""
+    def csv_text(self):
+        raise AssertionError("solution.csv built as one string")
+
+    monkeypatch.setattr(SampledFn, "csv_text", csv_text)
+    assert _run(tmp_path, case) == GOLDEN[case]
+
+
+def test_outputs_do_not_depend_on_locale(tmp_path):
+    """Files are read and written as UTF-8 under an ASCII locale too."""
+    cfg = tmp_path / "accent.cfg"
+    cfg.write_text(PAIR.replace("name = pair", "name = pair\u00e9"),
+                   encoding="utf-8")
+    assert main(["solve", "--instance", str(cfg),
+                 "--out", str(tmp_path / "utf8")]) == 0
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lorsolve.cli", "solve", "--instance", str(cfg),
+         "--out", str(tmp_path / "ascii")],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cert = (tmp_path / "ascii" / "certificate.txt").read_bytes()
+    assert b"instance = pair\xc3\xa9\n" in cert
+    assert cert == (tmp_path / "utf8" / "certificate.txt").read_bytes()
 
 
 def _cpus():
