@@ -489,14 +489,34 @@ def _csv_fault(text, ncols, left, right, tol, is_complex):
 # ---------------------------------------------------------------------------
 
 
+def _require_sorted(name, a, strict):
+    """Raise GridError unless the 1-d ``a`` is finite and strictly increasing
+    (``strict``) or nonincreasing.
+
+    The order is one comparison in positive form, which is False at a NaN;
+    once it holds, only the two ends can be infinite.
+    """
+    if strict:
+        ordered = np.all(a[1:] > a[:-1])
+    else:
+        ordered = np.all(a[1:] <= a[:-1])
+    if ordered and (not a.size or np.isfinite(a[0]) and np.isfinite(a[-1])):
+        return
+    if not np.all(np.isfinite(a)):
+        raise GridError(f"{name} must be finite")
+    rule = "strictly increase" if strict else "be nonincreasing"
+    raise GridError(f"{name} must {rule}")
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     """mu_f(s) = measure{|f| > s} as an exact right-continuous step function.
 
-    ``thresholds`` is increasing with thresholds[0] = 0 and last entry
-    max|f|; ``measures[i]`` is the (constant) value of mu_f on
+    ``thresholds`` is finite and increasing with thresholds[0] = 0 and last
+    entry max|f|; ``measures[i]`` is the (constant) value of mu_f on
     [thresholds[i], thresholds[i+1]), and mu_f = 0 beyond the last
-    threshold.  ``measures`` is nonincreasing.
+    threshold.  ``measures`` is finite and nonincreasing.  A NaN or
+    infinite entry in either field raises :class:`GridError`.
     """
 
     thresholds: np.ndarray
@@ -507,12 +527,10 @@ class StepDistribution:
         mu = np.asarray(self.measures, dtype=float)
         if t.size != mu.size + 1:
             raise GridError("need len(thresholds) == len(measures) + 1")
+        _require_sorted("thresholds", t, strict=True)
+        _require_sorted("measures", mu, strict=False)
         if t.size and t[0] != 0.0:
             raise GridError("thresholds must start at 0")
-        if np.any(np.diff(t) <= 0):
-            raise GridError("thresholds must strictly increase")
-        if np.any(np.diff(mu) > 0):
-            raise GridError("measures must be nonincreasing")
         t.setflags(write=False)
         mu.setflags(write=False)
         object.__setattr__(self, "thresholds", t)
@@ -553,9 +571,10 @@ class StepFn:
     """A nonincreasing right-continuous step function on [0, length).
 
     ``values[i]`` holds on [edges[i], edges[i+1]); the function is 0 beyond
-    edges[-1].  Rearrangements produced by :func:`rearrangement` include an
-    explicit zero plateau when |f| has a zero set, so edges[-1] is the
-    domain's total measure (as summed in rearranged order).
+    edges[-1]; ``edges`` and ``values`` must be finite.  Rearrangements
+    produced by :func:`rearrangement` include an explicit zero plateau when
+    |f| has a zero set, so edges[-1] is the domain's total measure (as
+    summed in rearranged order).
 
     ``plateau_measures``, when given, stores the exact plateau widths that
     produced the cumulative ``edges``; :meth:`distribution` prefers them so
@@ -572,12 +591,10 @@ class StepFn:
         v = np.asarray(self.values, dtype=float)
         if e.size != v.size + 1:
             raise GridError("need len(edges) == len(values) + 1")
+        _require_sorted("edges", e, strict=True)
+        _require_sorted("values", v, strict=False)
         if e.size and e[0] != 0.0:
             raise GridError("edges must start at 0")
-        if np.any(np.diff(e) <= 0):
-            raise GridError("edges must strictly increase")
-        if np.any(np.diff(v) > 0):
-            raise GridError("values must be nonincreasing")
         if v.size and v[-1] < 0:
             raise GridError("values must be nonnegative")
         e.setflags(write=False)
@@ -612,20 +629,34 @@ class StepFn:
         return _distribution_from(self.values, np.diff(self.edges))
 
 
-def _levels(values, measures):
+def _levels(values, measures, owned=False):
     """The distinct values in increasing order and the total measure of each.
 
     ``measures`` is one shared measure per value (a float) or an array of
     one measure per value.  With a shared measure the levels come from one
     sort and its run boundaries, and a level of ``count`` values measures
-    ``count * measures`` (one rounding; exact for dyadic measures).  Per-value
-    measures are summed per level in value order.
+    ``count * measures`` (one rounding; exact for dyadic measures).  The
+    boundaries are marked in one bool buffer of n + 1; when every value is
+    distinct the sorted array itself is returned with ``np.full(n, w)``.
+    ``owned`` says that ``values`` is a scratch array of the caller's that
+    may be sorted in place (and returned).  Per-value measures are summed
+    per level in value order.
     """
     if np.ndim(measures) == 0:
-        v = np.sort(values)
-        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-        counts = np.diff(np.append(starts, v.size))
-        return v[starts], counts * float(measures)
+        w = float(measures)
+        if owned:
+            v = values
+            v.sort()
+        else:
+            v = np.sort(values)
+        n = v.size
+        edge = np.empty(n + 1, dtype=bool)
+        edge[0] = edge[n] = True
+        np.not_equal(v[1:], v[:-1], out=edge[1:n])
+        if edge.all():
+            return v, np.full(n, w)
+        bounds = np.flatnonzero(edge)
+        return v[bounds[:-1]], np.diff(bounds) * w
     uniq, inverse = np.unique(values, return_inverse=True)
     return uniq, np.bincount(inverse, weights=measures, minlength=uniq.size)
 
@@ -638,22 +669,33 @@ def _grid_measures(f):
     return widths.pop() if len(widths) == 1 else f.cell_measures
 
 
-def _distribution_from(values, measures):
-    """Exact StepDistribution of nonnegative step data (value, measure)."""
-    uniq, agg = _levels(np.asarray(values, dtype=float), measures)
-    # tail[j] = measure{value > uniq[j]}
-    tail = np.concatenate([np.cumsum(agg[::-1])[::-1][1:], [0.0]])
+def _distribution_from(values, measures, owned=False):
+    """Exact StepDistribution of nonnegative step data (value, measure).
+
+    With levels u_0 < ... < u_{k-1} of measures a_j, mu = a_0 + ... + a_{k-1}
+    (numpy's pairwise sum) below u_0 when u_0 > 0, and a_{j+1} + ... + a_{k-1}
+    on [u_j, u_{j+1}), summed sequentially from the top level down: one
+    reversed ``np.cumsum`` written straight into the measures array.
+    ``owned`` is passed on to :func:`_levels`.
+    """
+    uniq, agg = _levels(np.asarray(values, dtype=float), measures, owned)
+    k = uniq.size
     if uniq[0] > 0.0:
-        thresholds = np.concatenate([[0.0], uniq])
-        mu = np.concatenate([[float(agg.sum())], tail])
+        thresholds = np.empty(k + 1)
+        thresholds[0] = 0.0
+        thresholds[1:] = uniq
+        mu = np.empty(k)
+        mu[0] = agg.sum()
+        tails = mu[:0:-1]
+    elif k == 1:  # f == 0
+        return StepDistribution(thresholds=np.array([0.0]), measures=np.array([]))
     else:
         thresholds = uniq
-        mu = tail
-    # mu holds on [thresholds[i], thresholds[i+1]); the value beyond the last
-    # threshold is 0 by construction, so drop the trailing entry.
-    if thresholds.size == 1:  # f == 0
-        return StepDistribution(thresholds=np.array([0.0]), measures=np.array([]))
-    return StepDistribution(thresholds=thresholds, measures=mu[:-1])
+        mu = np.empty(k - 1)
+        tails = mu[::-1]
+    # tails[i] = measure{value > u_(k-2-i)}: mu seen from its end.
+    np.cumsum(agg[:0:-1], out=tails)
+    return StepDistribution(thresholds=thresholds, measures=mu)
 
 
 def distribution(f):
@@ -662,12 +704,12 @@ def distribution(f):
     When all intervals of the domain have the same cell width ``w``, the
     levels of |f| come from one sort and a level of ``count`` cells
     measures ``count * w``; otherwise the per-cell measures are summed
-    per level.
+    per level.  ``np.abs`` gives a fresh array, which is sorted in place.
     """
     if f.is_vector:
         raise GridError("distribution() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    return _distribution_from(np.abs(f.values), _grid_measures(f))
+    return _distribution_from(np.abs(f.values), _grid_measures(f), owned=True)
 
 
 def rearrangement(f):
@@ -679,7 +721,7 @@ def rearrangement(f):
     if f.is_vector:
         raise GridError("rearrangement() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    uniq, agg = _levels(np.abs(f.values), _grid_measures(f))
+    uniq, agg = _levels(np.abs(f.values), _grid_measures(f), owned=True)
     vals = uniq[::-1].copy()
     widths = agg[::-1].copy()
     edges = np.concatenate([[0.0], np.cumsum(widths)])

@@ -197,6 +197,12 @@ def derive_tau(psi, probe_grid=None):
         tau^{-1}(s) = 1 / psi^{-1}(1/s)
         tau'(t)     = psi'(1/t) / (t * psi(1/t))**2
 
+    ``tau`` and ``tau^{-1}`` give 0 where their argument is 0 and a float
+    for a 0-d argument.  ``tau^{-1}`` of a non-empty array whose entries
+    are all positive (the measures of a step distribution) skips the mask
+    and evaluates the closed form on the whole array at once; elementwise,
+    the bits are those of the masked path.
+
     Raises
     :class:`TauUndefinedError` if psi(1/t) is 0 or non-finite at a sampled
     interior t (tau would be ill-defined there).
@@ -218,7 +224,11 @@ def derive_tau(psi, probe_grid=None):
         return out if out.ndim else float(out)
 
     def tau_inv(s):
+        """1 / psi^-1(1/s), and 0 where s = 0.  A non-empty array whose
+        entries are all positive (a NaN fails the test) takes no mask."""
         s = np.asarray(s, dtype=float)
+        if s.ndim and s.size and s.min() > 0.0:
+            return 1.0 / np.asarray(psi.inv(1.0 / s), dtype=float)
         out = np.zeros_like(s)
         pos = s > 0
         out[pos] = 1.0 / np.asarray(psi.inv(1.0 / s[pos]), dtype=float)

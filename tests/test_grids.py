@@ -10,11 +10,14 @@ from lorsolve import (
     Domain,
     GridError,
     SampledFn,
+    derive_tau,
     distribution,
     pointwise_norm,
+    power_young,
     rearrangement,
 )
 from lorsolve import grids
+from lorsolve.grids import StepDistribution, StepFn
 
 
 class TestDomain:
@@ -480,6 +483,155 @@ class TestLevels:
         running = np.bincount(np.zeros(3300, dtype=int),
                               weights=f.cell_measures[:3300])[0]
         assert running == 0.24169921874998565
+
+
+def _ref_levels(values, measures):
+    """The levels as computed before the in-place, run-buffer rewrite."""
+    if np.ndim(measures) == 0:
+        v = np.sort(values)
+        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+        counts = np.diff(np.append(starts, v.size))
+        return v[starts], counts * float(measures)
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=measures, minlength=uniq.size)
+
+
+def _ref_distribution_from(values, measures):
+    """(thresholds, measures) as computed before the rewrite."""
+    uniq, agg = _ref_levels(np.asarray(values, dtype=float), measures)
+    tail = np.concatenate([np.cumsum(agg[::-1])[::-1][1:], [0.0]])
+    if uniq[0] > 0.0:
+        thresholds = np.concatenate([[0.0], uniq])
+        mu = np.concatenate([[float(agg.sum())], tail])
+    else:
+        thresholds = uniq
+        mu = tail
+    if thresholds.size == 1:
+        return np.array([0.0]), np.array([])
+    return thresholds, mu[:-1]
+
+
+def _ref_tau_inv(psi, s):
+    """tau^-1 by the masked path only."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    pos = s > 0
+    out[pos] = 1.0 / np.asarray(psi.inv(1.0 / s[pos]), dtype=float)
+    return out if out.ndim else float(out)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b) and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+# (domain, cells per interval): one shared dyadic width, one shared
+# non-dyadic width, two equal-width intervals, and unequal widths (the
+# per-cell-measure path).
+_NORM_GRIDS = {
+    "dyadic": (Domain.interval(1.0, 2.0), 256),
+    "non-dyadic": (Domain.interval(0.0, 0.3), 4096),
+    "two-equal": (Domain.from_intervals([(0.0, 0.5), (2.0, 2.5)]), 128),
+    "unequal": (Domain.from_intervals([(0.0, 1.0), (2.0, 2.5)]), 128),
+}
+
+
+class TestNormPipelineReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(_NORM_GRIDS)),
+           st.sampled_from(["ties", "zero", "constant", "distinct"]),
+           st.integers(min_value=0, max_value=2**31 - 1),
+           st.integers(min_value=1, max_value=12))
+    @example(grid="non-dyadic", kind="distinct", seed=0, nlevels=1)
+    @example(grid="non-dyadic", kind="constant", seed=0, nlevels=1)
+    @example(grid="dyadic", kind="ties", seed=0, nlevels=2)  # 0.0 and -0.0
+    @example(grid="two-equal", kind="zero", seed=0, nlevels=1)
+    @example(grid="unequal", kind="distinct", seed=0, nlevels=1)
+    def test_bit_for_bit(self, grid, kind, seed, nlevels):
+        domain, m = _NORM_GRIDS[grid]
+        rng = np.random.default_rng(seed)
+        n = len(domain.boxes) * m
+        if kind == "ties":
+            vals = _tied_values(rng, n, nlevels)
+        elif kind == "zero":
+            vals = np.zeros(n)
+        elif kind == "constant":
+            vals = np.full(n, rng.normal())
+        else:
+            vals = rng.normal(size=n)
+        f = SampledFn(domain, m, vals)
+        w = grids._grid_measures(f)
+        assert isinstance(w, float) == (grid != "unequal")
+
+        t_ref, mu_ref = _ref_distribution_from(np.abs(vals), w)
+        mu = distribution(f)
+        assert _same_bits(mu.thresholds, t_ref)
+        assert _same_bits(mu.measures, mu_ref)
+        assert _same_bits(f.values, vals)  # sorted a copy, not f's values
+        for exponent in (1.5, 2.0, 3.0):
+            psi = power_young(exponent)
+            want = float(np.sum(_ref_tau_inv(psi, mu_ref) * np.diff(t_ref)))
+            got = mu.lorentz_integral(derive_tau(psi).inverse)
+            assert _same_bits(got, want)
+
+        # _levels without ``owned`` leaves its argument alone, +-0.0 included.
+        kept = vals.copy()
+        levels, measures = grids._levels(vals, w)
+        ref_levels, ref_measures = _ref_levels(kept, w)
+        assert _same_bits(vals, kept)
+        assert _same_bits(levels, ref_levels)
+        assert _same_bits(measures, ref_measures)
+        fs = rearrangement(f)
+        ref_levels, ref_measures = _ref_levels(np.abs(vals), w)
+        assert _same_bits(fs.values, ref_levels[::-1])
+        assert _same_bits(fs.plateau_measures, ref_measures[::-1])
+
+
+class TestStepFinite:
+    @pytest.mark.parametrize("thresholds, measures, field", [
+        ([0.0, np.nan], [1.0], "thresholds"),
+        ([0.0, np.inf], [1.0], "thresholds"),
+        ([np.nan, 1.0], [1.0], "thresholds"),
+        ([0.0, 1.0, np.nan], [2.0, 1.0], "thresholds"),
+        ([0.0, 1.0, 2.0], [1.0, np.nan], "measures"),
+        ([0.0, 1.0, 2.0], [np.nan, 1.0], "measures"),
+        ([0.0, 1.0], [np.inf], "measures"),
+        ([0.0, 1.0, 2.0], [1.0, -np.inf], "measures"),
+    ])
+    def test_distribution_refuses(self, thresholds, measures, field):
+        with pytest.raises(GridError, match=f"{field} must be finite"):
+            StepDistribution(thresholds, measures)
+
+    @pytest.mark.parametrize("edges, values, field", [
+        ([0.0, np.nan], [1.0], "edges"),
+        ([0.0, np.inf], [1.0], "edges"),
+        ([0.0, 1.0, np.nan], [2.0, 1.0], "edges"),
+        ([0.0, 1.0, 2.0], [np.nan, 1.0], "values"),
+        ([0.0, 1.0, 2.0], [1.0, np.nan], "values"),
+        ([0.0, 1.0], [np.inf], "values"),
+    ])
+    def test_step_fn_refuses(self, edges, values, field):
+        with pytest.raises(GridError, match=f"{field} must be finite"):
+            StepFn(edges, values)
+
+    def test_order_faults_keep_their_messages(self):
+        with pytest.raises(GridError, match="thresholds must strictly increase"):
+            StepDistribution([0.0, 1.0, 1.0], [2.0, 1.0])
+        with pytest.raises(GridError, match="measures must be nonincreasing"):
+            StepDistribution([0.0, 1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(GridError, match="edges must strictly increase"):
+            StepFn([0.0, 2.0, 1.0], [2.0, 1.0])
+        with pytest.raises(GridError, match="values must be nonincreasing"):
+            StepFn([0.0, 1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(GridError, match="thresholds must start at 0"):
+            StepDistribution([0.5, 1.0], [1.0])
+
+    def test_finite_data_accepted(self, tau2):
+        mu = StepDistribution([0.0, 1.0, 3.0], [2.0, 0.5])
+        assert np.isfinite(mu.lorentz_integral(tau2.inverse))
+        assert StepDistribution([0.0], []).lorentz_integral(tau2.inverse) == 0.0
+        assert StepFn([0.0, 1.0, 2.0], [3.0, 0.0]).integral() == 3.0
 
 
 class TestRearrangement:

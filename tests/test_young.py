@@ -111,6 +111,42 @@ class TestTauTransform:
         assert tau2.inverse(0.0) == 0.0
         assert tau2.inverse(np.array([0.0, 0.5]))[0] == 0.0
 
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_inverse_positive_fast_path_bit_for_bit(self, m):
+        psi = power_young(m)
+        tau = derive_tau(psi)
+        rng = np.random.default_rng(7)
+        s = np.concatenate([np.geomspace(1e-12, 1e12, 301),
+                            rng.uniform(size=4096), [1.0]])
+        masked = np.zeros_like(s)
+        masked[s > 0] = 1.0 / psi.inv(1.0 / s[s > 0])
+        got = tau.inverse(s)
+        assert got.dtype == masked.dtype and got.shape == s.shape
+        assert got.tobytes() == masked.tobytes()
+        # Zeros take the masked path: 0 there, the same bits elsewhere.
+        z = s.copy()
+        z[::3] = 0.0
+        got = tau.inverse(z)
+        assert np.all(got[::3] == 0.0)
+        keep = np.ones(s.size, dtype=bool)
+        keep[::3] = False
+        assert got[keep].tobytes() == masked[keep].tobytes()
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_inverse_empty_and_zero_d(self, m):
+        psi = power_young(m)
+        tau = derive_tau(psi)
+        empty = tau.inverse(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        for s in (0.0, np.float64(0.0), np.array(0.0)):
+            got = tau.inverse(s)
+            assert type(got) is float and got == 0.0
+        want = float((1.0 / psi.inv(1.0 / np.array([0.25])))[0])
+        for s in (0.25, np.float64(0.25), np.array(0.25)):
+            got = tau.inverse(s)
+            assert type(got) is float and got == want
+        assert tau.inverse(np.zeros((2, 3))).tolist() == [[0.0] * 3] * 2
+
     def test_as_young_matches(self, tau2):
         y = tau2.as_young()
         t = np.linspace(0.1, 5.0, 50)
