@@ -39,7 +39,8 @@ def main():
     print("2. Solve with a certified tail bound")
     print("=" * 70)
     solution, trace = solve_elementary(inst, tol=1e-10)
-    print("First and last trace rows (term, partial, tail bound, residual):")
+    print("First and last trace rows (term, tail bound; partial and "
+          "residual on the last row only):")
     rows = list(trace.rows)
     for row in rows[:3] + ["..."] + rows[-2:]:
         print(f"  {row}")

@@ -515,8 +515,8 @@ class StepDistribution:
     ``thresholds`` is finite and increasing with thresholds[0] = 0 and last
     entry max|f|; ``measures[i]`` is the (constant) value of mu_f on
     [thresholds[i], thresholds[i+1]), and mu_f = 0 beyond the last
-    threshold.  ``measures`` is finite and nonincreasing.  A NaN or
-    infinite entry in either field raises :class:`GridError`.
+    threshold.  ``measures`` is finite, nonincreasing and nonnegative.  A
+    NaN, infinite or negative entry raises :class:`GridError`.
     """
 
     thresholds: np.ndarray
@@ -529,6 +529,8 @@ class StepDistribution:
             raise GridError("need len(thresholds) == len(measures) + 1")
         _require_sorted("thresholds", t, strict=True)
         _require_sorted("measures", mu, strict=False)
+        if mu.size and mu[-1] < 0.0:
+            raise GridError("measures must be nonnegative")
         if t.size and t[0] != 0.0:
             raise GridError("thresholds must start at 0")
         t.setflags(write=False)

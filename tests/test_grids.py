@@ -627,10 +627,21 @@ class TestStepFinite:
         with pytest.raises(GridError, match="thresholds must start at 0"):
             StepDistribution([0.5, 1.0], [1.0])
 
+    @pytest.mark.parametrize("thresholds, measures", [
+        ([0.0, 1.0], [-1.0]),
+        ([0.0, 1.0, 2.0], [1.0, -1e-300]),
+    ])
+    def test_negative_measure_refused(self, thresholds, measures):
+        # tau^-1 is 0 wherever s <= 0, so a negative measure would count as 0
+        with pytest.raises(GridError, match="measures must be nonnegative"):
+            StepDistribution(thresholds, measures)
+
     def test_finite_data_accepted(self, tau2):
         mu = StepDistribution([0.0, 1.0, 3.0], [2.0, 0.5])
         assert np.isfinite(mu.lorentz_integral(tau2.inverse))
         assert StepDistribution([0.0], []).lorentz_integral(tau2.inverse) == 0.0
+        assert StepDistribution([0.0, 1.0], [-0.0]).lorentz_integral(
+            tau2.inverse) == 0.0
         assert StepFn([0.0, 1.0, 2.0], [3.0, 0.0]).integral() == 3.0
 
 

@@ -7,6 +7,8 @@ import pytest
 from lorsolve import (
     AuditFailure,
     DivergenceError,
+    IterationTrace,
+    ProblemInstance,
     SampledFn,
     ToleranceError,
     residual,
@@ -44,11 +46,11 @@ class TestSolveDoubling:
             )
 
     def test_residual_column_equals_next_term(self):
-        # S_m - P S_m - h0 = -P^m h0, so the residual column must retrace
-        # the term norms
+        # S_m - P S_m - h0 = -P^m h0, so the residual of every partial sum
+        # must retrace the term norms; the solve that stops after k steps
+        # reports S_k's residual on its last row
         inst = make_doubling_instance(m=256)
-        _, trace = solve_elementary(inst)
-        for row in trace.rows:
+        for row in _last_rows(inst):
             assert row.residual_norm == pytest.approx(row.term_norm,
                                                       rel=1e-10, abs=1e-15)
 
@@ -99,9 +101,41 @@ class TestSolveDoubling:
 
     def test_partial_norms_nondecreasing(self):
         inst = make_doubling_instance(m=256)
-        _, trace = solve_elementary(inst)
-        partials = [row.partial_norm for row in trace.rows]
+        partials = [row.partial_norm for row in _last_rows(inst)]
         assert all(b >= a - 1e-15 for a, b in zip(partials, partials[1:]))
+
+    def test_one_norm_and_one_apply_per_step(self, monkeypatch):
+        # ||h0||, one norm and one apply per step, and the residual and
+        # ||S|| of the returned partial sum
+        inst = make_doubling_instance(m=256)
+        calls = {"norm": 0, "apply": 0}
+        for name in calls:
+            method = getattr(ProblemInstance, name)
+
+            def counted(self, f, name=name, method=method):
+                calls[name] += 1
+                return method(self, f)
+
+            monkeypatch.setattr(ProblemInstance, name, counted)
+        _, trace = solve_elementary(inst)
+        assert calls == {"norm": trace.m_stop + 3, "apply": trace.m_stop + 1}
+
+    def test_last_row_describes_returned_sum(self):
+        inst = make_doubling_instance(m=256)
+        solution, trace = solve_elementary(inst)
+        last = trace.rows[-1]
+        assert last.residual_norm == residual(solution, inst).value
+        assert last.partial_norm == inst.norm(solution)
+        assert trace.rows[0].term_norm == trace.h0_norm
+        for row in trace.rows[:-1]:
+            assert row.partial_norm is None and row.residual_norm is None
+
+
+def _last_rows(inst):
+    """Last trace row of the solves stopped after k = 0..m_stop steps."""
+    _, trace = solve_elementary(inst)
+    return [solve_elementary(inst, max_steps=k)[1].rows[-1]
+            for k in range(trace.m_stop + 1)]
 
 
 class TestSolveTwoBranch:
@@ -171,11 +205,49 @@ class TestTraceSerialization:
     def test_csv_shape_and_header(self):
         inst = make_doubling_instance(m=64)
         _, trace = solve_elementary(inst)
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        lines = _csv_lines(trace)
         assert lines[0] == "m,term_norm,partial_norm,tail_bound,residual"
         assert len(lines) == trace.m_stop + 2
+        fields = [line.split(",") for line in lines[1:]]
+        for m, row in enumerate(fields[:-1]):
+            assert row[0] == str(m) and row[1] and row[3]
+            assert row[2] == row[4] == ""
+        last = trace.rows[-1]
+        assert fields[-1] == [str(last.m), repr(last.term_norm),
+                              repr(last.partial_norm), repr(last.tail_bound),
+                              repr(last.residual_norm)]
+
+    def test_forced_run_serializes(self):
+        inst = make_doubling_instance(m=64, alpha=0.2)
+        _, trace = solve_elementary(inst, force=True)
+        lines = _csv_lines(trace)
+        assert len(lines) == trace.m_stop + 2
+        assert all(lines[-1].split(","))
+
+    def test_zero_steps_serializes(self):
+        inst = make_doubling_instance(m=64)
+        solution, trace = solve_elementary(inst, max_steps=0)
+        lines = _csv_lines(trace)
+        assert len(lines) == 2
+        row = trace.rows[0]
+        assert lines[1] == ",".join(
+            ["0", repr(trace.h0_norm), "0.0", repr(row.tail_bound),
+             repr(residual(solution, inst).value)])
+        assert row.residual_norm == row.term_norm == trace.h0_norm
+
+    def test_divergence_rows_serialize(self):
+        inst = make_doubling_instance(m=64, g=1.2, alpha=0.3)
+        with pytest.raises(DivergenceError) as err:
+            solve_elementary(inst, force=True)
+        trace = IterationTrace(
+            instance_label=inst.label, psi_label=inst.psi_label,
+            alpha=inst.alpha, tol=1.0, h0_norm=err.value.rows[0].term_norm,
+            rows=err.value.rows, stop_reason="diverged", audit_passed=False)
+        lines = _csv_lines(trace)
+        assert len(lines) == len(err.value.rows) + 1
+        for line in lines[1:]:
+            row = line.split(",")
+            assert len(row) == 5 and row[2] == row[4] == ""
 
     def test_certificate_fields(self):
         inst = make_doubling_instance(m=64)
@@ -185,6 +257,12 @@ class TestTraceSerialization:
                     "stop_reason = tolerance", "verdict = PASS",
                     "audit = PASS"):
             assert key in text
+
+
+def _csv_lines(trace):
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    return buf.getvalue().splitlines()
 
 
 class TestUniqueness:
