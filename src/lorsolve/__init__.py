@@ -15,7 +15,7 @@ certificate.
 
 Layers, bottom up:
 
-``young``        Young functions, the tau transform, admissibility checks
+``young``        Young functions, the tau transform, the admissible families
 ``grids``        domains, sampled step functions, rearrangements
 ``maps``         piecewise monotone maps, indicatrix counts,
                  change-of-variables checks
@@ -87,13 +87,9 @@ from .transfer import (
 )
 from .young import (
     YoungFnError,
-    check_delta2,
-    check_n_function,
     derive_tau,
     monomial_young,
     power_young,
-    validate_tau,
-    validate_young,
     young_family,
 )
 
@@ -125,8 +121,6 @@ __all__ = [
     "banach_indicatrix",
     "bundled_instance_path",
     "change_of_variables_check",
-    "check_delta2",
-    "check_n_function",
     "check_orlicz_lorentz_bridge",
     "compile_expression",
     "default_test_sets",
@@ -151,8 +145,6 @@ __all__ = [
     "solve_elementary",
     "tent3_map",
     "uniqueness_probe",
-    "validate_tau",
-    "validate_young",
     "young_family",
     "__version__",
 ]

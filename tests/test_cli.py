@@ -342,3 +342,21 @@ class TestInputErrors:
         rc = main(["solve", "--instance", "doubling", "--psi", "monomial",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags, young_m", [
+        (["--m", "400"], None),
+        (["--m", "1e6"], None),
+        ([], "400"),
+    ], ids=["flag-400", "flag-1e6", "file-400"])
+    def test_young_parameter_out_of_range(self, tmp_path, capsys, flags,
+                                          young_m):
+        instance = "twobranch"
+        if young_m is not None:
+            instance = tmp_path / "big_m.cfg"
+            instance.write_text(TIGHT.replace("m = 2.0", f"m = {young_m}"))
+        out = tmp_path / "out"
+        rc = main(["solve", "--instance", str(instance), *flags,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -170,8 +170,8 @@ def test_outputs_do_not_depend_on_locale(tmp_path):
                PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                PYTHONIOENCODING="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "lorsolve.cli", "solve", "--instance", str(cfg),
-         "--out", str(tmp_path / "ascii")],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lorsolve.cli",
+         "solve", "--instance", str(cfg), "--out", str(tmp_path / "ascii")],
         env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     cert = (tmp_path / "ascii" / "certificate.txt").read_bytes()
@@ -195,7 +195,8 @@ def _digests_per_blas_thread_count(tmp_path, args, files):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "lorsolve.cli", *args, "--out", str(out)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "lorsolve.cli", *args, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append({f: _digest(out / f) for f in files})

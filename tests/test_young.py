@@ -5,13 +5,9 @@ from hypothesis import strategies as st
 
 from lorsolve import (
     YoungFnError,
-    check_delta2,
-    check_n_function,
     derive_tau,
     monomial_young,
     power_young,
-    validate_tau,
-    validate_young,
     young_family,
 )
 
@@ -21,7 +17,6 @@ class TestPowerFamily:
         psi = power_young(2.0)
         assert psi(1.0) == 2.0
         assert psi(0.0) == 0.0
-        assert psi.right_deriv(1.0) == 4.0
         assert psi.inverse(2.0) == 1.0
 
     def test_inverse_roundtrip(self):
@@ -31,10 +26,9 @@ class TestPowerFamily:
         assert np.allclose(back, t, rtol=1e-12)
 
     def test_rejects_exponent_at_most_one(self):
-        with pytest.raises(YoungFnError):
-            power_young(1.0)
-        with pytest.raises(YoungFnError):
-            power_young(0.5)
+        for m in (1.0, 0.5, float("inf"), float("nan")):
+            with pytest.raises(YoungFnError, match="power family"):
+                power_young(m)
 
     def test_vector_input(self):
         psi = power_young(2.0)
@@ -54,8 +48,9 @@ class TestMonomialFamily:
         assert psi(3.0) == 3.0
 
     def test_rejects_exponent_below_one(self):
-        with pytest.raises(YoungFnError):
-            monomial_young(0.9)
+        for p in (0.9, float("inf"), float("nan")):
+            with pytest.raises(YoungFnError, match="monomial family"):
+                monomial_young(p)
 
 
 class TestFamilyRegistry:
@@ -73,29 +68,6 @@ class TestFamilyRegistry:
             young_family("monomial", 2.0, require_admissible=True)
 
 
-class TestDelta2:
-    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
-    def test_power_doubles_exactly(self, m):
-        rep = check_delta2(power_young(m))
-        assert rep.passed
-        assert rep.max_ratio == pytest.approx(2.0**m, rel=1e-12)
-
-    def test_fails_with_too_small_constant(self):
-        rep = check_delta2(power_young(3.0), d=7.0)
-        assert not rep.passed
-
-
-class TestNFunction:
-    def test_power_passes(self):
-        rep = check_n_function(power_young(2.0))
-        assert rep.verdict == "PASS"
-
-    def test_linear_monomial_fails(self):
-        # t / psi(t) = 1 for psi(t) = t, so neither limit reaches 0
-        rep = check_n_function(monomial_young(1.0))
-        assert rep.verdict == "FAIL"
-
-
 class TestTauTransform:
     def test_definition_identity(self, psi2, tau2):
         # tau(t) = 1 / psi(1/t)
@@ -105,7 +77,6 @@ class TestTauTransform:
     def test_power_two_closed_forms(self, tau2):
         assert tau2(2.0) == pytest.approx(2.0, rel=1e-14)  # t^2 / 2
         assert tau2.inverse(0.5) == pytest.approx(1.0, rel=1e-14)
-        assert tau2.right_deriv(3.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_inverse_at_zero(self, tau2):
         assert tau2.inverse(0.0) == 0.0
@@ -147,11 +118,6 @@ class TestTauTransform:
             assert type(got) is float and got == want
         assert tau.inverse(np.zeros((2, 3))).tolist() == [[0.0] * 3] * 2
 
-    def test_as_young_matches(self, tau2):
-        y = tau2.as_young()
-        t = np.linspace(0.1, 5.0, 50)
-        assert np.allclose(y(t), tau2(t), rtol=1e-12)
-
     @settings(max_examples=60, deadline=None)
     @given(
         m=st.floats(min_value=1.1, max_value=6.0),
@@ -160,18 +126,3 @@ class TestTauTransform:
     def test_roundtrip_property(self, m, t):
         tau = derive_tau(power_young(m))
         assert tau.inverse(tau(t)) == pytest.approx(t, rel=1e-9)
-
-
-class TestValidators:
-    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
-    def test_power_family_validates(self, m):
-        psi = power_young(m)
-        assert validate_young(psi).passed
-        assert validate_tau(derive_tau(psi), psi).passed
-
-    def test_monomial_validates_as_young(self):
-        assert validate_young(monomial_young(2.0)).passed
-
-    def test_report_text_has_verdict(self, psi2):
-        text = validate_young(psi2).as_text()
-        assert "verdict = PASS" in text
