@@ -36,7 +36,7 @@ def main():
     print("=" * 70)
     dom = Domain.from_intervals([(0.0, 0.5), (2.0, 2.25)])
     f = SampledFn(dom, 4, np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]))
-    print(f"domain        : {dom.intervals()}  (total measure {dom.total_measure})")
+    print(f"domain        : {dom.boxes}  (total measure {dom.total_measure})")
     print(f"cells         : {f.ncells} (4 per box), values {f.values.tolist()}")
     print(f"integral      : {f.integral()}")
 
@@ -51,7 +51,6 @@ def main():
     print("Decreasing rearrangement f*: same values, sorted onto (0, measure):")
     star = rearrangement(f)
     print(f"  plateau values   {star.values.tolist()}")
-    print(f"  plateau measures {star.plateau_measures.tolist()}")
     print(f"  mass preserved   {star.integral()} == {f.integral()}")
 
     print()

@@ -33,7 +33,7 @@ def main():
     print("1. Counting preimages with the branch counter")
     print("=" * 70)
     for F in gallery:
-        counts = [banach_indicatrix(F, None, y).count for y in (0.25, 0.75)]
+        counts = [banach_indicatrix(F, unit, y).count for y in (0.25, 0.75)]
         print(f"  {F.label:<10} N(0.25) = {counts[0]}, N(0.75) = {counts[1]}")
     print()
     print("Restricting the count to a subset E = (0, 1/2):")

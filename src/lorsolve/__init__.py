@@ -31,7 +31,6 @@ from .config import (
     BUNDLED_INSTANCES,
     ConfigError,
     bundled_instance_path,
-    load_config,
     load_instance,
 )
 from .expressions import ExpressionError, compile_expression
@@ -130,7 +129,6 @@ __all__ = [
     "halving_map",
     "identity_map",
     "indicatrix_profile",
-    "load_config",
     "load_instance",
     "lorentz_norm",
     "lorentz_norm_vector",

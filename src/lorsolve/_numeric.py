@@ -13,18 +13,24 @@ __all__ = ["bisect_increasing", "integrate_weight"]
 # integrand is analytic, which the dyadic panel layout below guarantees.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
+# Bisection steps: after ~60 the bracket is at adjacent floats; 90 is
+# overkill on purpose.
+_BISECT_ITERS = 90
+# Cap on the geometric panel edges of integrate_weight.
+_MAX_PANELS = 1100
 
-def bisect_increasing(fn, target, lo, hi, iters=90):
+
+def bisect_increasing(fn, target, lo, hi):
     """Solve fn(x) = target for increasing fn, elementwise over arrays.
 
     ``lo`` and ``hi`` must bracket the solution (fn(lo) <= target <= fn(hi)).
-    After ~60 iterations the bracket is at adjacent floats; 90 is overkill on
-    purpose.  Returns the midpoint of the final bracket.
+    Runs ``_BISECT_ITERS`` steps and returns the midpoint of the final
+    bracket.
     """
     target = np.asarray(target, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         take_hi = fn(mid) >= target
         hi = np.where(take_hi, mid, hi)
@@ -45,7 +51,7 @@ def gauss_panels(fn, lo, hi):
     return half * (fn(pts) @ _GL_WEIGHTS)
 
 
-def integrate_weight(fn, a, b, max_panels=1100):
+def integrate_weight(fn, a, b):
     """Integrate a positive weight ``fn`` over [a, b], 0 <= a < b.
 
     The weight may have an integrable algebraic singularity at 0 (e.g.
@@ -63,7 +69,7 @@ def integrate_weight(fn, a, b, max_panels=1100):
         raise ValueError(f"bad weight-integral bounds [{a}, {b}]")
     edges = [b]
     x = b
-    while len(edges) < max_panels:
+    while len(edges) < _MAX_PANELS:
         nxt = x * 0.5
         if nxt <= a or nxt < 1e-280:
             break

@@ -51,10 +51,6 @@ class _InputError(ValueError):
     """CLI-level input problem: reported on stderr, exit status 2."""
 
 
-# Characters per write in _atomic_write.
-_WRITE_SLICE = 2**16
-
-
 @contextlib.contextmanager
 def _atomic_file(out_dir, filename):
     """Yield a UTF-8 text file that becomes ``out_dir/filename`` on success.
@@ -87,11 +83,9 @@ def _atomic_file(out_dir, filename):
 
 
 def _atomic_write(out_dir, filename, text):
+    """Write a small report ``text`` atomically to ``out_dir/filename``."""
     with _atomic_file(out_dir, filename) as fh:
-        # In slices: the encoder then never holds a second copy of a
-        # large text.
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start:start + _WRITE_SLICE])
+        fh.write(text)
     return pathlib.Path(out_dir) / filename
 
 
@@ -292,7 +286,7 @@ def _cmd_cov_check(args):
         domain = Domain.unit_interval()
         maps = (identity_map(), doubling_map(), halving_map(), tent3_map())
     tol = args.tol if args.tol is not None else 1e-3
-    lo0, hi0 = domain.intervals()[0]
+    lo0, hi0 = domain.boxes[0]
     rows = ["map,h,lhs,rhs,rel_gap,verdict"]
     all_ok = True
     for F in maps:
@@ -380,26 +374,28 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every subcommand takes --out; those that load an instance or build a
+    # grid also take --grid, --psi and --m.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, default=None, metavar="M",
-                        help="override grid size (power of two >= 16)")
-    common.add_argument("--psi", default=None, metavar="FAMILY",
-                        help="Young function family (default: instance file, "
-                             "else 'power')")
-    common.add_argument("--m", type=float, default=None, metavar="PARAM",
-                        help="Young family parameter (default: instance "
-                             "file, else 2.0)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for generated corpora (default 0)")
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current directory)")
 
-    with_inst = argparse.ArgumentParser(add_help=False)
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--grid", type=int, default=None, metavar="M",
+                         help="override grid size (power of two >= 16)")
+    gridded.add_argument("--psi", default=None, metavar="FAMILY",
+                         help="Young function family (default: instance "
+                              "file, else 'power')")
+    gridded.add_argument("--m", type=float, default=None, metavar="PARAM",
+                         help="Young family parameter (default: instance "
+                              "file, else 2.0)")
+
+    with_inst = argparse.ArgumentParser(add_help=False, parents=[gridded])
     with_inst.add_argument("--instance", required=True,
                            help="instance file path, or a bundled name: "
                                 + ", ".join(BUNDLED_INSTANCES))
 
-    p = sub.add_parser("solve", parents=[common, with_inst],
+    p = sub.add_parser("solve", parents=[with_inst],
                        help="sum the series with a certified stopping rule")
     p.add_argument("--tol", type=float, default=None,
                    help="absolute error tolerance (default 1e-8 * ||h0||)")
@@ -408,30 +404,32 @@ def _build_parser():
                    help="iterate even if the contraction audit fails")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("audit", parents=[common, with_inst],
+    p = sub.add_parser("audit", parents=[with_inst],
                        help="run the contraction audit only")
     p.set_defaults(fn=_cmd_audit)
 
-    p = sub.add_parser("norm", parents=[common, with_inst],
+    p = sub.add_parser("norm", parents=[with_inst],
                        help="Lorentz norm of the instance h0 across routes")
     p.add_argument("--route", choices=ROUTES + ("all",), default="all")
     p.set_defaults(fn=_cmd_norm)
 
-    p = sub.add_parser("axioms", parents=[common],
+    p = sub.add_parser("axioms", parents=[gridded],
                        help="function-norm axiom suite on a seeded corpus")
     p.add_argument("--instance", default=None,
                    help="optional instance providing domain/grid/psi")
     p.add_argument("--count", type=int, default=200,
                    help="corpus size (default 200)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="corpus seed (default 0)")
     p.set_defaults(fn=_cmd_axioms)
 
-    p = sub.add_parser("bridge", parents=[common, with_inst],
+    p = sub.add_parser("bridge", parents=[with_inst],
                        help="Orlicz-Lorentz comparison check on h0")
     p.add_argument("--orlicz-power", type=float, default=2.0,
                    help="exponent p of the Orlicz side t^p (default 2)")
     p.set_defaults(fn=_cmd_bridge)
 
-    p = sub.add_parser("cov-check", parents=[common],
+    p = sub.add_parser("cov-check", parents=[gridded],
                        help="change-of-variables identity over a map corpus")
     p.add_argument("--instance", default=None,
                    help="optional instance whose maps replace the standard "

@@ -55,9 +55,7 @@ from .young import YoungFnError, young_family
 __all__ = [
     "ConfigError",
     "load_instance",
-    "load_config",
     "bundled_instance_path",
-    "bundled_instance_names",
 ]
 
 BUNDLED_INSTANCES = ("doubling", "twobranch", "linear_h0")
@@ -65,10 +63,6 @@ BUNDLED_INSTANCES = ("doubling", "twobranch", "linear_h0")
 
 class ConfigError(ValueError):
     """Raised for malformed instance files, naming the section and key."""
-
-
-def bundled_instance_names():
-    return BUNDLED_INSTANCES
 
 
 def bundled_instance_path(name):
@@ -216,34 +210,36 @@ def _parse_h0(cp, domain, m, source, base_dir):
         raise ConfigError(f"{source}: [h0] csv {rel!r}: {exc}") from exc
 
 
-def load_config(path_or_text, source=None):
-    """Parse an instance file into its raw pieces without building it.
+def _read(path_or_text):
+    """(text, source name, directory of the file or None) of an instance
+    given as a path, a path-like or raw text."""
+    if isinstance(path_or_text, str) and "\n" in path_or_text:
+        return path_or_text, "<config text>", None
+    source = str(path_or_text)
+    try:
+        if hasattr(path_or_text, "read_text"):
+            text = path_or_text.read_text(encoding="utf-8")
+            return text, source, getattr(path_or_text, "parent", None)
+        with open(path_or_text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read instance file {source}: {exc}") from exc
+    return text, source, pathlib.Path(path_or_text).parent
+
+
+def load_instance(path_or_text, grid=None, psi_family=None, psi_param=None,
+                  require_admissible=False):
+    """Build a ProblemInstance from an instance file.
 
     Accepts a filesystem path, a path-like (including importlib.resources
-    traversables), or raw config text (anything containing a newline).
-    Returns a dict with keys domain, m, psi_family, psi_param, K, L, alpha,
-    maps, coeff_exprs, oracle, label, parser, source, base_dir; the h0
-    section stays on the parser until the grid is fixed.
+    traversables), or raw config text (anything containing a newline);
+    an ``[h0] csv`` path is relative to the file's directory (to the
+    working directory for text).  ``grid``, ``psi_family`` and
+    ``psi_param`` override the file's values (for refinement studies and
+    norm sweeps); the file's own values are still checked.  Returns
+    (instance, oracle dict).
     """
-    base_dir = None
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
-        text = path_or_text
-        source = source or "<config text>"
-    else:
-        source = source or str(path_or_text)
-        try:
-            if hasattr(path_or_text, "read_text"):
-                text = path_or_text.read_text(encoding="utf-8")
-                parent = getattr(path_or_text, "parent", None)
-                base_dir = parent
-            else:
-                with open(path_or_text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-                base_dir = pathlib.Path(path_or_text).parent
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(
-                f"cannot read instance file {source}: {exc}"
-            ) from exc
+    text, source, base_dir = _read(path_or_text)
     if not text.strip():
         raise ConfigError(f"{source}: instance file is empty")
     cp = _parser_for(text, source)
@@ -301,58 +297,31 @@ def load_config(path_or_text, source=None):
     if cp.has_section("instance") and cp.has_option("instance", "name"):
         label = cp.get("instance", "name").strip()
 
-    return {
-        "source": source,
-        "base_dir": base_dir,
-        "parser": cp,
-        "domain": domain,
-        "m": m,
-        "psi_family": family,
-        "psi_param": param,
-        "K": K,
-        "L": L,
-        "alpha": alpha,
-        "maps": maps,
-        "coeff_exprs": coeffs,
-        "oracle": oracle,
-        "label": label,
-    }
-
-
-def load_instance(path_or_text, grid=None, psi_family=None, psi_param=None,
-                  require_admissible=False):
-    """Build a ProblemInstance from an instance file.
-
-    ``grid``, ``psi_family`` and ``psi_param`` override the file's values
-    (for refinement studies and norm sweeps).  Returns (instance, oracle
-    dict).
-    """
-    raw = load_config(path_or_text)
-    m = int(grid) if grid is not None else raw["m"]
-    family = psi_family or raw["psi_family"]
-    param = psi_param if psi_param is not None else raw["psi_param"]
+    if grid is not None:
+        m = int(grid)
     try:
-        psi = young_family(family, param, require_admissible=require_admissible)
+        psi = young_family(psi_family or family,
+                           psi_param if psi_param is not None else param,
+                           require_admissible=require_admissible)
     except YoungFnError as exc:
-        raise ConfigError(f"{raw['source']}: [young] {exc}") from exc
+        raise ConfigError(f"{source}: [young] {exc}") from exc
 
-    h0 = _parse_h0(raw["parser"], raw["domain"], m, raw["source"],
-                   raw["base_dir"])
+    h0 = _parse_h0(cp, domain, m, source, base_dir)
     try:
         inst = ProblemInstance(
-            domain=raw["domain"],
-            maps=raw["maps"],
-            coeffs=raw["coeff_exprs"],
+            domain=domain,
+            maps=maps,
+            coeffs=coeffs,
             h0=h0,
-            K_decl=raw["K"],
-            L_decl=raw["L"],
-            alpha=raw["alpha"],
+            K_decl=K,
+            L_decl=L,
+            alpha=alpha,
             psi=psi,
-            label=raw["label"] or _label_from_source(raw["source"]),
+            label=label or _label_from_source(source),
         )
     except InstanceError as exc:
-        raise ConfigError(f"{raw['source']}: {exc}") from exc
-    return inst, raw["oracle"]
+        raise ConfigError(f"{source}: {exc}") from exc
+    return inst, oracle
 
 
 def _label_from_source(source):

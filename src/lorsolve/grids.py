@@ -107,10 +107,6 @@ class Domain:
             mask |= (pts >= lo) & (pts < hi)
         return mask
 
-    def intervals(self):
-        """The intervals as a list of (lo, hi) float pairs."""
-        return list(self.boxes)
-
 
 class SampledFn:
     """A piecewise-constant function on a domain's uniform cell grid.
@@ -160,28 +156,19 @@ class SampledFn:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_callable(cls, domain, m, fn, target_dim=1):
-        """Project a vectorized callable by sampling at cell midpoints."""
-        obj = cls.zeros(domain, m, target_dim)
-        vals = np.asarray(fn(obj.midpoints))
-        if vals.ndim == 0:
-            vals = np.full(obj.ncells if target_dim == 1 else (obj.ncells, target_dim),
-                           vals[()])
-        return cls(domain, m, vals)
+    def from_callable(cls, domain, m, fn):
+        """Project a vectorized callable by sampling at cell midpoints (a
+        0-d result is a constant)."""
+        return cls(domain, m, fn(cls.zeros(domain, m).midpoints))
 
     @classmethod
     def constant(cls, domain, m, value):
-        value = np.asarray(value)
-        ncells = len(domain.boxes) * m
-        if value.ndim == 0:
-            return cls(domain, m, np.full(ncells, value[()]))
-        return cls(domain, m, np.tile(value, (ncells, 1)))
+        """The scalar ``value`` in every cell."""
+        return cls(domain, m, value)
 
     @classmethod
-    def zeros(cls, domain, m, target_dim=1):
-        ncells = len(domain.boxes) * m
-        shape = ncells if target_dim == 1 else (ncells, target_dim)
-        return cls(domain, m, np.zeros(shape))
+    def zeros(cls, domain, m):
+        return cls(domain, m, 0.0)
 
     @classmethod
     def indicator(cls, domain, m, subset):
@@ -198,10 +185,6 @@ class SampledFn:
     @property
     def ncells(self):
         return self.values.shape[0]
-
-    @property
-    def target_dim(self):
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
 
     @property
     def is_vector(self):
@@ -345,7 +328,7 @@ class SampledFn:
         """
         header = ["cell_left", "cell_right"]
         if self.is_vector:
-            header += [f"value_{j}" for j in range(self.target_dim)]
+            header += [f"value_{j}" for j in range(self.values.shape[1])]
         else:
             header += ["value"]
         fobj.write(",".join(header) + "\n")
@@ -546,10 +529,6 @@ class StepDistribution:
         out[inside] = self.measures[idx[inside]]
         return out if out.ndim else float(out)
 
-    @property
-    def max_abs(self):
-        return float(self.thresholds[-1]) if self.measures.size else 0.0
-
     def lorentz_integral(self, tau_inverse):
         """Exact integral of tau_inverse(mu_f(s)) ds over [0, max|f|].
 
@@ -577,16 +556,10 @@ class StepFn:
     produced by :func:`rearrangement` include an explicit zero plateau when
     |f| has a zero set, so edges[-1] is the domain's total measure (as
     summed in rearranged order).
-
-    ``plateau_measures``, when given, stores the exact plateau widths that
-    produced the cumulative ``edges``; :meth:`distribution` prefers them so
-    that rearranging and then taking the distribution reproduces the original
-    distribution bit for bit (diff-of-cumsum would reintroduce rounding).
     """
 
     edges: np.ndarray
     values: np.ndarray
-    plateau_measures: np.ndarray = None
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float)
@@ -603,12 +576,6 @@ class StepFn:
         v.setflags(write=False)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "values", v)
-        if self.plateau_measures is not None:
-            w = np.asarray(self.plateau_measures, dtype=float)
-            if w.size != v.size:
-                raise GridError("plateau_measures must match values")
-            w.setflags(write=False)
-            object.__setattr__(self, "plateau_measures", w)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -618,39 +585,27 @@ class StepFn:
         out[inside] = self.values[idx[inside]]
         return out if out.ndim else float(out)
 
-    @property
-    def length(self):
-        return float(self.edges[-1])
-
     def integral(self):
         return float(np.sum(self.values * np.diff(self.edges)))
 
-    def distribution(self):
-        if self.plateau_measures is not None:
-            return _distribution_from(self.values, self.plateau_measures)
-        return _distribution_from(self.values, np.diff(self.edges))
 
-
-def _levels(values, measures, owned=False):
+def _levels(values, measures):
     """The distinct values in increasing order and the total measure of each.
 
     ``measures`` is one shared measure per value (a float) or an array of
     one measure per value.  With a shared measure the levels come from one
     sort and its run boundaries, and a level of ``count`` values measures
     ``count * measures`` (one rounding; exact for dyadic measures).  The
-    boundaries are marked in one bool buffer of n + 1; when every value is
-    distinct the sorted array itself is returned with ``np.full(n, w)``.
-    ``owned`` says that ``values`` is a scratch array of the caller's that
-    may be sorted in place (and returned).  Per-value measures are summed
-    per level in value order.
+    sort is in place, so ``values`` must be a scratch array of the
+    caller's; when every value is distinct it is returned, sorted, with
+    ``np.full(n, w)``, else the run boundaries are marked in one bool
+    buffer of n + 1.  Per-value measures are summed per level in value
+    order.
     """
     if np.ndim(measures) == 0:
         w = float(measures)
-        if owned:
-            v = values
-            v.sort()
-        else:
-            v = np.sort(values)
+        v = values
+        v.sort()
         n = v.size
         edge = np.empty(n + 1, dtype=bool)
         edge[0] = edge[n] = True
@@ -671,16 +626,17 @@ def _grid_measures(f):
     return widths.pop() if len(widths) == 1 else f.cell_measures
 
 
-def _distribution_from(values, measures, owned=False):
+def _distribution_from(values, measures):
     """Exact StepDistribution of nonnegative step data (value, measure).
 
     With levels u_0 < ... < u_{k-1} of measures a_j, mu = a_0 + ... + a_{k-1}
     (numpy's pairwise sum) below u_0 when u_0 > 0, and a_{j+1} + ... + a_{k-1}
     on [u_j, u_{j+1}), summed sequentially from the top level down: one
     reversed ``np.cumsum`` written straight into the measures array.
-    ``owned`` is passed on to :func:`_levels`.
+    ``values`` (a float array) goes to :func:`_levels`, which may sort it
+    in place.
     """
-    uniq, agg = _levels(np.asarray(values, dtype=float), measures, owned)
+    uniq, agg = _levels(values, measures)
     k = uniq.size
     if uniq[0] > 0.0:
         thresholds = np.empty(k + 1)
@@ -711,7 +667,7 @@ def distribution(f):
     if f.is_vector:
         raise GridError("distribution() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    return _distribution_from(np.abs(f.values), _grid_measures(f), owned=True)
+    return _distribution_from(np.abs(f.values), _grid_measures(f))
 
 
 def rearrangement(f):
@@ -723,11 +679,9 @@ def rearrangement(f):
     if f.is_vector:
         raise GridError("rearrangement() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    uniq, agg = _levels(np.abs(f.values), _grid_measures(f), owned=True)
-    vals = uniq[::-1].copy()
-    widths = agg[::-1].copy()
-    edges = np.concatenate([[0.0], np.cumsum(widths)])
-    return StepFn(edges=edges, values=vals, plateau_measures=widths)
+    uniq, agg = _levels(np.abs(f.values), _grid_measures(f))
+    edges = np.concatenate([[0.0], np.cumsum(agg[::-1])])
+    return StepFn(edges=edges, values=uniq[::-1].copy())
 
 
 def pointwise_norm(f):

@@ -43,6 +43,9 @@ class MapError(ValueError):
 
 
 _MONO_PROBES = 33
+# Levels this close (scaled by the image size) to a branch image endpoint
+# are flagged ambiguous by indicatrix_profile.
+_BOUNDARY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -169,13 +172,13 @@ class IndicatrixCount(NamedTuple):
     ambiguous: bool  # y within float tolerance of a branch image endpoint
 
 
-def indicatrix_profile(F, E, ys, boundary_atol=1e-12):
+def indicatrix_profile(F, E, ys):
     """Vectorized Banach indicatrix N_F(y, E) for an array of levels ``ys``.
 
-    ``E`` restricts preimages to a sub-domain (None means no restriction).
-    Returns (counts, ambiguous) arrays; ambiguous marks levels within
-    ``boundary_atol`` (scaled) of some branch image endpoint, where the count
-    is edge-sensitive.
+    ``E`` (a Domain) restricts preimages to a sub-domain.  Returns
+    (counts, ambiguous) arrays; ambiguous marks levels within 1e-12
+    (scaled) of some branch image endpoint, where the count is
+    edge-sensitive.
     """
     ys = np.asarray(ys, dtype=float)
     counts = np.zeros(ys.shape, dtype=np.int64)
@@ -183,12 +186,9 @@ def indicatrix_profile(F, E, ys, boundary_atol=1e-12):
     for b in F.branches:
         ylo, yhi = b.image
         scale = max(1.0, abs(ylo), abs(yhi))
-        tol = boundary_atol * scale
+        tol = _BOUNDARY_ATOL * scale
         inside = (ys >= ylo) & (ys < yhi)
         ambiguous |= (np.abs(ys - ylo) <= tol) | (np.abs(ys - yhi) <= tol)
-        if E is None:
-            counts += inside.astype(np.int64)
-            continue
         if inside.any():
             xs = b.invert(ys[inside])
             hit = E.contains(xs)
@@ -302,8 +302,9 @@ def affine_map(pieces, label=""):
     return PiecewiseMap(branches, label=label)
 
 
-def identity_map(lo=0.0, hi=1.0):
-    return affine_map([(lo, hi, 1.0, 0.0)], label="identity")
+def identity_map():
+    """x -> x on [0, 1)."""
+    return affine_map([(0.0, 1.0, 1.0, 0.0)], label="identity")
 
 
 def doubling_map():

@@ -280,14 +280,14 @@ class AxiomReport:
 
 
 def _set_label(domain):
-    return "+".join(f"({lo!r},{hi!r})" for lo, hi in domain.intervals())
+    return "+".join(f"({lo!r},{hi!r})" for lo, hi in domain.boxes)
 
 
 def default_test_sets(domain):
     """Standard measurable subsets of ``domain`` for the axiom suite:
     the full domain, the lower half of its first interval, and a middle
     band of that interval."""
-    lo, hi = domain.intervals()[0]
+    lo, hi = domain.boxes[0]
     width = hi - lo
     return (
         domain,

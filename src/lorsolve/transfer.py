@@ -62,24 +62,23 @@ class AuditFailure(RuntimeError):
         )
 
 
-def _clamp_to_domain(points, domain):
-    """Project points onto the closure of the nearest domain interval.
+def _clamp_to_domain(points, domain, m):
+    """Clamp points outside the domain onto the nearest interval's end cell.
 
-    Returns (clamped points, distances); interior points come back with
-    distance 0.  The clamp lands on the boundary; a half-open nudge to the
-    interior is the caller's job via cell lookup on the clamped point.
+    Returns (flat cell indices, distances to that interval's closure).  A
+    point below an interval goes to its first cell, one at or above its
+    upper end to its last cell; of equally near intervals the earlier one
+    wins.  A NaN point gets index -1.
     """
     pts = np.asarray(points, dtype=float)
-    best = None
-    best_d = np.full(pts.shape, np.inf)
-    for lo, hi in domain.boxes:
-        cl = np.clip(pts, lo, hi)
-        d = np.abs(pts - cl)
-        if best is None:
-            best, best_d = cl, d
+    for b, (lo, hi) in enumerate(domain.boxes):
+        d = np.maximum(lo - pts, pts - hi)
+        cell = np.where(pts < lo, b * m, np.where(pts >= hi, b * m + m - 1, -1))
+        if b == 0:
+            best, best_d = cell, d
         else:
             take = d < best_d
-            best = np.where(take, cl, best)
+            best = np.where(take, cell, best)
             best_d = np.where(take, d, best_d)
     return best, best_d
 
@@ -166,24 +165,10 @@ class ProblemInstance:
             idx = h0.cell_index_of(y)
             outside = idx < 0
             if outside.any():
-                cl, dist = _clamp_to_domain(y[outside], domain)
+                fixed, dist = _clamp_to_domain(y[outside], domain, h0.m)
                 beyond = dist > _CLAMP_TOL
                 clamped_within += int((~beyond).sum())
                 clamped_beyond += int(beyond.sum())
-                # Nudge onto the boundary and look the cell up again; exact
-                # upper-boundary points belong to the last cell.
-                fixed = h0.cell_index_of(cl)
-                still = fixed < 0
-                if still.any():
-                    eps = 1e-9 / h0.m
-                    fixed2 = h0.cell_index_of(cl[still] - eps)
-                    fixed[still] = fixed2
-                if np.any(fixed < 0):
-                    raise InstanceError(
-                        f"map {F.label!r}: could not clamp all outside "
-                        "image points onto the domain"
-                    )
-                idx = idx.copy()
                 idx[outside] = fixed
             idx_arrays.append(idx)
             jac_arrays.append(np.abs(np.asarray(F.deriv(x), dtype=float)))
@@ -267,17 +252,16 @@ def _max_depth(intervals):
     return best, segment
 
 
-def estimate_multiplicity(F, domain=None):
-    """Essential preimage multiplicity of a map, exact for branch maps.
+def estimate_multiplicity(F, domain):
+    """Essential preimage multiplicity of a map on ``domain``, exact for
+    branch maps.
 
-    The largest number of branches whose images share a segment of
-    positive length.  With ``domain`` given, each branch is cut to each
-    domain interval and each piece's image is clipped to the domain, so
-    only preimages and levels inside the domain count.
+    The largest number of branch pieces whose images share a segment of
+    positive length: each branch is cut to each domain interval and each
+    piece's image is clipped to the domain, so only preimages and levels
+    inside the domain count.
     """
-    if domain is None:
-        return _max_depth(b.image for b in F.branches)[0]
-    boxes = domain.intervals()
+    boxes = domain.boxes
     images = []
     for b in F.branches:
         for lo, hi in boxes:

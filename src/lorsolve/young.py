@@ -33,7 +33,8 @@ __all__ = [
 
 class YoungFnError(ValueError):
     """Raised when a candidate fails the basic Young-function sanity probes
-    or its tau = 1/psi(1/t) is 0 or infinite at a sampled interior point."""
+    or its tau^-1(s) = 1/psi^-1(1/s) is 0 or infinite at a sampled
+    interior point."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def young_family(name, param, require_admissible=False):
 _TAU_PROBE = np.logspace(-8.0, 8.0, 33)
 
 
-def derive_tau(psi, probe_grid=None):
+def derive_tau(psi):
     """Build tau(t) = 1/psi(1/t) and its inverse from psi's closed forms.
 
         tau^{-1}(s) = 1 / psi^{-1}(1/s)
@@ -155,17 +156,17 @@ def derive_tau(psi, probe_grid=None):
     and evaluates the closed form on the whole array at once; elementwise,
     the bits are those of the masked path.
 
-    Raises :class:`YoungFnError` if psi(1/t) is 0 or non-finite at a
-    sampled interior t (tau would be ill-defined there).
+    Raises :class:`YoungFnError` if psi^{-1}(1/s) is 0 or non-finite at a
+    sampled s in 1e-8 .. 1e8 (tau^{-1}, the only part the norms evaluate,
+    would be ill-defined there).
     """
-    grid = _TAU_PROBE if probe_grid is None else np.asarray(probe_grid, dtype=float)
-    with np.errstate(over="ignore"):
-        probe = np.asarray(psi(1.0 / grid), dtype=float)
+    with np.errstate(all="ignore"):
+        probe = np.asarray(psi.inv(1.0 / _TAU_PROBE), dtype=float)
     bad = ~np.isfinite(probe) | (probe == 0.0)
     if bad.any():
         raise YoungFnError(
-            f"{psi.label}: psi(1/t) = {float(probe[bad][0])!r} at "
-            f"t = {float(grid[bad][0])!r}; tau undefined"
+            f"{psi.label}: psi^-1(1/s) = {float(probe[bad][0])!r} at "
+            f"s = {float(_TAU_PROBE[bad][0])!r}; tau undefined"
         )
 
     def tau(t):

@@ -5,7 +5,7 @@ import textwrap
 import pytest
 
 from lorsolve import ROUTES
-from lorsolve.cli import _WRITE_SLICE, _atomic_file, _atomic_write, main
+from lorsolve.cli import _atomic_file, _atomic_write, main
 
 TIGHT = textwrap.dedent("""\
     [instance]
@@ -97,7 +97,7 @@ class TestSolve:
 
 
 class TestAtomicWrite:
-    @pytest.mark.parametrize("size", [0, 1, _WRITE_SLICE, 2 * _WRITE_SLICE + 3])
+    @pytest.mark.parametrize("size", [0, 1, 2**16, 2**17 + 3])
     def test_text_is_written_whole(self, tmp_path, size):
         text = ("0.25,1e-05\n" * (size // 11 + 1))[:size]
         _atomic_write(tmp_path, "t.csv", text)
@@ -348,15 +348,50 @@ class TestInputErrors:
         (["--m", "1e6"], None),
         ([], "400"),
     ], ids=["flag-400", "flag-1e6", "file-400"])
+    def test_large_young_parameter_solves(self, tmp_path, flags, young_m):
+        # psi(1/t) overflows for large m, but the norm only evaluates
+        # tau^-1(s) = 1/psi^-1(1/s), which stays finite.
+        instance = "twobranch"
+        if young_m is not None:
+            instance = tmp_path / "big_m.cfg"
+            instance.write_text(TIGHT.replace("alpha = 0.2", "alpha = 0.25")
+                                .replace("m = 2.0", f"m = {young_m}"))
+        rc = main(["solve", "--instance", str(instance), *flags,
+                   "--grid", "64", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "verdict = PASS" in (tmp_path / "certificate.txt").read_text()
+
+    @pytest.mark.parametrize("flags, young_m", [
+        (["--m", "1"], None),
+        ([], "1"),
+    ], ids=["flag-1", "file-1"])
     def test_young_parameter_out_of_range(self, tmp_path, capsys, flags,
                                           young_m):
         instance = "twobranch"
         if young_m is not None:
-            instance = tmp_path / "big_m.cfg"
+            instance = tmp_path / "small_m.cfg"
             instance.write_text(TIGHT.replace("m = 2.0", f"m = {young_m}"))
         out = tmp_path / "out"
         rc = main(["solve", "--instance", str(instance), *flags,
                    "--out", str(out)])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "1 < m < inf" in err
+        if young_m is not None:
+            assert str(instance) in err and "[young]" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--instance", "doubling", "--seed", "1"],
+        ["audit", "--instance", "doubling", "--seed", "1"],
+        ["norm", "--instance", "doubling", "--seed", "1"],
+        ["bridge", "--instance", "doubling", "--seed", "1"],
+        ["cov-check", "--seed", "1"],
+        ["selftest", "--grid", "64"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

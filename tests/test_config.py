@@ -9,7 +9,6 @@ from lorsolve import (
     ConfigError,
     SampledFn,
     bundled_instance_path,
-    load_config,
     load_instance,
 )
 
@@ -94,7 +93,7 @@ class TestLoadInstance:
         text = MINIMAL.replace("expr = 1\n", "components = 1; 0; 0\n", 1)
         inst, _ = load_instance(text)
         assert inst.h0.is_vector
-        assert inst.h0.target_dim == 3
+        assert inst.h0.values.shape == (64, 3)
         assert np.all(inst.h0.values[:, 0] == 1.0)
 
     def test_h0_from_csv(self, tmp_path):
@@ -173,10 +172,10 @@ class TestRejections:
 class TestLoadConfigRaw:
     def test_inline_comments_stripped(self):
         text = MINIMAL.replace("m = 64", "m = 64  # cells")
-        raw = load_config(text)
-        assert raw["m"] == 64
+        inst, _ = load_instance(text)
+        assert inst.m == 64
 
     def test_oracle_floats(self):
         text = MINIMAL + "\n[oracle]\nsolution_constant = 1.25\n"
-        raw = load_config(text)
-        assert raw["oracle"] == {"solution_constant": 1.25}
+        _, oracle = load_instance(text)
+        assert oracle == {"solution_constant": 1.25}

@@ -23,7 +23,7 @@ from lorsolve.grids import StepDistribution, StepFn
 class TestDomain:
     def test_unit_interval(self, unit):
         assert unit.total_measure == 1.0
-        assert list(unit.intervals()) == [(0.0, 1.0)]
+        assert unit.boxes == ((0.0, 1.0),)
 
     def test_union_measure(self):
         d = Domain.from_intervals([(0.0, 0.25), (0.5, 1.0)])
@@ -333,7 +333,7 @@ def _reference_csv(f):
     left, right = f.cell_bounds()
     if f.is_vector:
         w.writerow(["cell_left", "cell_right"]
-                   + [f"value_{j}" for j in range(f.target_dim)])
+                   + [f"value_{j}" for j in range(f.values.shape[1])])
     else:
         w.writerow(["cell_left", "cell_right", "value"])
     vals = f.values if f.is_vector else f.values[:, None]
@@ -438,7 +438,8 @@ class TestLevels:
         f = SampledFn(domain, m, vals)
         w = grids._grid_measures(f)
         assert isinstance(w, float) and w == length / m
-        levels, measures = grids._levels(vals, w)
+        # A shared measure sorts its argument in place: pass copies.
+        levels, measures = grids._levels(vals.copy(), w)
         ref_levels, ref_measures = grids._levels(vals, f.cell_measures)
         assert np.array_equal(levels, ref_levels)  # +-0.0 share a level
         assert measures.tobytes() == ref_measures.tobytes()
@@ -474,12 +475,13 @@ class TestLevels:
         vals = np.ones(m)
         vals[3300:] = rng.choice([0.0, 2.5, 7.0], size=m - 3300)
         f = SampledFn(domain, m, vals)
-        fs = rearrangement(f)
-        w = 0.3 / m
-        for level, measure in zip(fs.values, fs.plateau_measures):
+        w = grids._grid_measures(f)
+        assert w == 0.3 / m
+        levels, measures = grids._levels(np.abs(f.values), w)
+        for level, measure in zip(levels, measures):
             assert measure == np.count_nonzero(vals == level) * w
-        ones = fs.values.tolist().index(1.0)
-        assert fs.plateau_measures[ones] == 0.24169921875  # 3300 * w
+        ones = levels.tolist().index(1.0)
+        assert measures[ones] == 0.24169921875  # 3300 * w
         running = np.bincount(np.zeros(3300, dtype=int),
                               weights=f.cell_measures[:3300])[0]
         assert running == 0.24169921874998565
@@ -575,17 +577,16 @@ class TestNormPipelineReference:
             got = mu.lorentz_integral(derive_tau(psi).inverse)
             assert _same_bits(got, want)
 
-        # _levels without ``owned`` leaves its argument alone, +-0.0 included.
-        kept = vals.copy()
-        levels, measures = grids._levels(vals, w)
-        ref_levels, ref_measures = _ref_levels(kept, w)
-        assert _same_bits(vals, kept)
+        # +-0.0 included; _levels sorts in place, so it gets a copy.
+        levels, measures = grids._levels(vals.copy(), w)
+        ref_levels, ref_measures = _ref_levels(vals, w)
         assert _same_bits(levels, ref_levels)
         assert _same_bits(measures, ref_measures)
         fs = rearrangement(f)
         ref_levels, ref_measures = _ref_levels(np.abs(vals), w)
         assert _same_bits(fs.values, ref_levels[::-1])
-        assert _same_bits(fs.plateau_measures, ref_measures[::-1])
+        assert _same_bits(fs.edges,
+                          np.concatenate([[0.0], np.cumsum(ref_measures[::-1])]))
 
 
 class TestStepFinite:
@@ -647,10 +648,15 @@ class TestStepFinite:
 
 class TestRearrangement:
     def test_equimeasurable_bitwise(self, unit):
+        # measure{|f| > s} at each level of f*, read off its edges, is the
+        # distribution's (one sequential sum from the top level down); only
+        # the total below the lowest level is summed pairwise.
         rng = np.random.default_rng(5)
         f = SampledFn(unit, 128, rng.normal(size=128))
         fs = rearrangement(f)
-        assert distribution(f).equals(fs.distribution())
+        mu = distribution(f)
+        assert _same_bits(mu.thresholds[1:], fs.values[::-1])
+        assert _same_bits(mu.measures[1:], fs.edges[-2:0:-1])
 
     def test_nonincreasing_with_zero_plateau(self, unit):
         f = SampledFn.indicator(unit, 8, [(0.25, 0.5)])

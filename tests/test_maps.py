@@ -111,9 +111,6 @@ class TestIndicatrix:
         _, amb = indicatrix_profile(doubling_map(), unit, np.array([0.0]))
         assert amb[0]
 
-    def test_unrestricted_none_set(self):
-        assert banach_indicatrix(doubling_map(), None, 0.3).count == 2
-
 
 class TestChangeOfVariables:
     @pytest.mark.parametrize("factory", [identity_map, doubling_map,

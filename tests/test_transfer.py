@@ -209,11 +209,9 @@ class TestEstimates:
     def test_multiplicity_ignores_what_lies_outside_the_domain(self, unit):
         # the second branch lies outside [0, 1) and maps onto it
         outside_part = affine_map([(0.0, 1.0, 1.0, 0.0), (1.0, 2.0, 1.0, -1.0)])
-        assert estimate_multiplicity(outside_part) == 2
         assert estimate_multiplicity(outside_part, domain=unit) == 1
         # the branch images [0.75, 1.25] and [1, 1.5] overlap beyond 1 only
         outside_image = affine_map([(0.0, 0.5, 1.0, 0.75), (0.5, 1.0, 1.0, 0.5)])
-        assert estimate_multiplicity(outside_image) == 2
         assert estimate_multiplicity(outside_image, domain=unit) == 1
 
 
@@ -294,3 +292,20 @@ class TestAudit:
         rep = audit_contraction(inst)
         assert rep.passed
         assert rep.feasible_alpha == 0.25
+
+
+class TestClampFarFromZero:
+    @pytest.mark.parametrize("lo", [0.0, 1e8])
+    def test_top_image_lands_on_last_cell(self, lo):
+        # The top midpoint's image lies 0.25 cells above the domain; the
+        # clamp must not depend on where the domain sits on the real line.
+        m = 2048
+        domain = Domain.interval(lo, lo + 1.0)
+        shifted = affine_map([(lo, lo + 1.0, 1.0, 0.75 / m)], label="shifted")
+        h0 = SampledFn.constant(domain, m, 1.0)
+        g = SampledFn.constant(domain, m, 0.1)
+        inst = ProblemInstance(domain, (shifted,), (g,), h0, K_decl=1,
+                               L_decl=1, alpha=0.25, psi=power_young(2.0))
+        want = np.minimum(np.arange(m) + 1, m - 1)
+        assert np.array_equal(inst._target_idx[0], want)
+        assert (inst.clamped_within_tol, inst.clamped_beyond_tol) == (0, 1)

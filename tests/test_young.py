@@ -10,6 +10,7 @@ from lorsolve import (
     power_young,
     young_family,
 )
+from lorsolve.young import YoungFn
 
 
 class TestPowerFamily:
@@ -117,6 +118,24 @@ class TestTauTransform:
             got = tau.inverse(s)
             assert type(got) is float and got == want
         assert tau.inverse(np.zeros((2, 3))).tolist() == [[0.0] * 3] * 2
+
+    @pytest.mark.parametrize("m", [39.0, 400.0, 1e6])
+    def test_large_exponent_is_defined(self, m):
+        # psi(1/t) overflows at t = 1e-8; tau^-1 never evaluates it.
+        tau = derive_tau(power_young(m))
+        assert tau.inverse(0.5) == pytest.approx((m * 0.5) ** (1.0 / m),
+                                                 rel=1e-14)
+
+    @pytest.mark.parametrize("inv, value", [
+        (lambda v: np.zeros_like(np.asarray(v, dtype=float)), "0.0"),
+        (lambda v: np.where(np.asarray(v) < 1.0, np.inf, 1.0), "inf"),
+    ], ids=["zero", "infinite"])
+    def test_degenerate_inverse_refused(self, inv, value):
+        psi = YoungFn(label="odd", fn=lambda t: np.asarray(t, dtype=float) ** 2,
+                      inv=inv)
+        with pytest.raises(YoungFnError,
+                           match=rf"odd: psi\^-1\(1/s\) = {value} at s = "):
+            derive_tau(psi)
 
     @settings(max_examples=60, deadline=None)
     @given(
