@@ -117,18 +117,39 @@ class SampledFn:
     latter); no result depends on which.  Values are stored
     read-only; all arithmetic returns new instances.  Two functions are grid
     compatible when they share the same domain and the same ``m``.
+
+    The constructor copies ``values``, so the caller's array never aliases
+    the function.  Results the package computes itself (arithmetic,
+    ``abs``, ``clip_at``, :func:`pointwise_norm`, ``ProblemInstance.apply``
+    and the solver's partial sum) take over their freshly built arrays
+    through ``_owning`` instead: the same checks, no copy, and the cached
+    cell measures and midpoints of the operand.
     """
 
     __slots__ = ("domain", "m", "values", "_measures", "_mids")
 
     def __init__(self, domain, m, values):
+        self._setup(domain, m, np.array(values, copy=True), None)
+
+    @classmethod
+    def _owning(cls, values, like):
+        """A function on ``like``'s grid that takes ``values`` over without
+        a copy: an array the caller built and keeps no reference to.
+
+        Makes every check of ``__init__``; the result also shares
+        ``like``'s cached cell measures and midpoints, which are read-only.
+        """
+        f = object.__new__(cls)
+        f._setup(like.domain, like.m, values, like)
+        return f
+
+    def _setup(self, domain, m, arr, like):
         if not isinstance(domain, Domain):
             raise GridError("domain must be a Domain")
         m = int(m)
         if m < 1:
             raise GridError(f"cells per interval must be >= 1, got {m}")
         ncells = len(domain.boxes) * m
-        arr = np.array(values, copy=True)
         if arr.dtype.kind in "iub":
             arr = arr.astype(float)
         elif arr.dtype.kind not in "fc":
@@ -147,8 +168,9 @@ class SampledFn:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_measures", None)
-        object.__setattr__(self, "_mids", None)
+        object.__setattr__(self, "_measures",
+                           None if like is None else like._measures)
+        object.__setattr__(self, "_mids", None if like is None else like._mids)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampledFn is immutable")
@@ -263,20 +285,20 @@ class SampledFn:
 
     def __add__(self, other):
         self._require_same_grid(other)
-        return SampledFn(self.domain, self.m, self.values + other.values)
+        return SampledFn._owning(self.values + other.values, self)
 
     def __sub__(self, other):
         self._require_same_grid(other)
-        return SampledFn(self.domain, self.m, self.values - other.values)
+        return SampledFn._owning(self.values - other.values, self)
 
     def __neg__(self):
-        return SampledFn(self.domain, self.m, -self.values)
+        return SampledFn._owning(-self.values, self)
 
     def __mul__(self, scalar):
         if isinstance(scalar, SampledFn):
             self._require_same_grid(scalar)
-            return SampledFn(self.domain, self.m, self.values * scalar.values)
-        return SampledFn(self.domain, self.m, self.values * scalar)
+            return SampledFn._owning(self.values * scalar.values, self)
+        return SampledFn._owning(self.values * scalar, self)
 
     __rmul__ = __mul__
 
@@ -284,13 +306,13 @@ class SampledFn:
         """|f| as a real scalar function (works for complex scalars too)."""
         if self.is_vector:
             raise GridError("abs() is for scalar functions; use pointwise_norm")
-        return SampledFn(self.domain, self.m, np.abs(self.values))
+        return SampledFn._owning(np.abs(self.values), self)
 
     def clip_at(self, level):
         """min(f, level) cellwise, for real scalar f (truncation ladders)."""
         if self.is_vector or self.values.dtype.kind == "c":
             raise GridError("clip_at() needs a real scalar function")
-        return SampledFn(self.domain, self.m, np.minimum(self.values, level))
+        return SampledFn._owning(np.minimum(self.values, level), self)
 
     def integral(self):
         """Exact integral of f over the domain (sum of value * cell measure).
@@ -593,29 +615,39 @@ def _levels(values, measures):
     """The distinct values in increasing order and the total measure of each.
 
     ``measures`` is one shared measure per value (a float) or an array of
-    one measure per value.  With a shared measure the levels come from one
-    sort and its run boundaries, and a level of ``count`` values measures
-    ``count * measures`` (one rounding; exact for dyadic measures).  The
-    sort is in place, so ``values`` must be a scratch array of the
-    caller's; when every value is distinct it is returned, sorted, with
-    ``np.full(n, w)``, else the run boundaries are marked in one bool
-    buffer of n + 1.  Per-value measures are summed per level in value
-    order.
+    one measure per value.  With a shared measure the values are sorted in
+    place, so ``values`` must be a scratch array of the caller's, and a
+    level of ``count`` values measures ``count * measures`` (one rounding;
+    exact for dyadic measures).  Per-value measures follow one ``argsort``
+    of the kind ``np.unique`` takes for its inverse (quicksort), so a level
+    of 0.0 and -0.0 has ``np.unique``'s sign; each level's measures are
+    summed in value order by ``bincount`` over the inverse, bit for bit as
+    ``np.unique`` + ``bincount`` sum them.
+
+    Either way the run boundaries of the sorted values are marked in one
+    bool buffer of n + 1; when every value is distinct, the sorted values
+    are the levels and the measures are only spread or permuted.
     """
-    if np.ndim(measures) == 0:
-        w = float(measures)
+    shared = np.ndim(measures) == 0
+    if shared:
+        values.sort()
         v = values
-        v.sort()
-        n = v.size
-        edge = np.empty(n + 1, dtype=bool)
-        edge[0] = edge[n] = True
-        np.not_equal(v[1:], v[:-1], out=edge[1:n])
-        if edge.all():
-            return v, np.full(n, w)
-        bounds = np.flatnonzero(edge)
-        return v[bounds[:-1]], np.diff(bounds) * w
-    uniq, inverse = np.unique(values, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=measures, minlength=uniq.size)
+    else:
+        perm = np.argsort(values, kind="quicksort")
+        v = values[perm]
+    n = v.size
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(v[1:], v[:-1], out=edge[1:n])
+    if edge.all():
+        return v, np.full(n, float(measures)) if shared else measures[perm]
+    bounds = np.flatnonzero(edge)
+    if shared:
+        return v[bounds[:-1]], np.diff(bounds) * float(measures)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[perm] = np.cumsum(edge[:n]) - 1
+    return v[bounds[:-1]], np.bincount(inverse, weights=measures,
+                                       minlength=bounds.size - 1)
 
 
 def _grid_measures(f):
@@ -700,6 +732,10 @@ def pointwise_norm(f):
     """
     if not f.is_vector:
         return f.abs()
+    # The result shares f's cached cell measures.  Its norm needs them on
+    # unequal widths, so they are built on f, where the functions derived
+    # from f find them too.
+    _grid_measures(f)
     a = np.abs(f.values.T, order="C")
     mx = a[0].copy()
     for row in a[1:]:
@@ -709,4 +745,4 @@ def pointwise_norm(f):
     total = a[0]
     for row in a[1:]:
         total += row
-    return SampledFn(f.domain, f.m, mx * np.sqrt(total))
+    return SampledFn._owning(mx * np.sqrt(total), f)

@@ -11,12 +11,20 @@ tolerance: the returned S_m then satisfies ||phi* - S_m|| <= tol up to the
 grid representation.  Each step costs one norm and one apply.  The residual
 ||S_m - P S_m - h0|| is analytically ||P^m h0||, the term norm, so it and
 ||S_m|| are computed once, on the returned partial sum, as a cross-check.
+
+The partial sum is accumulated in place in one array, laid out as ``apply``
+lays out its results (Fortran-ordered for vector h0), and becomes a
+SampledFn once, after the loop; its bits are those of adding the terms to
+0.0 * h0 one at a time.
 """
 
 import csv
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
+from .grids import SampledFn
 from .norms import NormValue
 from .transfer import AuditFailure, audit_contraction
 
@@ -142,6 +150,13 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     ``max_steps`` must be >= 0 (``ValueError`` otherwise); at 0 the trace
     holds the single row m = 0.
 
+    The partial sum S_m is accumulated in place, starting from 0.0 * h0
+    (so -0.0 cells of h0 survive), with each component one contiguous row
+    like the terms ``apply`` returns; it takes a term's dtype when that is
+    wider (S_2 onward is complex for complex g and real h0).  Its values are
+    checked once, when the solution is wrapped: a sum that overflowed
+    raises :class:`~lorsolve.grids.GridError`.
+
     Raises :class:`DivergenceError` when term norms grow faster than the
     certified factor 2*alpha for 3 consecutive steps.
     """
@@ -166,7 +181,9 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
         )
     tol = float(tol)
 
-    partial = 0.0 * inst.h0
+    # One row per component: Fortran-ordered for vector h0, as ``apply``'s
+    # terms are.  0.0 * h0, not zeros: -0.0 + -0.0 is -0.0, 0.0 + -0.0 is not.
+    acc = np.multiply(inst.h0.values.T, 0.0, order="C").T
     term = inst.h0
     term_norm = h0_norm
     rows = []
@@ -193,9 +210,13 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
                 )
         if m == max_steps:
             break
-        partial = partial + term
+        dtype = np.result_type(acc, term.values)
+        if dtype != acc.dtype:
+            acc = acc.astype(dtype)
+        acc += term.values
         term = inst.apply(term)
         term_norm = inst.norm(term)
+    partial = SampledFn._owning(acc, inst.h0)
     rows[-1] = replace(rows[-1], partial_norm=inst.norm(partial),
                        residual_norm=residual(partial, inst).value)
 

@@ -229,7 +229,7 @@ class ProblemInstance:
             np.take(rows, idx, axis=-1, out=buf, mode="clip")
             buf *= g.values
             acc += buf
-        return SampledFn(self.domain, self.m, acc.T)
+        return SampledFn._owning(acc.T, phi)
 
 
 def _max_depth(intervals):

@@ -151,7 +151,8 @@ def derive_tau(psi):
         tau^{-1}(s) = 1 / psi^{-1}(1/s)
 
     ``tau`` and ``tau^{-1}`` give 0 where their argument is 0 and a float
-    for a 0-d argument.  ``tau^{-1}`` of a non-empty array whose entries
+    for a 0-d argument; ``tau`` is 0 where psi(1/t) overflows and inf where
+    it underflows to 0.  ``tau^{-1}`` of a non-empty array whose entries
     are all positive (the measures of a step distribution) skips the mask
     and evaluates the closed form on the whole array at once; elementwise,
     the bits are those of the masked path.
@@ -173,7 +174,10 @@ def derive_tau(psi):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         pos = t > 0
-        out[pos] = 1.0 / np.asarray(psi(1.0 / t[pos]), dtype=float)
+        # psi(1/t) lies in [0, inf]: tau is 0 where it overflows and inf
+        # where it underflows to 0.
+        with np.errstate(over="ignore", divide="ignore"):
+            out[pos] = 1.0 / np.asarray(psi(1.0 / t[pos]), dtype=float)
         return out if out.ndim else float(out)
 
     def tau_inv(s):

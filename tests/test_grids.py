@@ -94,6 +94,39 @@ class TestSampledFn:
         with pytest.raises(GridError):
             _ = f + g
 
+    def test_constructor_copies_its_values(self, unit):
+        arr = np.array([1.0, -2.0, 3.0, 0.5])
+        f = SampledFn(unit, 4, arr)
+        arr[:] = 7.0
+        assert f.values.tolist() == [1.0, -2.0, 3.0, 0.5]
+
+    def test_results_are_read_only(self):
+        d = Domain.from_intervals([(0.0, 0.3), (1.0, 1.7)])
+        rng = np.random.default_rng(4)
+        f = SampledFn(d, 8, rng.normal(size=16))
+        v = SampledFn(d, 8, rng.normal(size=(16, 3)))
+        results = [f + f, f - f, -f, 2.0 * f, f * f, f.abs(), f.clip_at(0.0),
+                   v + v, v - v, pointwise_norm(v), pointwise_norm(f)]
+        for r in results:
+            assert not r.values.flags.writeable
+            with pytest.raises(ValueError):
+                r.values[0] = 1.0
+
+    def test_results_keep_the_checks_of_the_constructor(self, unit):
+        f = SampledFn(unit, 4, [1e308, 1.0, 2.0, 3.0])
+        with pytest.raises(GridError, match="must be finite"), \
+                np.errstate(over="ignore"):
+            _ = f + f
+
+    def test_results_share_cached_geometry(self):
+        d = Domain.from_intervals([(0.0, 0.3), (1.0, 1.7)])
+        f = SampledFn(d, 8, np.arange(16.0))
+        measures, mids = f.cell_measures, f.midpoints
+        for r in (f + f, -f, f.abs(), f.clip_at(3.0)):
+            assert r.cell_measures is measures and r.midpoints is mids
+        fresh = SampledFn(d, 8, np.arange(16.0))
+        assert fresh.cell_measures is not measures
+
     def test_integral_abs_over_subset(self, unit):
         f = SampledFn.from_callable(unit, 64, lambda x: -np.ones_like(x))
         sub = Domain.from_intervals([(0.25, 0.75)])
@@ -530,12 +563,15 @@ def _same_bits(a, b):
 
 # (domain, cells per interval): one shared dyadic width, one shared
 # non-dyadic width, two equal-width intervals, and unequal widths (the
-# per-cell-measure path).
+# per-cell-measure path), dyadic and not.  On the last, the order in which
+# a level's measures are summed shows in their bits.
 _NORM_GRIDS = {
     "dyadic": (Domain.interval(1.0, 2.0), 256),
     "non-dyadic": (Domain.interval(0.0, 0.3), 4096),
     "two-equal": (Domain.from_intervals([(0.0, 0.5), (2.0, 2.5)]), 128),
     "unequal": (Domain.from_intervals([(0.0, 1.0), (2.0, 2.5)]), 128),
+    "unequal-non-dyadic": (Domain.from_intervals([(0.0, 0.3), (1.0, 1.7)]),
+                           128),
 }
 
 
@@ -550,6 +586,10 @@ class TestNormPipelineReference:
     @example(grid="dyadic", kind="ties", seed=0, nlevels=2)  # 0.0 and -0.0
     @example(grid="two-equal", kind="zero", seed=0, nlevels=1)
     @example(grid="unequal", kind="distinct", seed=0, nlevels=1)
+    @example(grid="unequal-non-dyadic", kind="distinct", seed=0, nlevels=1)
+    @example(grid="unequal-non-dyadic", kind="ties", seed=0, nlevels=2)
+    @example(grid="unequal-non-dyadic", kind="ties", seed=0, nlevels=5)
+    @example(grid="unequal-non-dyadic", kind="zero", seed=0, nlevels=1)
     def test_bit_for_bit(self, grid, kind, seed, nlevels):
         domain, m = _NORM_GRIDS[grid]
         rng = np.random.default_rng(seed)
@@ -564,7 +604,7 @@ class TestNormPipelineReference:
             vals = rng.normal(size=n)
         f = SampledFn(domain, m, vals)
         w = grids._grid_measures(f)
-        assert isinstance(w, float) == (grid != "unequal")
+        assert isinstance(w, float) == (not grid.startswith("unequal"))
 
         t_ref, mu_ref = _ref_distribution_from(np.abs(vals), w)
         mu = distribution(f)

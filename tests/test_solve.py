@@ -7,10 +7,14 @@ import pytest
 from lorsolve import (
     AuditFailure,
     DivergenceError,
+    Domain,
+    GridError,
     IterationTrace,
     ProblemInstance,
     SampledFn,
     ToleranceError,
+    affine_map,
+    power_young,
     residual,
     solve_elementary,
     uniqueness_probe,
@@ -199,6 +203,97 @@ class TestVectorAndComplex:
         want = 1.0 / (1.0 - 0.25j)
         assert np.max(np.abs(solution.values - want)) <= 1e-10
         assert trace.certified
+
+
+def _signed_h0(domain, m, rng, shape=()):
+    """Seeded h0 values with negative, +0.0 and -0.0 cells."""
+    vals = rng.normal(size=(len(domain.boxes) * m,) + shape)
+    vals[::5] = -0.0
+    vals[1::7] = 0.0
+    return SampledFn(domain, m, vals)
+
+
+def _scalar_instance():
+    inst = make_doubling_instance(m=64)
+    h0 = _signed_h0(inst.domain, 64, np.random.default_rng(1))
+    return make_doubling_instance(m=64, h0=h0)
+
+
+def _complex_instance():
+    inst = make_doubling_instance(m=64)
+    h0 = _signed_h0(inst.domain, 64, np.random.default_rng(2))
+    return make_doubling_instance(m=64, g=0.25j, h0=h0)
+
+
+def _two_interval_vector_instance():
+    # P phi(x) = g(x) phi(swap(x)), swap exchanging [0, 1) and [2, 3).
+    domain = Domain.from_intervals([(0.0, 1.0), (2.0, 3.0)])
+    m = 64
+    rng = np.random.default_rng(3)
+    swap = affine_map([(0.0, 1.0, 1.0, 2.0), (2.0, 3.0, 1.0, -2.0)],
+                      label="swap")
+    g = SampledFn(domain, m, rng.uniform(-0.2, 0.2, size=2 * m))
+    return ProblemInstance(domain=domain, maps=(swap,), coeffs=(g,),
+                           h0=_signed_h0(domain, m, rng, shape=(3,)),
+                           K_decl=1, L_decl=1, alpha=0.25,
+                           psi=power_young(2.0), label="swap_vec")
+
+
+_ACCUMULATOR_INSTANCES = {
+    "scalar": _scalar_instance,
+    "complex": _complex_instance,
+    "two-interval-vector": _two_interval_vector_instance,
+}
+
+
+class TestPartialSumAccumulator:
+    """The in-place partial sum has the bits and dtype of
+    0.0*h0 + h0 + P h0 + ... added one term at a time."""
+
+    @staticmethod
+    def _reference(inst, steps):
+        ref = 0.0 * inst.h0.values
+        term = inst.h0
+        for _ in range(steps):
+            ref = ref + term.values
+            term = inst.apply(term)
+        return ref
+
+    @pytest.mark.parametrize("name", sorted(_ACCUMULATOR_INSTANCES))
+    @pytest.mark.parametrize("max_steps", [0, 1, 2, None])
+    def test_same_bits_as_term_by_term_sum(self, name, max_steps):
+        inst = _ACCUMULATOR_INSTANCES[name]()
+        if max_steps is None:
+            solution, trace = solve_elementary(inst)
+            assert trace.stop_reason == "tolerance"
+        else:
+            solution, trace = solve_elementary(inst, max_steps=max_steps)
+            assert trace.m_stop == max_steps
+        want = self._reference(inst, trace.m_stop)
+        assert solution.values.dtype == want.dtype
+        if name == "complex":  # real h0: S_0 and S_1 are real, S_2 on complex
+            assert solution.values.dtype.kind == "fc"[trace.m_stop >= 2]
+        assert solution.values.shape == want.shape
+        assert solution.values.tobytes() == want.tobytes()
+        if trace.m_stop == 1:  # S_1 = 0.0*h0 + h0 = h0, -0.0 cells included
+            assert solution.values.tobytes() == inst.h0.values.tobytes()
+
+    def test_solution_and_apply_are_read_only(self):
+        inst = _two_interval_vector_instance()
+        solution, _ = solve_elementary(inst, max_steps=3)
+        for f in (solution, inst.apply(inst.h0), inst.apply(solution)):
+            assert not f.values.flags.writeable
+            with pytest.raises(ValueError):
+                f.values[0, 0] = 1.0
+
+    def test_overflow_in_the_sum_raises(self):
+        # Each term is finite, S_3 = (1 + 0.45 + 0.45**2) * 1.2e308 is not.
+        inst = make_doubling_instance(
+            m=8, alpha=0.45, g=0.45,
+            h0=SampledFn.constant(Domain.unit_interval(), 8, 1.2e308))
+        with pytest.raises(GridError, match="must be finite"), \
+                np.errstate(over="ignore"):
+            solve_elementary(inst, max_steps=3)
 
 
 class TestTraceSerialization:

@@ -126,6 +126,21 @@ class TestTauTransform:
         assert tau.inverse(0.5) == pytest.approx((m * 0.5) ** (1.0 / m),
                                                  rel=1e-14)
 
+    @pytest.mark.parametrize("m", [39.0, 400.0, 1e6])
+    def test_forward_tau_where_psi_overflows(self, m):
+        # psi(1/t) = m * t**-m is inf at t = 1e-8, so tau is 0 there; the
+        # tier-1 run turns numpy's overflow warning into an error.
+        tau = derive_tau(power_young(m))
+        got = tau(1e-8)
+        assert type(got) is float and got == 0.0
+        assert tau(np.array([0.0, 1e-8, 1.0])).tolist() == [0.0, 0.0, 1.0 / m]
+
+    def test_forward_tau_where_psi_underflows(self):
+        # psi(1/2) = 1e6 * 2**-1e6 underflows to 0, so tau(2) is inf.
+        tau = derive_tau(power_young(1e6))
+        assert tau(2.0) == np.inf
+        assert tau(np.array([2.0, 1.0])).tolist() == [np.inf, 1e-6]
+
     @pytest.mark.parametrize("inv, value", [
         (lambda v: np.zeros_like(np.asarray(v, dtype=float)), "0.0"),
         (lambda v: np.where(np.asarray(v) < 1.0, np.inf, 1.0), "inf"),
