@@ -36,6 +36,16 @@ __all__ = [
 _CSV_CHUNK_ROWS = 4096
 
 
+def _csv_rows(edges, cells):
+    """CSV text of the rows of ``cells`` (one column per component) between
+    their ``len(cells) + 1`` edges.  Its lists die with the call, so the
+    next chunk's are built in the memory these leave."""
+    edge_text = _repr_floats(edges)
+    cols = [edge_text[:-1], edge_text[1:]]
+    cols += [_format_cells(cells[:, j]) for j in range(cells.shape[1])]
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
 def _format_cells(col):
     """``repr`` text of each value of a 1-d column, as a list.
 
@@ -50,6 +60,116 @@ def _format_cells(col):
     kind = complex if complex_col else float
     texts = [repr(v) for v in col[first].astype(kind).tolist()]
     return [texts[i] for i in inverse.tolist()]
+
+
+# Tables of _repr_floats, built from Python ints (numpy temporaries at
+# import leave a larger heap behind).  A value takes the bulk path when it
+# is q / 2**s with s <= _MAX_S and D = q * 5**s = |x| * 10**s < 2**53.
+_MAX_S = 22
+_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+_POW10_FLOAT = np.array([float(10**k) for k in range(_MAX_S + 1)])  # exact
+# Trailing zero bits of 0..2047, and 11 for 0.
+_TZ11 = np.array([11] + [(i & -i).bit_length() - 1 for i in range(1, 2**11)])
+# The four ASCII digits of 0000..9999, one uint32 each.
+_DIGITS2 = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
+                         dtype=np.uint8).reshape(100, 2)
+_DIGITS4 = np.hstack([np.repeat(_DIGITS2, 100, axis=0),
+                      np.tile(_DIGITS2, (100, 1))]).view(np.uint32).ravel()
+
+
+def _repr_floats(x):
+    """``[repr(v) for v in x.tolist()]`` for a 1-d float64 array ``x``.
+
+    Values with a short exact decimal expansion are written in bulk, by
+    numpy integer arithmetic into one ``uint8`` character matrix; every
+    other value goes through ``repr``.  When at most half the values
+    qualify, all of them go through ``repr``.
+
+    Why the bulk text is ``repr``'s: write ``|x| = q / 2**s`` with ``q`` odd
+    and let ``D = q * 5**s``, so that ``|x| = D / 10**s`` exactly.  For
+    ``s >= 1`` the last digit of ``D`` is 5, so every decimal with fewer
+    digits is at least ``5 * 10**-s`` from ``x``.  ``D < 10**16`` means
+    ``|x| < 10**(16 - s)``, so ``ulp(x) <= 2**-52 * |x| < 2.3 * 10**-s``:
+    no shorter string rounds back to ``x``, and ``repr`` (the shortest
+    round-trip string, nearest to ``x`` among those) prints exactly the
+    digits of ``D``.  For an integer below 2**53 the same holds with a
+    gap >= 1 > ulp/2.  ``repr`` uses fixed notation exactly when
+    ``1e-4 <= |x| < 1e16``.  So the bulk path takes 0.0, -0.0 and the
+    values with ``|x| >= 1e-4``, ``s <= _MAX_S`` and ``D < 2**53``; there
+    the float product ``|x| * 10.0**s`` is ``D`` itself, since a product
+    is rounded to the nearest float and ``D`` is one.
+    """
+    a = np.abs(x)
+    scaled = np.minimum(a, 2.0**53) * 2.0**_MAX_S   # no overflow; NaN stays NaN
+    ok = (scaled == np.floor(scaled)) & (a < 2.0**53) & ((a >= 1e-4) | (a == 0))
+    if 2 * np.count_nonzero(ok) <= len(x):
+        return [repr(v) for v in x.tolist()]
+    a = a[ok]
+    s = _fraction_bits(a)
+    d = a * _POW10_FLOAT[s]     # D itself wherever D < 2**53
+    short = d < 2.0**53
+    ok[ok] = short
+    if 2 * np.count_nonzero(ok) <= len(x):
+        return [repr(v) for v in x.tolist()]
+    texts = _decimal_text(d[short].astype(np.int64), s[short],
+                          np.signbit(x[ok])).split()
+    # Splice in the rest: the k-th of them, at index i, follows i - k texts.
+    out, used = [], 0
+    for k, (i, v) in enumerate(zip(np.flatnonzero(~ok).tolist(), x[~ok].tolist())):
+        out += texts[used:i - k]
+        out.append(repr(v))
+        used = i - k
+    return out + texts[used:]
+
+
+def _fraction_bits(a):
+    """The least ``s >= 0`` with ``a * 2**s`` an integer, for ``0 <= a <
+    2**53`` with ``a * 2**_MAX_S`` an integer: ``_MAX_S`` less the trailing
+    zero bits of the fraction's numerator over ``2**_MAX_S``, counted 11
+    bits at a time."""
+    num = np.ldexp(a - np.floor(a), _MAX_S).astype(np.int64)
+    high = num // 2**11
+    low = num - 2**11 * high
+    return _MAX_S - np.where(low > 0, _TZ11[low], 11 + _TZ11[high])
+
+
+def _decimal_text(d, s, neg):
+    """The texts of ``(-1)**neg * d / 10**s`` (the bulk path of
+    ``_repr_floats``) in one string, separated by blanks."""
+    # An integer n is written as the digits of 10*n with one after the
+    # point, "n.0".
+    frac = np.maximum(s, 1)
+    d = np.where(s == 0, 10 * d, d)
+    # Position (0 = rightmost) of the leading digit of each text.
+    top = np.maximum(np.searchsorted(_POW10, d, side="right"), frac + 1)
+    # A zero digit at position ``frac`` makes room for the point.
+    p10 = _POW10[np.minimum(frac, 18)]
+    d += 9 * p10 * (d // p10)
+    # The digits of d, one row per character position (left to right) and
+    # one column per value, below a row of '0' that becomes the blank
+    # between texts; the rows count at least two more than the longest
+    # text, so that row always stays blank.
+    nlimbs = (int(top.max()) + 5) // 4
+    rows = np.empty((4 * nlimbs + 1, len(d)), dtype=np.uint8)
+    rows[0] = ord("0")
+    for j in range(nlimbs, 0, -1):
+        high = d // 10000
+        digits = _DIGITS4[d - 10000 * high].view(np.uint8).reshape(-1, 4)
+        rows[4 * j - 3:4 * j + 1] = digits.T
+        d = high
+    # '0' -> '.' at the point and ' ' left of the leading digit; the
+    # blank just left of it -> '-' for a negative value.  One mask buffer,
+    # scaled in place, keeps the temporaries at two of the size of rows.
+    pos = np.arange(4 * nlimbs, -1, -1)[:, None]
+    mask = np.equal(pos, frac)
+    step = mask.view(np.uint8)
+    rows -= np.multiply(step, ord("0") - ord("."), out=step)
+    np.greater(pos, top, out=mask)
+    rows -= np.multiply(step, ord("0") - ord(" "), out=step)
+    np.equal(pos, top + 1, out=mask)
+    mask &= neg
+    rows += np.multiply(step, ord("-") - ord(" "), out=step)
+    return rows.tobytes(order="F").decode()
 
 
 class GridError(ValueError):
@@ -233,9 +353,17 @@ class SampledFn:
         return self._mids
 
     def _interval_edges(self):
-        """Per interval, its m + 1 cell edges (one array each)."""
+        """Per interval, its m + 1 cell edges ``lo + k*(hi - lo)/m`` (one
+        array each); the last is ``hi`` itself, which the formula can miss
+        by an ulp, so that adjacent intervals share their common edge."""
         m = self.m
-        return [lo + np.arange(m + 1) * (hi - lo) / m for lo, hi in self.domain.boxes]
+        edges = []
+        for lo, hi in self.domain.boxes:
+            e = lo + np.arange(m + 1) * (hi - lo) / m
+            if e[-1] != hi:     # so a -0.0 end keeps its old text, 0.0
+                e[-1] = hi
+            edges.append(e)
+        return edges
 
     def cell_bounds(self):
         """Left and right cell edges, two (ncells,) arrays."""
@@ -344,9 +472,12 @@ class SampledFn:
         (``value`` for scalars, ``value_0, value_1, ...`` for vectors).
 
         Every number is ``repr`` of the Python float (complex for complex
-        values); every row ends in a newline.  Rows go out in chunks of
-        ``_CSV_CHUNK_ROWS``; within a chunk each edge and each distinct
-        value is formatted once.
+        values); the edges of an interval ``[lo, hi)`` are the floats
+        ``lo + k*(hi - lo)/m``, except the last, which is ``hi``.  Every
+        row ends in a newline.  Rows go out in chunks of
+        ``_CSV_CHUNK_ROWS``.  Within a chunk each edge is formatted once,
+        by ``_repr_floats`` (the edges of a dyadic grid in bulk), and each
+        distinct value once, by ``_format_cells``.
         """
         header = ["cell_left", "cell_right"]
         if self.is_vector:
@@ -359,11 +490,8 @@ class SampledFn:
         for b, edges in enumerate(self._interval_edges()):
             for start in range(0, m, _CSV_CHUNK_ROWS):
                 stop = min(start + _CSV_CHUNK_ROWS, m)
-                edge_text = [repr(e) for e in edges[start:stop + 1].tolist()]
-                cells = vals[b * m + start:b * m + stop]
-                cols = [edge_text[:-1], edge_text[1:]]
-                cols += [_format_cells(cells[:, j]) for j in range(cells.shape[1])]
-                fobj.write("\n".join(map(",".join, zip(*cols))) + "\n")
+                fobj.write(_csv_rows(edges[start:stop + 1],
+                                     vals[b * m + start:b * m + stop]))
 
     def csv_text(self):
         buf = io.StringIO()

@@ -127,6 +127,19 @@ class TestSampledFn:
         fresh = SampledFn(d, 8, np.arange(16.0))
         assert fresh.cell_measures is not measures
 
+    @pytest.mark.parametrize("boxes", [[(-0.3, 2.0), (2.0, 2.5)], [(0.1, 0.7)]])
+    def test_last_edge_of_each_interval_is_its_end(self, boxes):
+        # -0.3 + 16 * (2.0 - -0.3) / 16 is 1.9999999999999998.
+        m = 16
+        f = SampledFn.zeros(Domain.from_intervals(boxes), m)
+        left, right = f.cell_bounds()
+        for b, (lo, hi) in enumerate(boxes):
+            assert left[b * m] == lo
+            assert right[(b + 1) * m - 1] == hi
+        rows = f.csv_text().splitlines()[1:]
+        for b, (lo, hi) in enumerate(boxes):
+            assert rows[(b + 1) * m - 1].split(",")[1] == repr(hi)
+
     def test_integral_abs_over_subset(self, unit):
         f = SampledFn.from_callable(unit, 64, lambda x: -np.ones_like(x))
         sub = Domain.from_intervals([(0.25, 0.75)])
@@ -388,6 +401,69 @@ def _awkward_levels(rng, n):
     return np.concatenate([np.full(n // 2, 4.0 / 3.0), mixed])
 
 
+# Dyadic rationals k / 2**j of every size: the values _repr_floats writes
+# in bulk, and those just past its bounds (|x| < 1e-4, |x| * 10**j of
+# 2**53 and more).
+_dyadics = st.builds(lambda k, j: k / 2.0**j,
+                     st.integers(min_value=-2**56, max_value=2**56),
+                     st.integers(min_value=0, max_value=30))
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestReprFloats:
+    """grids._repr_floats against ``repr``, one value at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_dyadics, _dyadics, _finite), max_size=40))
+    @example([0.0])
+    @example([-0.0])
+    @example([0.0, -0.0, 5e-324, -2.5e-310])
+    @example([5e-324])
+    @example([1e-4])
+    @example([float(np.nextafter(1e-4, 0))])
+    @example([float(np.nextafter(1e-4, 1))])
+    @example([2.0**-14])
+    @example([2.0**-16])
+    @example([-2.0**-16, 0.5])
+    @example([1e15])
+    @example([1e16])
+    @example([2.0**53 - 1])
+    @example([2.0**53])
+    @example([2.0**53 + 2])
+    @example([-(2.0**53 - 1), 2.0**52 + 0.5])
+    @example([0.1])
+    @example([1 / 3])
+    @example([1 + 2.0**-20])
+    @example([(2.0**53 - 1) / 2.0**19])
+    @example([-7.5, -2.25, -0.0009765625, -123456.75])
+    @example([0.5, 0.1, 0.25, 1 / 3, -0.75])
+    def test_matches_repr(self, values):
+        x = np.array(values, dtype=float)
+        assert grids._repr_floats(x) == [repr(v) for v in x.tolist()]
+
+    def test_non_finite_values_go_through_repr(self):
+        x = np.array([0.5, np.inf, 0.25, -np.inf, 1.5, np.nan, -2.0])
+        assert grids._repr_floats(x) == [repr(v) for v in x.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_dyadics.filter(lambda v: abs(v) < 1e6),
+                     st.floats(min_value=-1e6, max_value=1e6)),
+           st.one_of(st.integers(min_value=1, max_value=2**20).map(float),
+                     st.floats(min_value=1e-3, max_value=1e6)),
+           st.one_of(st.integers(min_value=0, max_value=13).map(lambda j: 2**j),
+                     st.integers(min_value=1, max_value=5000)))
+    @example(0.0, 1.0, 2**13)
+    @example(-7.5, 5.25, 2**12)
+    @example(0.3, 0.7, 2**13)
+    @example(-0.3, 2.3, 16)
+    def test_grid_edges_match_repr(self, lo, width, m):
+        hi = lo + width
+        if not hi > lo:
+            return
+        (edges,) = SampledFn.zeros(Domain.interval(lo, hi), m)._interval_edges()
+        assert grids._repr_floats(edges) == [repr(v) for v in edges.tolist()]
+
+
 class TestCsvWriter:
     """write_csv against the row-by-row reference, across chunk boundaries
     and on two intervals of unequal width."""
@@ -406,6 +482,19 @@ class TestCsvWriter:
             imag = rng.permutation(_awkward_levels(rng, n))
             vals = _awkward_levels(rng, n) + 1j * imag
         f = SampledFn(domain, m, vals)
+        assert f.csv_text() == _reference_csv(f)
+
+    @pytest.mark.parametrize("boxes, m", [
+        ([(0.0, 1.0), (2.0, 2.5), (3.0, 3.25)], 2 * grids._CSV_CHUNK_ROWS),
+        ([(-7.5, -2.25)], 4 * grids._CSV_CHUNK_ROWS),
+        ([(0.0, 1.0)], 2 * grids._CSV_CHUNK_ROWS + 5),
+    ])
+    def test_dyadic_edges_match_reference(self, boxes, m):
+        # Most edges of the first two grids take the bulk path of
+        # _repr_floats; the last grid's are mostly not dyadic.
+        domain = Domain.from_intervals(boxes)
+        rng = np.random.default_rng(9)
+        f = SampledFn(domain, m, _awkward_levels(rng, len(boxes) * m))
         assert f.csv_text() == _reference_csv(f)
 
     def test_vector_layout_does_not_change_bytes(self):
