@@ -354,14 +354,14 @@ class SampledFn:
 
     def _interval_edges(self):
         """Per interval, its m + 1 cell edges ``lo + k*(hi - lo)/m`` (one
-        array each); the last is ``hi`` itself, which the formula can miss
-        by an ulp, so that adjacent intervals share their common edge."""
+        array each).  The ends are ``lo`` and ``hi`` themselves: the formula
+        can miss ``hi`` by an ulp and turns a -0.0 end into 0.0, so they
+        echo the domain and adjacent intervals share their common edge."""
         m = self.m
         edges = []
         for lo, hi in self.domain.boxes:
             e = lo + np.arange(m + 1) * (hi - lo) / m
-            if e[-1] != hi:     # so a -0.0 end keeps its old text, 0.0
-                e[-1] = hi
+            e[0], e[-1] = lo, hi
             edges.append(e)
         return edges
 
@@ -690,11 +690,6 @@ class StepDistribution:
         widths = np.diff(self.thresholds)
         return float(np.sum(np.asarray(tau_inverse(self.measures), dtype=float)
                             * widths))
-
-    def equals(self, other):
-        return np.array_equal(self.thresholds, other.thresholds) and np.array_equal(
-            self.measures, other.measures
-        )
 
 
 @dataclass(frozen=True)

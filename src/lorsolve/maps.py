@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._numeric import bisect_increasing
 from .grids import SampledFn
 
 __all__ = [
@@ -43,7 +42,7 @@ class MapError(ValueError):
 
 
 _MONO_PROBES = 33
-# Levels this close (scaled by the image size) to a branch image endpoint
+# Levels this close (scaled by the image size) to a piece image endpoint
 # are flagged ambiguous by indicatrix_profile.
 _BOUNDARY_ATOL = 1e-12
 
@@ -81,28 +80,13 @@ class Branch:
         ds = np.asarray(self.deriv(xs), dtype=float)
         if inc and np.any(ds < -1e-12) or (not inc) and np.any(ds > 1e-12):
             raise MapError("derivative sign contradicts branch monotonicity")
-        object.__setattr__(self, "_increasing", bool(inc))
         object.__setattr__(self, "_ylo", float(min(ys[0], ys[-1])))
         object.__setattr__(self, "_yhi", float(max(ys[0], ys[-1])))
-
-    @property
-    def increasing(self):
-        return self._increasing
 
     @property
     def image(self):
         """Closed image interval endpoints (ylo, yhi)."""
         return (self._ylo, self._yhi)
-
-    def invert(self, ys):
-        """Preimages of ``ys`` (assumed inside the image) by bisection."""
-        ys = np.asarray(ys, dtype=float)
-        if self.increasing:
-            return bisect_increasing(self.fn, ys, np.full(ys.shape, self.lo),
-                                     np.full(ys.shape, self.hi))
-        return bisect_increasing(lambda x: -np.asarray(self.fn(x), dtype=float),
-                                 -ys, np.full(ys.shape, self.lo),
-                                 np.full(ys.shape, self.hi))
 
 
 def _merge_intervals(ivals):
@@ -166,46 +150,60 @@ class PiecewiseMap:
         """The image of the map as a merged union of closed intervals."""
         return _merge_intervals(b.image for b in self.branches)
 
+    def piece_images(self, boxes):
+        """Image (ylo, yhi) of each branch cut to each interval of ``boxes``.
+
+        A piece is the nonempty [max(b.lo, lo), min(b.hi, hi)); its image
+        runs between the branch values at those two ends, in either order.
+        Each strictly monotone piece is a bijection onto its image, so it
+        holds one preimage of every level strictly inside.
+        """
+        images = []
+        for b in self.branches:
+            for lo, hi in boxes:
+                a, c = max(b.lo, lo), min(b.hi, hi)
+                if a < c:
+                    images.append(tuple(sorted(
+                        np.asarray(b.fn(np.array([a, c])), dtype=float).tolist()
+                    )))
+        return images
+
 
 class IndicatrixCount(NamedTuple):
     count: int
-    ambiguous: bool  # y within float tolerance of a branch image endpoint
+    ambiguous: bool  # y within float tolerance of a piece image endpoint
 
 
 def indicatrix_profile(F, E, ys):
-    """Vectorized Banach indicatrix N_F(y, E) for an array of levels ``ys``.
+    """Vectorized Banach indicatrix N_F(y+, E) for an array of levels ``ys``.
 
-    ``E`` (a Domain) restricts preimages to a sub-domain.  Returns
+    ``E`` (a Domain) restricts preimages to a sub-domain: the count at y is
+    the number of pieces of ``F.piece_images(E.boxes)`` with
+    ylo <= y < yhi, the right limit N(y+).  It equals N(y) except at the
+    image of a branch end or of a point where E cuts a branch.  Returns
     (counts, ambiguous) arrays; ambiguous marks levels within 1e-12
-    (scaled) of some branch image endpoint, where the count is
+    (scaled) of some piece image endpoint, where the count is
     edge-sensitive.
     """
     ys = np.asarray(ys, dtype=float)
     counts = np.zeros(ys.shape, dtype=np.int64)
     ambiguous = np.zeros(ys.shape, dtype=bool)
-    for b in F.branches:
-        ylo, yhi = b.image
-        scale = max(1.0, abs(ylo), abs(yhi))
-        tol = _BOUNDARY_ATOL * scale
-        inside = (ys >= ylo) & (ys < yhi)
+    for ylo, yhi in F.piece_images(E.boxes):
+        tol = _BOUNDARY_ATOL * max(1.0, abs(ylo), abs(yhi))
+        counts += (ys >= ylo) & (ys < yhi)
         ambiguous |= (np.abs(ys - ylo) <= tol) | (np.abs(ys - yhi) <= tol)
-        if inside.any():
-            xs = b.invert(ys[inside])
-            hit = E.contains(xs)
-            # Branch interval membership is implicit (bisection stays in it).
-            sub = np.zeros(ys.shape, dtype=bool)
-            sub[inside] = hit
-            counts += sub.astype(np.int64)
     return counts, ambiguous
 
 
 def banach_indicatrix(F, E, y):
     """Count preimages of level ``y`` under F inside sub-domain ``E``.
 
-    Each strictly monotone branch contributes at most one preimage, found by
-    bisection.  Returns an :class:`IndicatrixCount`; ``ambiguous`` flags a
-    level at a branch image endpoint (a measure-zero set where the count
-    depends on the half-open convention).
+    Each strictly monotone branch cut to an interval of E contributes at
+    most one preimage: one when y lies in the half-open image [ylo, yhi)
+    of that piece (the right-limit convention of
+    :func:`indicatrix_profile`).  Returns an :class:`IndicatrixCount`;
+    ``ambiguous`` flags a level at a piece image endpoint (a measure-zero
+    set where the count depends on the half-open convention).
     """
     counts, amb = indicatrix_profile(F, E, np.array([float(y)]))
     return IndicatrixCount(count=int(counts[0]), ambiguous=bool(amb[0]))
@@ -243,9 +241,10 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
     ``H`` is a nonnegative scalar :class:`SampledFn` on a grid covering the
     relevant range of F (H is treated as 0 outside its domain).  The left
     side is a midpoint sum on an ``m``-cell grid over ``E``; the right side
-    sums H's own cells against the indicatrix at cell midpoints.  Levels
-    flagged ambiguous are re-counted at a deterministically jittered level
-    just inside the cell.
+    sums H's own cells against the indicatrix at cell midpoints.  A
+    midpoint at a piece image endpoint counts N(y+), the pieces whose
+    images continue to the right of it; ``ambiguous_levels`` reports how
+    many midpoints were there.
     """
     if H.is_vector or H.values.dtype.kind == "c":
         raise MapError("H must be a real scalar function")
@@ -259,15 +258,7 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
     jac = np.abs(np.asarray(F.deriv(x), dtype=float))
     lhs = float(np.sum(H.eval_at(fx) * jac * grid.cell_measures))
 
-    ylev = H.midpoints
-    counts, amb = indicatrix_profile(F, E, ylev)
-    n_amb = int(amb.sum())
-    if n_amb:
-        # Deterministic jitter: re-probe just right of the ambiguous level.
-        width = (ylev[1] - ylev[0]) if ylev.size > 1 else 1.0
-        redo, _ = indicatrix_profile(F, E, ylev[amb] + 1e-6 * width)
-        counts = counts.copy()
-        counts[amb] = redo
+    counts, amb = indicatrix_profile(F, E, H.midpoints)
     rhs = float(np.sum(H.values * counts * H.cell_measures))
 
     scale = max(abs(lhs), abs(rhs), 1e-30)
@@ -280,7 +271,7 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
         tol=float(tol),
         passed=bool(rel_gap <= tol),
         grid_m=int(m),
-        ambiguous_levels=n_amb,
+        ambiguous_levels=int(amb.sum()),
     )
 
 

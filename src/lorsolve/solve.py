@@ -248,19 +248,6 @@ class UniquenessReport:
     distances: tuple  # ((i, j, distance), ...)
     passed: bool
 
-    def as_text(self):
-        lines = [
-            "check = uniqueness_probe",
-            f"steps = {self.steps}",
-            f"n_starts = {self.n_starts}",
-            f"max_start_norm = {self.max_start_norm!r}",
-            f"bound = {self.bound!r}",
-        ]
-        for i, j, d in self.distances:
-            lines.append(f"distance_{i}_{j} = {d!r}")
-        lines.append(f"verdict = {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
-
 
 def uniqueness_probe(inst, starts, steps=20):
     """Collapse test: Picard iterates from different starts must coincide.

@@ -257,20 +257,14 @@ def estimate_multiplicity(F, domain):
     branch maps.
 
     The largest number of branch pieces whose images share a segment of
-    positive length: each branch is cut to each domain interval and each
-    piece's image is clipped to the domain, so only preimages and levels
-    inside the domain count.
+    positive length: the images of ``F.piece_images(domain.boxes)``,
+    each clipped to the domain, so only preimages and levels inside the
+    domain count.
     """
     boxes = domain.boxes
-    images = []
-    for b in F.branches:
-        for lo, hi in boxes:
-            a, c = max(b.lo, lo), min(b.hi, hi)
-            if a < c:
-                ya, yc = sorted(np.asarray(b.fn(np.array([a, c])),
-                                           dtype=float).tolist())
-                images += [(max(ya, y0), min(yc, y1)) for y0, y1 in boxes]
-    return _max_depth(images)[0]
+    return _max_depth((max(ylo, y0), min(yhi, y1))
+                      for ylo, yhi in F.piece_images(boxes)
+                      for y0, y1 in boxes)[0]
 
 
 class OverlapEstimate(NamedTuple):

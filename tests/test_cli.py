@@ -1,5 +1,8 @@
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -36,6 +39,25 @@ TIGHT = textwrap.dedent("""\
     [coeff1]
     expr = 0.25
     """)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    """The Gauss-Legendre rule is built only when a weight is integrated.
+
+    numpy 1.x imports ``numpy.polynomial`` with ``numpy`` itself, so the
+    check is that importing lorsolve adds nothing to what numpy loaded.
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, numpy; before = 'numpy.polynomial' in sys.modules; "
+            "import lorsolve.cli; "
+            "print(before, 'numpy.polynomial' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 class TestSolve:

@@ -1,10 +1,11 @@
 """Golden digests of the CLI's deterministic outputs.
 
 The solver promises byte-identical ``solution.csv``, ``trace.csv``,
-``certificate.txt`` and ``audit.txt`` for the same inputs.  These digests
-pin those bytes, so a refactor that claims to keep behaviour proves it by
-running the suite.  A change that alters an output on purpose updates the
-digest here and says why.
+``certificate.txt`` and ``audit.txt`` for the same inputs, and so do the
+reports of ``cov-check``, ``axioms``, ``bridge``, ``norm`` and
+``selftest``.  These digests pin those bytes, so a refactor that claims
+to keep behaviour proves it by running the suite.  A change that alters
+an output on purpose updates the digest here and says why.
 """
 
 import hashlib
@@ -110,6 +111,30 @@ GOLDEN = {
         "audit.txt":
             "2026bce5e8897b5201992f26eb202abe0a8ba2d6ca593c4676aadbc152be908c",
     },
+    "cov-check": {
+        "cov.csv":
+            "d8f57f844509e40acce3ad9ec5d7647595e0a7b9bd55d339cf7c4b13c977fb65",
+    },
+    "cov-check-twobranch": {
+        "cov.csv":
+            "8725ccd8b580e0fb485d0e55458d50f9a2749d28b542147df34d1827daf71b73",
+    },
+    "axioms": {
+        "axioms.txt":
+            "c0627c78d62d2f7182f8689807bdb09141a27d01c48875488149cf53e191e7e8",
+    },
+    "bridge-linear_h0": {
+        "bridge.txt":
+            "c91f4fcd50bb3d26fdf005b0800c793cde0381efe63761bdd8090d153af6a05a",
+    },
+    "norm-twobranch": {
+        "norms.csv":
+            "266f525de75aa235cabf5722c304fa3e0c99cc9e0cd7f9d55e443a8657eeec08",
+    },
+    "selftest": {
+        "selftest.txt":
+            "8076f6a4b50ef3aacea8b500d566303864c4c0b781caaad5f893474b48bc0270",
+    },
 }
 
 
@@ -117,30 +142,38 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# case -> (subcommand, bundled instance or config text, expected exit status)
+# case -> (arguments before --out, expected exit status); an argument
+# holding a newline is config text, passed as a file.  The case writes the
+# files its GOLDEN entry names.
 CASES = {
-    "solve-doubling": ("solve", "doubling", 0),
-    "solve-twobranch": ("solve", "twobranch", 0),
-    "solve-linear_h0": ("solve", "linear_h0", 0),
-    "audit-tight": ("audit", TIGHT, 1),
-    "solve-pair": ("solve", PAIR, 0),
-    "audit-pair": ("audit", PAIR, 0),
+    "solve-doubling": (["solve", "--instance", "doubling", "--grid", "64"], 0),
+    "solve-twobranch": (["solve", "--instance", "twobranch", "--grid", "64"],
+                        0),
+    "solve-linear_h0": (["solve", "--instance", "linear_h0", "--grid", "64"],
+                        0),
+    "audit-tight": (["audit", "--instance", TIGHT], 1),
+    "solve-pair": (["solve", "--instance", PAIR], 0),
+    "audit-pair": (["audit", "--instance", PAIR], 0),
+    "cov-check": (["cov-check"], 0),
+    "cov-check-twobranch": (["cov-check", "--instance", "twobranch"], 0),
+    "axioms": (["axioms", "--count", "40"], 0),
+    "bridge-linear_h0": (["bridge", "--instance", "linear_h0"], 0),
+    "norm-twobranch": (["norm", "--instance", "twobranch"], 0),
+    "selftest": (["selftest"], 0),
 }
 
 
 def _run(tmp_path, case):
     """Run one golden case; returns {file name: sha256} of its outputs."""
-    command, instance, rc = CASES[case]
-    args = [command, "--out", str(tmp_path / "out")]
-    if "\n" in instance:
-        cfg = tmp_path / "instance.cfg"
-        cfg.write_text(instance)
-        args += ["--instance", str(cfg)]
-    else:
-        args += ["--instance", instance, "--grid", "64"]
-    assert main(args) == rc
-    files = SOLVE_FILES if command == "solve" else ("audit.txt",)
-    return {f: _digest(tmp_path / "out" / f) for f in files}
+    args, rc = CASES[case]
+    args = list(args)
+    for i, a in enumerate(args):
+        if "\n" in a:
+            cfg = tmp_path / "instance.cfg"
+            cfg.write_text(a)
+            args[i] = str(cfg)
+    assert main(args + ["--out", str(tmp_path / "out")]) == rc
+    return {f: _digest(tmp_path / "out" / f) for f in GOLDEN[case]}
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -9,6 +9,7 @@ from lorsolve import (
     SampledFn,
     affine_map,
     banach_indicatrix,
+    estimate_multiplicity,
     change_of_variables_check,
     doubling_map,
     halving_map,
@@ -21,12 +22,10 @@ from lorsolve import (
 class TestBranch:
     def test_increasing_detection(self):
         b = Branch(0.0, 1.0, lambda x: 2.0 * x, lambda x: 2.0 + 0.0 * x)
-        assert b.increasing
         assert b.image == (0.0, 2.0)
 
     def test_decreasing_branch(self):
         b = Branch(0.0, 1.0, lambda x: 1.0 - x, lambda x: -1.0 + 0.0 * x)
-        assert not b.increasing
         lo, hi = b.image
         assert (lo, hi) == (0.0, 1.0)
 
@@ -37,20 +36,6 @@ class TestBranch:
     def test_derivative_sign_mismatch_rejected(self):
         with pytest.raises(MapError):
             Branch(0.0, 1.0, lambda x: x, lambda x: -1.0 + 0.0 * x)
-
-    def test_affine_inversion(self):
-        b = Branch(0.0, 0.5, lambda x: 2.0 * x, lambda x: 2.0 + 0.0 * x)
-        xs = b.invert(np.array([0.0, 0.5, 0.999]))
-        assert np.allclose(xs, [0.0, 0.25, 0.4995], rtol=1e-10)
-
-    def test_nonlinear_inversion_via_bisection(self):
-        b = Branch(0.0, 1.0, lambda x: x**2, lambda x: 2.0 * x)
-        xs = b.invert(np.array([0.25, 0.81]))
-        assert np.allclose(xs, [0.5, 0.9], rtol=1e-10)
-
-    def test_decreasing_inversion(self):
-        b = Branch(0.0, 1.0, lambda x: 1.0 - x, lambda x: -1.0 + 0.0 * x)
-        assert b.invert(np.array([0.25]))[0] == pytest.approx(0.75, rel=1e-10)
 
 
 class TestPiecewiseMap:
@@ -110,6 +95,77 @@ class TestIndicatrix:
     def test_boundary_flagged_ambiguous(self, unit):
         _, amb = indicatrix_profile(doubling_map(), unit, np.array([0.0]))
         assert amb[0]
+
+    def test_level_where_E_cuts_a_branch_counts_right_limit(self):
+        # E = [0, 0.5) cuts tent3's falling branch at 0.5, whose image 0.5
+        # has the one preimage 1/6 in E; just above 0.5 there are two.
+        E = Domain.from_intervals([(0.0, 0.5)])
+        c = banach_indicatrix(tent3_map(), E, 0.5)
+        assert c == (2, True)
+
+    def test_matches_affine_preimages(self):
+        """Counts equal the preimages (y - c)/s that lie in E and in the
+        branch, on random affine maps, sub-domains and levels away from
+        every piece image endpoint."""
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            pieces = _random_affine_pieces(rng)
+            F = affine_map(pieces)
+            E = _random_domain(rng)
+            ends = [s * x + c for lo, hi, s, c in pieces
+                    for x in [lo, hi, *np.ravel(E.boxes)] if lo <= x <= hi]
+            ys = rng.uniform(-0.5, 1.5, size=50)
+            ys = ys[np.min(np.abs(ys[:, None] - np.array(ends)), axis=1) > 1e-9]
+            want = [sum(lo <= (y - c) / s < hi and bool(E.contains((y - c) / s))
+                        for lo, hi, s, c in pieces) for y in ys]
+            counts, amb = indicatrix_profile(F, E, ys)
+            assert counts.tolist() == want
+            assert not amb.any()
+
+
+def _random_affine_pieces(rng):
+    """1-6 affine branches tiling [0, 1), of either slope sign, each
+    starting at a value in [-0.2, 1)."""
+    inner = np.sort(rng.uniform(0.0, 1.0, rng.integers(0, 6)))
+    cuts = np.concatenate([[0.0], inner, [1.0]])
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 4.0)
+        pieces.append((lo, hi, s, rng.uniform(-0.2, 1.0) - s * lo))
+    return pieces
+
+
+def _random_domain(rng):
+    """1-3 disjoint intervals inside [0, 1)."""
+    ends = np.sort(rng.uniform(0.0, 1.0, 2 * rng.integers(1, 4)))
+    return Domain.from_intervals(zip(ends[::2], ends[1::2]))
+
+
+class TestMultiplicityFromIndicatrix:
+    """estimate_multiplicity is the largest indicatrix count over the
+    levels inside D where a clipped piece image can start: piece image
+    endpoints and the left ends of D's intervals."""
+
+    @staticmethod
+    def _max_count(F, D):
+        ys = np.array([*(y for piece in F.piece_images(D.boxes) for y in piece),
+                       *(lo for lo, _ in D.boxes)])
+        return int(indicatrix_profile(F, D, ys[D.contains(ys)])[0].max())
+
+    @pytest.mark.parametrize("factory", [identity_map, doubling_map,
+                                         halving_map, tent3_map])
+    def test_gallery(self, unit, factory):
+        rng = np.random.default_rng(17)
+        F = factory()
+        for D in [unit] + [_random_domain(rng) for _ in range(30)]:
+            assert estimate_multiplicity(F, D) == self._max_count(F, D)
+
+    def test_random_maps(self):
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            F = affine_map(_random_affine_pieces(rng))
+            D = _random_domain(rng)
+            assert estimate_multiplicity(F, D) == self._max_count(F, D)
 
 
 class TestChangeOfVariables:
