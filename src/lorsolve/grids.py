@@ -49,21 +49,30 @@ def _csv_rows(edges, cells):
 def _format_cells(col):
     """``repr`` text of each value of a 1-d column, as a list.
 
-    Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep
-    their own text.  Real values are keyed on their bits as ``uint64``
-    (sorting a void dtype is ~3x slower); complex values on both halves.
+    Values are widened to float64 or complex128 first, as ``repr`` of a
+    Python float or complex would.  Each distinct bit pattern is formatted
+    once, so -0.0 and 0.0 keep their own text: real values by
+    ``_repr_floats``, complex ones by ``repr``.  Real values are keyed on
+    their bits as ``uint64`` (sorting a void dtype is ~3x slower); complex
+    values on both halves.
     """
-    col = np.ascontiguousarray(col)
     complex_col = col.dtype.kind == "c"
+    col = np.ascontiguousarray(col, dtype=complex if complex_col else float)
     keys = col.view(f"V{col.itemsize}" if complex_col else np.uint64)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    kind = complex if complex_col else float
-    texts = [repr(v) for v in col[first].astype(kind).tolist()]
+    if complex_col:
+        texts = [repr(v) for v in col[first].tolist()]
+    else:
+        texts = _repr_floats(col[first])
     return [texts[i] for i in inverse.tolist()]
 
 
+# Fewer values than this go through ``repr`` in _repr_floats: about where
+# the fixed cost of a bulk tier (tens of numpy calls, 0.1-0.3 ms) matches
+# ``repr``'s 0.6-1 us per value.
+_BULK_MIN = 512
 # Tables of _repr_floats, built from Python ints (numpy temporaries at
-# import leave a larger heap behind).  A value takes the bulk path when it
+# import leave a larger heap behind).  A value takes the dyadic tier when it
 # is q / 2**s with s <= _MAX_S and D = q * 5**s = |x| * 10**s < 2**53.
 _MAX_S = 22
 _POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
@@ -75,51 +84,156 @@ _DIGITS2 = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
                          dtype=np.uint8).reshape(100, 2)
 _DIGITS4 = np.hstack([np.repeat(_DIGITS2, 100, axis=0),
                       np.tile(_DIGITS2, (100, 1))]).view(np.uint32).ravel()
+# The floats 1e-4 .. 1e15.  Each is at or above the power of ten it stands
+# for, so ``a >= 1e-p`` compares a float with 10**-p exactly.
+_FIXED_POWERS = np.array([float(f"1e{p}") for p in range(-4, 16)])
+# For k = 0..20 (see _shortest_digits): 4 * 5**k, the factor of 4N, and
+# 2 * 5**k, half an ulp of a * 10**k times 2**r.
+_FOUR_FIVES = np.array([4 * 5**k for k in range(21)], dtype=np.uint64)
+_HALF_ULPS = np.array([2 * 5**k for k in range(21)], dtype=np.int64)
 
 
 def _repr_floats(x):
     """``[repr(v) for v in x.tolist()]`` for a 1-d float64 array ``x``.
 
-    Values with a short exact decimal expansion are written in bulk, by
-    numpy integer arithmetic into one ``uint8`` character matrix; every
-    other value goes through ``repr``.  When at most half the values
-    qualify, all of them go through ``repr``.
+    ``repr`` writes fixed notation exactly for zero and for ``1e-4 <= |x|
+    < 1e16``.  Those values are written in bulk, by numpy integer
+    arithmetic into one ``uint8`` character matrix, in one of two tiers.
+    The rest (scientific notation, NaN, infinities) go through ``repr``;
+    so does every value of an array of fewer than ``_BULK_MIN``, and every
+    value of the second tier if it would take fewer than that.
 
-    Why the bulk text is ``repr``'s: write ``|x| = q / 2**s`` with ``q`` odd
-    and let ``D = q * 5**s``, so that ``|x| = D / 10**s`` exactly.  For
-    ``s >= 1`` the last digit of ``D`` is 5, so every decimal with fewer
-    digits is at least ``5 * 10**-s`` from ``x``.  ``D < 10**16`` means
-    ``|x| < 10**(16 - s)``, so ``ulp(x) <= 2**-52 * |x| < 2.3 * 10**-s``:
-    no shorter string rounds back to ``x``, and ``repr`` (the shortest
-    round-trip string, nearest to ``x`` among those) prints exactly the
-    digits of ``D``.  For an integer below 2**53 the same holds with a
-    gap >= 1 > ulp/2.  ``repr`` uses fixed notation exactly when
-    ``1e-4 <= |x| < 1e16``.  So the bulk path takes 0.0, -0.0 and the
-    values with ``|x| >= 1e-4``, ``s <= _MAX_S`` and ``D < 2**53``; there
-    the float product ``|x| * 10.0**s`` is ``D`` itself, since a product
-    is rounded to the nearest float and ``D`` is one.
+    The dyadic tier takes the values with a short exact decimal expansion,
+    such as the edges of ``[0, 1]`` at up to 2**16 cells.  Write ``|x| = q
+    / 2**s`` with ``q`` odd and let ``D = q * 5**s``, so that ``|x| = D /
+    10**s`` exactly.  For ``s >= 1`` the last digit of ``D`` is 5, so every decimal
+    with fewer digits is at least ``5 * 10**-s`` from ``x``.  ``D < 10**16``
+    means ``|x| < 10**(16 - s)``, so ``ulp(x) <= 2**-52 * |x| < 2.3 *
+    10**-s``: no shorter string rounds back to ``x``, and ``repr`` prints
+    exactly the digits of ``D``.  For an integer below 2**53 the same holds
+    with a gap >= 1 > ulp/2.  So this tier takes 0.0, -0.0 and the
+    fixed-notation values with ``s <= _MAX_S`` and ``D < 2**53``; there the
+    float product ``|x| * 10.0**s`` is ``D`` itself, since a product is
+    rounded to the nearest float and ``D`` is one.
+
+    The shortest-digits tier (``_shortest_digits``) takes the other
+    fixed-notation values.  It finds ``repr``'s digits from their exact
+    characterisation (Steele & White 1990; Adams 2018), on ``v = |x| *
+    10**k``, the 17-digit scaling of ``x``:
+
+    - Interval.  A decimal reads back as ``x`` when it lies within half an
+      ulp of ``x``.  Scaled, that interval is over 1.1 wide, so it holds
+      an integer.
+    - Shortest.  ``repr`` prints a decimal of the interval with the fewest
+      significant digits: a multiple of ``10**j`` for the largest ``j``.
+    - Nearest, ties to even.  Of those multiples, the one nearest ``x``;
+      of two equally near, the one whose last digit is even.
+    - Endpoint rule.  An end of the interval also reads back as ``x`` when
+      the significand ``M`` of ``x`` is even (round half to even).  Scaled,
+      an end is an integer only when ``|x| >= 2**52``.  There ``v = 10|x|``
+      is a multiple of 10, and neither end is a multiple of 100: the ends
+      are ``v +- 5``, or ``10 * (|x| +- 1)`` with ``|x|`` even.  So no end
+      is ever the chosen decimal, and the tier takes the open interval.
+    - Gap below a power of two.  There the next float down is only half an
+      ulp away, so the interval reaches just a quarter ulp down.  Every
+      power of two of fixed notation has an exact expansion of at most 16
+      digits, ending in 2, 4, 5, 6 or 8.  So ``v`` itself is a candidate
+      ending in zeros, and the nearest multiple of a higher power of ten
+      is at least 20 away, beyond the half ulp (at most 11.1, scaled).  The
+      full interval gives the same digits, and the tier uses it.
     """
+    if len(x) < _BULK_MIN:
+        return [repr(v) for v in x.tolist()]
     a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e16)
     scaled = np.minimum(a, 2.0**53) * 2.0**_MAX_S   # no overflow; NaN stays NaN
-    ok = (scaled == np.floor(scaled)) & (a < 2.0**53) & ((a >= 1e-4) | (a == 0))
-    if 2 * np.count_nonzero(ok) <= len(x):
-        return [repr(v) for v in x.tolist()]
-    a = a[ok]
-    s = _fraction_bits(a)
-    d = a * _POW10_FLOAT[s]     # D itself wherever D < 2**53
+    dyadic = (scaled == np.floor(scaled)) & (a < 2.0**53) & (fixed | (a == 0))
+    s = _fraction_bits(a[dyadic])
+    d = a[dyadic] * _POW10_FLOAT[s]     # D itself wherever D < 2**53
     short = d < 2.0**53
-    ok[ok] = short
-    if 2 * np.count_nonzero(ok) <= len(x):
-        return [repr(v) for v in x.tolist()]
-    texts = _decimal_text(d[short].astype(np.int64), s[short],
-                          np.signbit(x[ok])).split()
+    dyadic[dyadic] = short
+    digits = np.zeros(len(x), dtype=np.int64)
+    frac = np.zeros(len(x), dtype=np.int64)
+    digits[dyadic] = d[short]
+    frac[dyadic] = s[short]
+    rest = fixed & ~dyadic
+    if np.count_nonzero(rest) >= _BULK_MIN:
+        digits[rest], frac[rest] = _shortest_digits(a[rest])
+        bulk = dyadic | rest
+    else:
+        bulk = dyadic
+    texts = _decimal_text(digits[bulk], frac[bulk],
+                          np.signbit(x[bulk])).split()
     # Splice in the rest: the k-th of them, at index i, follows i - k texts.
     out, used = [], 0
-    for k, (i, v) in enumerate(zip(np.flatnonzero(~ok).tolist(), x[~ok].tolist())):
+    for k, (i, v) in enumerate(zip(np.flatnonzero(~bulk).tolist(),
+                                   x[~bulk].tolist())):
         out += texts[used:i - k]
         out.append(repr(v))
         used = i - k
     return out + texts[used:]
+
+
+def _shortest_digits(a):
+    """The digits of ``repr`` of each value of ``a``, floats with ``1e-4 <=
+    a < 1e16``, as int64 arrays ``d`` and ``s``: the text is that of ``d /
+    10**s``.  ``_repr_floats`` gives the characterisation computed here,
+    in exact integer arithmetic.
+
+    With ``a = M * 2**(E - 1075)`` (``E`` the biased exponent, ``M`` the
+    53-bit significand) and ``k`` in 1..20 the power of ten that puts ``v =
+    a * 10**k`` in ``[1e16, 1e17)``, ``v = 4N / 2**r`` for ``N = M * 5**k <
+    2**100`` and ``r = 1077 - E - k`` in 0..48; ``whole`` and ``rem / 2**r``
+    are its integer and fractional parts.  An ulp of ``a``, scaled the same
+    way, is ``4 * 5**k / 2**r = v / M``: from 1.1 to 22.2.
+    """
+    bits = a.view(np.uint64)
+    k = 21 - np.searchsorted(_FIXED_POWERS, a, side="right")
+    r = 1077 - k - (bits >> 52).astype(np.int64)
+    # The float product a * 10**k is within 8 of v (an ulp of v is at most
+    # 16), so its floor, the first value of ``whole``, is within 9 of v's
+    # integer part.  So 4N less that floor times 2**r is below 2**53 in
+    # size: its value mod 2**64 (uint64 arithmetic wraps), read as int64,
+    # is exact and corrects ``whole``.  uint64 never meets int64 in one
+    # operation, which numpy would carry out in floats.
+    whole = (a * _POW10_FLOAT[k]).astype(np.int64)
+    rem = ((bits & (2**52 - 1)) | 2**52) * _FOUR_FIVES[k]
+    rem -= whole.view(np.uint64) << r.astype(np.uint64)
+    rem = rem.view(np.int64)
+    whole += rem >> r
+    rem &= (1 << r) - 1
+    # The integers low..high strictly inside v -+ half an ulp (2 * 5**k /
+    # 2**r); _repr_floats shows why the ends, and the narrower gap below a
+    # power of two, change no digits.
+    half = _HALF_ULPS[k]
+    low = whole + ((rem - half) >> r) + 1
+    high = whole + ((rem + half - 1) >> r)
+    # The largest j with a multiple of 10**j in low..high.  There are at
+    # most 23 integers in low..high, so for j >= 2 that multiple is the one
+    # multiple of 100 there, and j counts its trailing zeros.
+    j = (high // 10 * 10 >= low).astype(np.int64)
+    hit = np.flatnonzero(high // 100 * 100 >= low)
+    c = high[hit] // 100
+    del half, low, high
+    zeros = np.full(hit.size, 2)
+    for t in (8, 4, 2, 1):
+        ok = c % _POW10[t] == 0
+        c[ok] //= _POW10[t]
+        zeros[ok] += t
+    j[hit] = zeros
+    # Of the multiples q * 10**j and (q + 1) * 10**j around v, the nearer
+    # one, or the even q on a tie.  The interval is symmetric about v, so
+    # it holds the nearer whenever it holds either.  The sign of cmp is
+    # that of 2 * (v - q * 10**j) - 10**j.
+    p = _POW10[j]
+    q = whole // p
+    cmp = np.clip(2 * (whole - q * p) - p, -2, 1) << r
+    cmp += 2 * rem
+    q += (cmp > 0) | ((cmp == 0) & (q % 2 == 1))
+    # j > k only for an integer |x| >= 1e15 that ends in j - k zeros.
+    s = k - j
+    q *= _POW10[np.maximum(-s, 0)]
+    return q, np.maximum(s, 0)
 
 
 def _fraction_bits(a):
@@ -149,7 +263,7 @@ def _decimal_text(d, s, neg):
     # one column per value, below a row of '0' that becomes the blank
     # between texts; the rows count at least two more than the longest
     # text, so that row always stays blank.
-    nlimbs = (int(top.max()) + 5) // 4
+    nlimbs = (int(top.max(initial=0)) + 5) // 4
     rows = np.empty((4 * nlimbs + 1, len(d)), dtype=np.uint8)
     rows[0] = ord("0")
     for j in range(nlimbs, 0, -1):

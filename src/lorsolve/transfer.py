@@ -295,9 +295,9 @@ class AuditReport:
     ``feasible_alpha`` is the largest cellwise ratio
     |g_n(x)| * max{K*L/|J_n(x)|, N} over all maps and cells: the smallest
     alpha the grid data would admit.  PASS requires it to be at most the
-    declared alpha (+1e-12) and the declared K, L to dominate ``k_est``
-    and ``l_est``, which are exact: computed from the branch image
-    intervals, not sampled.  ``overlap_witness`` names the maps whose
+    declared alpha, with no slack, and the declared K, L to dominate
+    ``k_est`` and ``l_est``, which are exact: computed from the branch
+    image intervals, not sampled.  ``overlap_witness`` names the maps whose
     images cover the first segment where the overlap order ``l_est`` is
     reached.
     """
@@ -389,7 +389,7 @@ def audit_contraction(inst):
     overlap = estimate_overlap_L(inst.maps)
 
     passed = (
-        worst <= inst.alpha + 1e-12
+        worst <= inst.alpha
         and inst.K_decl >= k_est
         and inst.L_decl >= overlap.L
     )

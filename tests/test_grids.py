@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 
@@ -430,13 +431,73 @@ def _awkward_levels(rng, n):
     return np.concatenate([np.full(n // 2, 4.0 / 3.0), mixed])
 
 
-# Dyadic rationals k / 2**j of every size: the values _repr_floats writes
-# in bulk, and those just past its bounds (|x| < 1e-4, |x| * 10**j of
-# 2**53 and more).
+# Dyadic rationals k / 2**j of every size: the values the dyadic tier of
+# _repr_floats writes, and those just past its bounds (|x| < 1e-4,
+# |x| * 10**j of 2**53 and more).
 _dyadics = st.builds(lambda k, j: k / 2.0**j,
                      st.integers(min_value=-2**56, max_value=2**56),
                      st.integers(min_value=0, max_value=30))
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+# Powers of two and of ten across the fixed-notation range and just past
+# it, with both float neighbours of each.
+_POWERS = [2.0**k for k in range(-15, 56)] + [10.0**k for k in range(-5, 18)]
+_POWERS += ([float(np.nextafter(v, 0)) for v in _POWERS]
+            + [float(np.nextafter(v, np.inf)) for v in _POWERS])
+
+
+def _bulk_repr_floats(x):
+    """grids._repr_floats with every fixed-notation value on a bulk tier,
+    however few there are, in chunks of the writer's size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grids, "_BULK_MIN", 1)
+        step = grids._CSV_CHUNK_ROWS
+        return [t for i in range(0, len(x), step)
+                for t in grids._repr_floats(x[i:i + step])]
+
+
+def _assert_shortest_tier_matches(x, want):
+    """The shortest-digits tier alone writes ``want``, the ``repr`` texts
+    of ``x``, for every fixed-notation value of ``x``, dyadic ones
+    included."""
+    fixed = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)
+    a = np.abs(x[fixed])
+    neg = np.signbit(x[fixed])
+    texts = []
+    for i in range(0, len(a), grids._CSV_CHUNK_ROWS):
+        chunk = slice(i, i + grids._CSV_CHUNK_ROWS)
+        d, s = grids._shortest_digits(a[chunk])
+        texts += grids._decimal_text(d, s, neg[chunk]).split()
+    assert texts == [w for w, f in zip(want, fixed.tolist()) if f]
+
+
+_CORPUS_KINDS = ["bits", "uniform", "log-uniform", "decimals", "integers",
+                 "four-thirds", "dyadic-grids"]
+
+
+def _corpus(kind, n=100_000):
+    """At least ``n`` seeded float64 values of one kind."""
+    rng = np.random.default_rng(_CORPUS_KINDS.index(kind))
+    if kind == "bits":
+        # Finite ones: NaN and the infinities go through repr.
+        x = rng.integers(0, 2**64, 2 * n, dtype=np.uint64).view(np.float64)
+        return x[np.isfinite(x)][:n]
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "log-uniform":
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5, 17, n)
+    if kind == "decimals":
+        # The float nearest a decimal of 0 to 9 places: an exact integer
+        # over an exact power of ten, rounded once.
+        places = 10.0 ** rng.integers(0, 10, n)
+        return np.round(rng.uniform(-1e6, 1e6, n) * places) / places
+    if kind == "integers":
+        return rng.integers(-2**53 + 1, 2**53, n).astype(float)
+    if kind == "four-thirds":
+        return 4 / 3 + np.arange(-n // 2, n - n // 2) * np.spacing(4 / 3)
+    # Edges of dyadic grids, up to 2**20 cells.
+    return np.concatenate([np.arange(2**20 + 1) / 2**20,
+                           -7.5 + np.arange(2**17 + 1) * (5.25 / 2**17)])
+
 
 
 class TestReprFloats:
@@ -466,12 +527,49 @@ class TestReprFloats:
     @example([(2.0**53 - 1) / 2.0**19])
     @example([-7.5, -2.25, -0.0009765625, -123456.75])
     @example([0.5, 0.1, 0.25, 1 / 3, -0.75])
+    @example([0.99993133544921875])     # a tie: repr 0.9999313354492188
+    @example([9999999999999998.0])
+    @example(_POWERS)
     def test_matches_repr(self, values):
         x = np.array(values, dtype=float)
-        assert grids._repr_floats(x) == [repr(v) for v in x.tolist()]
+        want = [repr(v) for v in x.tolist()]
+        assert grids._repr_floats(x) == want
+        assert _bulk_repr_floats(x) == want
+        _assert_shortest_tier_matches(x, want)
+
+    @pytest.mark.parametrize("kind", _CORPUS_KINDS)
+    def test_seeded_corpus_matches_repr(self, kind):
+        x = _corpus(kind)
+        assert len(x) >= 100_000
+        want = [repr(v) for v in x.tolist()]
+        assert _bulk_repr_floats(x) == want
+        _assert_shortest_tier_matches(x, want)
+
+    def test_only_scientific_values_go_through_repr(self, monkeypatch):
+        # Enough values for each bulk tier, and four that only repr writes.
+        rng = np.random.default_rng(5)
+        n = grids._BULK_MIN
+        x = np.concatenate([rng.uniform(0.5, 1.0, n), np.arange(n) / 64.0,
+                            [1e-5, -2e20, np.inf, np.nan]])
+        x = x[rng.permutation(len(x))]
+        want = [repr(v) for v in x.tolist()]
+        calls = []
+
+        def counting_repr(v):
+            calls.append(v)
+            return builtins.repr(v)
+
+        monkeypatch.setattr(grids, "repr", counting_repr, raising=False)
+        assert grids._repr_floats(x) == want
+        assert len(calls) == 4
 
     def test_non_finite_values_go_through_repr(self):
         x = np.array([0.5, np.inf, 0.25, -np.inf, 1.5, np.nan, -2.0])
+        assert grids._repr_floats(x) == [repr(v) for v in x.tolist()]
+        assert _bulk_repr_floats(x) == [repr(v) for v in x.tolist()]
+
+    def test_no_fixed_notation_value(self):
+        x = np.resize([1e20, -3e-7, np.inf, np.nan], grids._BULK_MIN)
         assert grids._repr_floats(x) == [repr(v) for v in x.tolist()]
 
     @settings(max_examples=200, deadline=None)
@@ -490,7 +588,9 @@ class TestReprFloats:
         if not hi > lo:
             return
         (edges,) = SampledFn.zeros(Domain.interval(lo, hi), m)._interval_edges()
-        assert grids._repr_floats(edges) == [repr(v) for v in edges.tolist()]
+        want = [repr(v) for v in edges.tolist()]
+        assert grids._repr_floats(edges) == want
+        assert _bulk_repr_floats(edges) == want
 
 
 class TestCsvWriter:
@@ -517,13 +617,27 @@ class TestCsvWriter:
         ([(0.0, 1.0), (2.0, 2.5), (3.0, 3.25)], 2 * grids._CSV_CHUNK_ROWS),
         ([(-7.5, -2.25)], 4 * grids._CSV_CHUNK_ROWS),
         ([(0.0, 1.0)], 2 * grids._CSV_CHUNK_ROWS + 5),
+        ([(0.0, 1.0)], 2**18),
     ])
     def test_dyadic_edges_match_reference(self, boxes, m):
-        # Most edges of the first two grids take the bulk path of
-        # _repr_floats; the last grid's are mostly not dyadic.
+        # The edges of the first two grids take the dyadic tier of
+        # _repr_floats; most of the last two grids' edges take the
+        # shortest-digits tier (at 2**18 cells, 26.5 % are dyadic).
         domain = Domain.from_intervals(boxes)
         rng = np.random.default_rng(9)
         f = SampledFn(domain, m, _awkward_levels(rng, len(boxes) * m))
+        _assert_same_text(f.csv_text(), _reference_csv(f))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision_values_keep_every_row(self, dtype):
+        # Keyed as uint64 without widening, float32 columns lost rows.
+        m = grids._CSV_CHUNK_ROWS + 3
+        rng = np.random.default_rng(11)
+        vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        if dtype == np.float32:
+            vals = vals.real
+        f = SampledFn(Domain.unit_interval(), m, vals.astype(dtype))
+        assert f.values.dtype == dtype
         _assert_same_text(f.csv_text(), _reference_csv(f))
 
     def test_vector_layout_does_not_change_bytes(self):

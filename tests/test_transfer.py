@@ -8,10 +8,12 @@ from lorsolve import (
     SampledFn,
     affine_map,
     audit_contraction,
+    bundled_instance_path,
     doubling_map,
     estimate_multiplicity,
     estimate_overlap_L,
     identity_map,
+    load_instance,
     power_young,
     tent3_map,
 )
@@ -241,6 +243,20 @@ class TestAudit:
         assert not rep.passed
         assert "cell" in rep.worst_witness
         assert rep.feasible_alpha == pytest.approx(0.25, rel=1e-12)
+
+    def test_ratio_above_alpha_by_any_margin_fails(self):
+        # The bundled doubling instance with |g| 1e-14 above its declared
+        # alpha = 1/4: inside the 1e-12 slack the audit once allowed.
+        with open(bundled_instance_path("doubling"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "[coeff1]\nexpr = 0.25\n" in text
+        text = text.replace("[coeff1]\nexpr = 0.25\n",
+                            "[coeff1]\nexpr = 0.25000000000001\n")
+        inst, _ = load_instance(text)
+        rep = audit_contraction(inst)
+        assert rep.feasible_alpha == 0.25000000000001 > rep.alpha == 0.25
+        assert not rep.passed
+        assert "verdict = FAIL" in rep.as_text()
 
     def test_underdeclared_multiplicity_fails(self, unit):
         h0 = SampledFn.constant(unit, 64, 1.0)
