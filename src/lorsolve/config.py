@@ -105,7 +105,7 @@ def _get_float(cp, section, key, source):
 
 def _get_int(cp, section, key, source):
     val = _get_float(cp, section, key, source)
-    if val != int(val):
+    if not np.isfinite(val) or val != int(val):
         raise ConfigError(f"{source}: [{section}] {key} must be an integer")
     return int(val)
 

@@ -176,7 +176,8 @@ def compile_expression(src):
     """Parse ``src`` and return a vectorized function of x.
 
     The result always matches the input's shape: constant expressions are
-    broadcast.  Raises :class:`ExpressionError` on malformed input.
+    broadcast.  Raises :class:`ExpressionError` on malformed input, and on
+    input that no x can evaluate (``1/0``, ``10^400``, ``(0-1)^0.5``).
     """
     if not src or not src.strip():
         raise ExpressionError("empty expression")
@@ -190,4 +191,14 @@ def compile_expression(src):
         return out
 
     fn.source = src.strip()
+    # Parts without x are Python floats and raise alike for every x, as
+    # does numpy on a complex operand of %, so one probe finds them all.
+    try:
+        with np.errstate(all="ignore"):
+            fn(np.zeros(1))
+    except (ZeroDivisionError, OverflowError, TypeError) as exc:
+        why = {ZeroDivisionError: "division by zero",
+               OverflowError: "a power too large for a float"}.get(
+                   type(exc), "a complex value where a real one is needed")
+        raise ExpressionError(f"cannot evaluate {fn.source!r}: {why}") from None
     return fn

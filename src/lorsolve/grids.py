@@ -607,11 +607,6 @@ class SampledFn:
                 fobj.write(_csv_rows(edges[start:stop + 1],
                                      vals[b * m + start:b * m + stop]))
 
-    def csv_text(self):
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, path_or_text, domain, m):
         """Read values for a known grid, validating the cell edges.

@@ -117,34 +117,23 @@ class PiecewiseMap:
         self.branches = branches
         self.label = label or f"piecewise[{len(branches)} branches]"
 
-    def _branch_masks(self, x):
+    def evaluate(self, x):
+        """(F(x), F'(x)) from one pass over the branches, both NaN where no
+        branch interval [lo, hi) holds x."""
         x = np.asarray(x, dtype=float)
+        val = np.full(x.shape, np.nan)
+        der = np.full(x.shape, np.nan)
         for b in self.branches:
-            yield b, (x >= b.lo) & (x < b.hi)
+            mask = (x >= b.lo) & (x < b.hi)
+            if mask.any():
+                xm = x[mask]
+                val[mask] = b.fn(xm)
+                der[mask] = b.deriv(xm)
+        return val, der
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, np.nan)
-        for b, mask in self._branch_masks(x):
-            if mask.any():
-                out[mask] = b.fn(x[mask])
+        out = self.evaluate(x)[0]
         return out if out.ndim else float(out)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, np.nan)
-        for b, mask in self._branch_masks(x):
-            if mask.any():
-                out[mask] = b.deriv(x[mask])
-        return out if out.ndim else float(out)
-
-    def covers(self, points):
-        """True where a point lies in some branch interval."""
-        pts = np.asarray(points, dtype=float)
-        mask = np.zeros(pts.shape, dtype=bool)
-        for b in self.branches:
-            mask |= (pts >= b.lo) & (pts < b.hi)
-        return mask
 
     def image_intervals(self):
         """The image of the map as a merged union of closed intervals."""
@@ -252,11 +241,10 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
         raise MapError("H must be nonnegative")
     grid = SampledFn.zeros(E, m)
     x = grid.midpoints
-    if not np.all(F.covers(x)):
+    fx, jac = F.evaluate(x)
+    if np.isnan(fx).any():
         raise MapError("map branches do not cover the integration domain")
-    fx = np.asarray(F(x), dtype=float)
-    jac = np.abs(np.asarray(F.deriv(x), dtype=float))
-    lhs = float(np.sum(H.eval_at(fx) * jac * grid.cell_measures))
+    lhs = float(np.sum(H.eval_at(fx) * np.abs(jac) * grid.cell_measures))
 
     counts, amb = indicatrix_profile(F, E, H.midpoints)
     rhs = float(np.sum(H.values * counts * H.cell_measures))

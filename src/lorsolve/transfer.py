@@ -138,10 +138,11 @@ class ProblemInstance:
         self.tau = derive_tau(psi)
         self.label = label or "instance"
 
+        x = h0.midpoints
         sampled = []
         for i, g in enumerate(coeffs):
             if not isinstance(g, SampledFn):
-                g = SampledFn.from_callable(domain, h0.m, g)
+                g = SampledFn(domain, h0.m, g(x))
             if g.domain != h0.domain or g.m != h0.m:
                 raise InstanceError(f"coeff {i} is not on h0's grid")
             if g.is_vector:
@@ -149,19 +150,18 @@ class ProblemInstance:
             sampled.append(g)
         self.coeffs = tuple(sampled)
 
-        x = h0.midpoints
         idx_arrays = []
         jac_arrays = []
         clamped_within = 0
         clamped_beyond = 0
         for F in maps:
-            covered = F.covers(x)
-            if not np.all(covered):
+            y, jac = F.evaluate(x)
+            uncovered = int(np.isnan(y).sum())
+            if uncovered:
                 raise InstanceError(
                     f"map {F.label!r} does not cover all grid midpoints "
-                    f"({int((~covered).sum())} uncovered)"
+                    f"({uncovered} uncovered)"
                 )
-            y = np.asarray(F(x), dtype=float)
             idx = h0.cell_index_of(y)
             outside = idx < 0
             if outside.any():
@@ -171,7 +171,7 @@ class ProblemInstance:
                 clamped_beyond += int(beyond.sum())
                 idx[outside] = fixed
             idx_arrays.append(idx)
-            jac_arrays.append(np.abs(np.asarray(F.deriv(x), dtype=float)))
+            jac_arrays.append(np.abs(jac))
         n_checks = len(maps) * x.size
         if clamped_beyond > _OUTSIDE_FRACTION_LIMIT * n_checks:
             raise InstanceError(

@@ -313,6 +313,39 @@ class TestInputErrors:
         assert rc == 2
         assert "missing section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, where", [
+        ("m = 128", "m = inf", "[grid] m"),
+        ("m = 128", "m = 1e400", "[grid] m"),
+        ("m = 128", "m = nan", "[grid] m"),
+        ("K = 2", "K = inf", "[constants] K"),
+        ("L = 1", "L = nan", "[constants] L"),
+    ], ids=["m-inf", "m-1e400", "m-nan", "K-inf", "L-nan"])
+    def test_non_finite_integer(self, tmp_path, capsys, old, new, where):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(TIGHT.replace(old, new))
+        rc = main(["audit", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert where in err[0]
+
+    @pytest.mark.parametrize("expr", ["1/0", "0^-1", "10^400", "(0-1)^0.5"])
+    @pytest.mark.parametrize("old, new, where", [
+        ("[coeff1]\nexpr = 0.25", "[coeff1]\nexpr = {}", "[coeff1] expr"),
+        ("[h0]\nexpr = 1", "[h0]\nexpr = {}", "[h0] expr"),
+        ("branch1 = 0, 0.5, 2*x, 2", "branch1 = 0, 0.5, 2*x, {}",
+         "[map1] branch1 derivative"),
+    ], ids=["coeff", "h0", "branch"])
+    def test_expression_that_cannot_be_evaluated(self, tmp_path, capsys,
+                                                 expr, old, new, where):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TIGHT.replace(old, new.format(expr)))
+        rc = main(["audit", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert where in err[0] and repr(expr) in err[0]
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_degenerate_tolerance(self, tmp_path, capsys, tol):
         rc = main(["solve", "--instance", "doubling", "--tol", tol,

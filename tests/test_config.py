@@ -102,7 +102,8 @@ class TestLoadInstance:
         f = SampledFn.from_callable(Domain.unit_interval(), 64,
                                     lambda x: x * 2.0)
         csv_path = tmp_path / "h0.csv"
-        csv_path.write_text(f.csv_text())
+        with csv_path.open("w", encoding="utf-8") as fh:
+            f.write_csv(fh)
         cfg = tmp_path / "case.cfg"
         cfg.write_text(MINIMAL.replace("expr = 1\n", "csv = h0.csv\n", 1))
         inst, _ = load_instance(cfg)

@@ -61,6 +61,19 @@ class TestRejections:
         with pytest.raises(ExpressionError):
             compile_expression(src)
 
+    @pytest.mark.parametrize("src, why", [
+        ("1/0", "division by zero"),
+        ("x + 0^-1", "division by zero"),
+        ("10^400", "too large"),
+        ("(0-1)^0.5", "complex"),
+        ("(0-1)^0.5 % 2", "complex"),
+        ("x % (0-1)^0.5", "complex"),
+    ])
+    def test_no_x_can_evaluate(self, src, why):
+        with pytest.raises(ExpressionError, match=why) as exc:
+            compile_expression(src)
+        assert repr(src) in str(exc.value)
+
     def test_error_carries_position(self):
         with pytest.raises(ExpressionError, match="position"):
             compile_expression("x + $")

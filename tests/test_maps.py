@@ -53,13 +53,14 @@ class TestPiecewiseMap:
 
     def test_deriv(self):
         F = doubling_map()
-        d = F.deriv(np.array([0.25, 0.75]))
+        _, d = F.evaluate(np.array([0.25, 0.75]))
         assert d.tolist() == [2.0, 2.0]
 
     def test_covers(self):
         F = doubling_map()
-        assert F.covers(np.array([0.1, 0.9])).all()
-        assert not F.covers(np.array([1.2]))[0]
+        y, d = F.evaluate(np.array([0.1, 0.9, 1.2]))
+        assert not np.isnan(y[:2]).any() and not np.isnan(d[:2]).any()
+        assert np.isnan(y[2]) and np.isnan(d[2])
 
     def test_image_intervals_merged(self):
         # both doubling branches map onto (0,1): the union is one interval
@@ -67,6 +68,49 @@ class TestPiecewiseMap:
         assert len(ivs) == 1
         lo, hi = ivs[0]
         assert (lo, hi) == (0.0, 1.0)
+
+
+def _gapped_affine_map(seed, n=5):
+    """n seeded affine branches of either slope sign, on [e_2k, e_2k+1)
+    for 2n sorted draws e: a gap lies between each branch and the next."""
+    rng = np.random.default_rng(seed)
+    ends = np.sort(rng.uniform(-2.0, 3.0, size=2 * n)).reshape(n, 2)
+    slopes = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 4.0, size=n)
+    return affine_map(zip(ends[:, 0], ends[:, 1], slopes,
+                          rng.uniform(-1.0, 1.0, size=n)))
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_each_branch_bit_for_bit(self, seed):
+        F = _gapped_affine_map(seed)
+        rng = np.random.default_rng(seed + 100)
+        for b in F.branches:
+            x = np.concatenate([[b.lo], rng.uniform(b.lo, b.hi, size=50)])
+            y, d = F.evaluate(x)
+            assert np.array_equal(y, b.fn(x))
+            assert np.array_equal(d, b.deriv(x))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_nan_in_gaps_outside_and_at_the_last_end(self, seed):
+        F = _gapped_affine_map(seed)
+        bs = F.branches
+        x = [bs[0].lo - 1.0, np.nextafter(bs[0].lo, -np.inf),
+             bs[-1].hi, bs[-1].hi + 1.0]
+        for b1, b2 in zip(bs, bs[1:]):
+            x += [b1.hi, 0.5 * (b1.hi + b2.lo), np.nextafter(b2.lo, -np.inf)]
+        y, d = F.evaluate(np.array(x))
+        assert np.isnan(y).all() and np.isnan(d).all()
+
+    def test_interior_end_takes_right_hand_branch(self):
+        F = affine_map([(0.0, 0.5, 2.0, 0.0), (0.5, 1.0, -3.0, 4.0)])
+        y, d = F.evaluate(np.array([0.5]))
+        assert y.tolist() == [2.5] and d.tolist() == [-3.0]
+
+    def test_zero_dim_input_gives_float(self):
+        F = doubling_map()
+        assert isinstance(F(0.25), float) and F(0.25) == 0.5
+        assert isinstance(F(1.5), float) and np.isnan(F(1.5))
 
 
 class TestIndicatrix:
