@@ -242,6 +242,10 @@ def _cmd_norm(args):
 
 
 def _cmd_axioms(args):
+    if args.count < 1:
+        raise _InputError(f"--count must be >= 1, got {args.count!r}")
+    if args.seed < 0:
+        raise _InputError(f"--seed must be >= 0, got {args.seed!r}")
     if args.instance:
         inst, _ = _load(args)
         domain, m, tau = inst.domain, inst.m, inst.tau

@@ -196,7 +196,13 @@ def _parse_h0(cp, domain, m, source, base_dir):
             for i, p in enumerate(parts)
         ]
         mids = SampledFn.zeros(domain, m).midpoints
-        cols = [np.asarray(fn(mids), dtype=float) for fn in fns]
+        cols = [fn(mids) for fn in fns]
+        for i, col in enumerate(cols):
+            if np.iscomplexobj(col):
+                raise ConfigError(
+                    f"{source}: [h0] components[{i}]: a complex value "
+                    "where a real one is needed"
+                )
         return SampledFn(domain, m, np.stack(cols, axis=1))
     rel = cp.get("h0", "csv").strip()
     path = base_dir.joinpath(rel) if base_dir is not None else pathlib.Path(rel)

@@ -187,6 +187,8 @@ def compile_expression(src):
         x = np.asarray(x, dtype=float)
         out = _evaluate(tree, x)
         if np.ndim(out) == 0:
+            if np.iscomplexobj(out):    # float() of a numpy complex only warns
+                raise TypeError("complex constant")
             return np.full(x.shape, float(out))
         return out
 

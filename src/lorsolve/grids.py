@@ -32,27 +32,33 @@ __all__ = [
 
 
 # Rows per ``fobj.write`` in SampledFn.write_csv: bounds the transient
-# strings while keeping per-chunk overhead negligible.
+# matrices while keeping per-chunk overhead negligible.
 _CSV_CHUNK_ROWS = 4096
 
 
 def _csv_rows(edges, cells):
     """CSV text of the rows of ``cells`` (one column per component) between
-    their ``len(cells) + 1`` edges.  Its lists die with the call, so the
-    next chunk's are built in the memory these leave."""
-    edge_text = _repr_floats(edges)
-    cols = [edge_text[:-1], edge_text[1:]]
-    cols += [_format_cells(cells[:, j]) for j in range(cells.shape[1])]
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+    their ``len(cells) + 1`` edges.  Each field is a zero-padded row of a
+    ``uint8`` matrix; the fields and separators of a row sit side by side,
+    and the text is what is left of the bytes once the zeros are dropped."""
+    edge_text = _text_matrix(edges)
+    comma = np.full((len(cells), 1), ord(","), dtype=np.uint8)
+    parts = [edge_text[:-1], comma, edge_text[1:]]
+    for j in range(cells.shape[1]):
+        parts += [comma, _format_cells(cells[:, j])]
+    parts.append(np.full((len(cells), 1), ord("\n"), dtype=np.uint8))
+    text = np.hstack(parts).ravel()
+    return text[text != 0].tobytes().decode()
 
 
 def _format_cells(col):
-    """``repr`` text of each value of a 1-d column, as a list.
+    """``repr`` text of each value of a 1-d column, one zero-padded row of
+    a ``uint8`` matrix per value.
 
     Values are widened to float64 or complex128 first, as ``repr`` of a
     Python float or complex would.  Each distinct bit pattern is formatted
     once, so -0.0 and 0.0 keep their own text: real values by
-    ``_repr_floats``, complex ones by ``repr``.  Real values are keyed on
+    ``_text_matrix``, complex ones by ``repr``.  Real values are keyed on
     their bits as ``uint64`` (sorting a void dtype is ~3x slower); complex
     values on both halves.
     """
@@ -61,24 +67,27 @@ def _format_cells(col):
     keys = col.view(f"V{col.itemsize}" if complex_col else np.uint64)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     if complex_col:
-        texts = [repr(v) for v in col[first].tolist()]
+        texts = _repr_matrix(col[first])
     else:
-        texts = _repr_floats(col[first])
-    return [texts[i] for i in inverse.tolist()]
+        texts = _text_matrix(col[first])
+    return texts[inverse]
 
 
-# Fewer values than this go through ``repr`` in _repr_floats: about where
-# the fixed cost of a bulk tier (tens of numpy calls, 0.1-0.3 ms) matches
+def _repr_matrix(values):
+    """``repr`` of each value of a 1-d array, one row of ASCII bytes per
+    value, padded on the right with zero bytes."""
+    texts = np.array([repr(v) for v in values.tolist()], dtype="S")
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+
+
+# Fewer values than this go through ``repr`` in _text_matrix: about where
+# the fixed cost of the bulk path (tens of numpy calls, 0.1-0.3 ms) matches
 # ``repr``'s 0.6-1 us per value.
 _BULK_MIN = 512
-# Tables of _repr_floats, built from Python ints (numpy temporaries at
-# import leave a larger heap behind).  A value takes the dyadic tier when it
-# is q / 2**s with s <= _MAX_S and D = q * 5**s = |x| * 10**s < 2**53.
-_MAX_S = 22
+# Tables of _text_matrix, built from Python ints (numpy temporaries at
+# import leave a larger heap behind).
 _POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
-_POW10_FLOAT = np.array([float(10**k) for k in range(_MAX_S + 1)])  # exact
-# Trailing zero bits of 0..2047, and 11 for 0.
-_TZ11 = np.array([11] + [(i & -i).bit_length() - 1 for i in range(1, 2**11)])
+_POW10_FLOAT = np.array([float(10**k) for k in range(21)])  # exact
 # The four ASCII digits of 0000..9999, one uint32 each.
 _DIGITS2 = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(),
                          dtype=np.uint8).reshape(100, 2)
@@ -93,31 +102,18 @@ _FOUR_FIVES = np.array([4 * 5**k for k in range(21)], dtype=np.uint64)
 _HALF_ULPS = np.array([2 * 5**k for k in range(21)], dtype=np.int64)
 
 
-def _repr_floats(x):
-    """``[repr(v) for v in x.tolist()]`` for a 1-d float64 array ``x``.
+def _text_matrix(x):
+    """``repr`` of each value of a 1-d float64 array ``x``, one row of a
+    ``uint8`` matrix per value, padded with zero bytes.
 
     ``repr`` writes fixed notation exactly for zero and for ``1e-4 <= |x|
     < 1e16``.  Those values are written in bulk, by numpy integer
-    arithmetic into one ``uint8`` character matrix, in one of two tiers.
-    The rest (scientific notation, NaN, infinities) go through ``repr``;
-    so does every value of an array of fewer than ``_BULK_MIN``, and every
-    value of the second tier if it would take fewer than that.
+    arithmetic: ``_shortest_digits`` finds their digits and
+    ``_decimal_text`` their characters.  The rest (scientific notation,
+    NaN, infinities) go through ``repr``, and so does every value of an
+    array of fewer than ``_BULK_MIN``.
 
-    The dyadic tier takes the values with a short exact decimal expansion,
-    such as the edges of ``[0, 1]`` at up to 2**16 cells.  Write ``|x| = q
-    / 2**s`` with ``q`` odd and let ``D = q * 5**s``, so that ``|x| = D /
-    10**s`` exactly.  For ``s >= 1`` the last digit of ``D`` is 5, so every decimal
-    with fewer digits is at least ``5 * 10**-s`` from ``x``.  ``D < 10**16``
-    means ``|x| < 10**(16 - s)``, so ``ulp(x) <= 2**-52 * |x| < 2.3 *
-    10**-s``: no shorter string rounds back to ``x``, and ``repr`` prints
-    exactly the digits of ``D``.  For an integer below 2**53 the same holds
-    with a gap >= 1 > ulp/2.  So this tier takes 0.0, -0.0 and the
-    fixed-notation values with ``s <= _MAX_S`` and ``D < 2**53``; there the
-    float product ``|x| * 10.0**s`` is ``D`` itself, since a product is
-    rounded to the nearest float and ``D`` is one.
-
-    The shortest-digits tier (``_shortest_digits``) takes the other
-    fixed-notation values.  It finds ``repr``'s digits from their exact
+    ``_shortest_digits`` finds ``repr``'s digits from their exact
     characterisation (Steele & White 1990; Adams 2018), on ``v = |x| *
     10**k``, the 17-digit scaling of ``x``:
 
@@ -133,51 +129,37 @@ def _repr_floats(x):
       an end is an integer only when ``|x| >= 2**52``.  There ``v = 10|x|``
       is a multiple of 10, and neither end is a multiple of 100: the ends
       are ``v +- 5``, or ``10 * (|x| +- 1)`` with ``|x|`` even.  So no end
-      is ever the chosen decimal, and the tier takes the open interval.
+      is ever the chosen decimal, and the open interval serves.
     - Gap below a power of two.  There the next float down is only half an
       ulp away, so the interval reaches just a quarter ulp down.  Every
       power of two of fixed notation has an exact expansion of at most 16
       digits, ending in 2, 4, 5, 6 or 8.  So ``v`` itself is a candidate
       ending in zeros, and the nearest multiple of a higher power of ten
       is at least 20 away, beyond the half ulp (at most 11.1, scaled).  The
-      full interval gives the same digits, and the tier uses it.
+      full interval gives the same digits, and serves.
     """
     if len(x) < _BULK_MIN:
-        return [repr(v) for v in x.tolist()]
+        return _repr_matrix(x)
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e16)
-    scaled = np.minimum(a, 2.0**53) * 2.0**_MAX_S   # no overflow; NaN stays NaN
-    dyadic = (scaled == np.floor(scaled)) & (a < 2.0**53) & (fixed | (a == 0))
-    s = _fraction_bits(a[dyadic])
-    d = a[dyadic] * _POW10_FLOAT[s]     # D itself wherever D < 2**53
-    short = d < 2.0**53
-    dyadic[dyadic] = short
+    bulk = fixed | (a == 0)
     digits = np.zeros(len(x), dtype=np.int64)
     frac = np.zeros(len(x), dtype=np.int64)
-    digits[dyadic] = d[short]
-    frac[dyadic] = s[short]
-    rest = fixed & ~dyadic
-    if np.count_nonzero(rest) >= _BULK_MIN:
-        digits[rest], frac[rest] = _shortest_digits(a[rest])
-        bulk = dyadic | rest
-    else:
-        bulk = dyadic
-    texts = _decimal_text(digits[bulk], frac[bulk],
-                          np.signbit(x[bulk])).split()
-    # Splice in the rest: the k-th of them, at index i, follows i - k texts.
-    out, used = [], 0
-    for k, (i, v) in enumerate(zip(np.flatnonzero(~bulk).tolist(),
-                                   x[~bulk].tolist())):
-        out += texts[used:i - k]
-        out.append(repr(v))
-        used = i - k
-    return out + texts[used:]
+    digits[fixed], frac[fixed] = _shortest_digits(a[fixed])
+    text = _decimal_text(digits[bulk], frac[bulk], np.signbit(x[bulk]))
+    if bulk.all():
+        return text
+    rest = _repr_matrix(x[~bulk])
+    out = np.zeros((len(x), max(text.shape[1], rest.shape[1])), dtype=np.uint8)
+    out[bulk, :text.shape[1]] = text
+    out[~bulk, :rest.shape[1]] = rest
+    return out
 
 
 def _shortest_digits(a):
     """The digits of ``repr`` of each value of ``a``, floats with ``1e-4 <=
     a < 1e16``, as int64 arrays ``d`` and ``s``: the text is that of ``d /
-    10**s``.  ``_repr_floats`` gives the characterisation computed here,
+    10**s``.  ``_text_matrix`` gives the characterisation computed here,
     in exact integer arithmetic.
 
     With ``a = M * 2**(E - 1075)`` (``E`` the biased exponent, ``M`` the
@@ -203,7 +185,7 @@ def _shortest_digits(a):
     whole += rem >> r
     rem &= (1 << r) - 1
     # The integers low..high strictly inside v -+ half an ulp (2 * 5**k /
-    # 2**r); _repr_floats shows why the ends, and the narrower gap below a
+    # 2**r); _text_matrix shows why the ends, and the narrower gap below a
     # power of two, change no digits.
     half = _HALF_ULPS[k]
     low = whole + ((rem - half) >> r) + 1
@@ -236,20 +218,10 @@ def _shortest_digits(a):
     return q, np.maximum(s, 0)
 
 
-def _fraction_bits(a):
-    """The least ``s >= 0`` with ``a * 2**s`` an integer, for ``0 <= a <
-    2**53`` with ``a * 2**_MAX_S`` an integer: ``_MAX_S`` less the trailing
-    zero bits of the fraction's numerator over ``2**_MAX_S``, counted 11
-    bits at a time."""
-    num = np.ldexp(a - np.floor(a), _MAX_S).astype(np.int64)
-    high = num // 2**11
-    low = num - 2**11 * high
-    return _MAX_S - np.where(low > 0, _TZ11[low], 11 + _TZ11[high])
-
-
 def _decimal_text(d, s, neg):
     """The texts of ``(-1)**neg * d / 10**s`` (the bulk path of
-    ``_repr_floats``) in one string, separated by blanks."""
+    ``_text_matrix``), one row of a ``uint8`` matrix per value, padded on
+    the left with zero bytes."""
     # An integer n is written as the digits of 10*n with one after the
     # point, "n.0".
     frac = np.maximum(s, 1)
@@ -260,30 +232,29 @@ def _decimal_text(d, s, neg):
     p10 = _POW10[np.minimum(frac, 18)]
     d += 9 * p10 * (d // p10)
     # The digits of d, one row per character position (left to right) and
-    # one column per value, below a row of '0' that becomes the blank
-    # between texts; the rows count at least two more than the longest
-    # text, so that row always stays blank.
+    # one column per value; the rows count at least one more than the
+    # longest text, room for its sign.
     nlimbs = (int(top.max(initial=0)) + 5) // 4
-    rows = np.empty((4 * nlimbs + 1, len(d)), dtype=np.uint8)
-    rows[0] = ord("0")
+    rows = np.empty((4 * nlimbs, len(d)), dtype=np.uint8)
     for j in range(nlimbs, 0, -1):
         high = d // 10000
         digits = _DIGITS4[d - 10000 * high].view(np.uint8).reshape(-1, 4)
-        rows[4 * j - 3:4 * j + 1] = digits.T
+        rows[4 * j - 4:4 * j] = digits.T
         d = high
-    # '0' -> '.' at the point and ' ' left of the leading digit; the
-    # blank just left of it -> '-' for a negative value.  One mask buffer,
-    # scaled in place, keeps the temporaries at two of the size of rows.
-    pos = np.arange(4 * nlimbs, -1, -1)[:, None]
+    # '0' -> '.' at the point and a zero byte left of the leading digit;
+    # the zero just left of it -> '-' for a negative value.  One mask
+    # buffer, scaled in place, keeps the temporaries at two of the size of
+    # rows.
+    pos = np.arange(4 * nlimbs - 1, -1, -1)[:, None]
     mask = np.equal(pos, frac)
     step = mask.view(np.uint8)
     rows -= np.multiply(step, ord("0") - ord("."), out=step)
     np.greater(pos, top, out=mask)
-    rows -= np.multiply(step, ord("0") - ord(" "), out=step)
+    rows -= np.multiply(step, ord("0"), out=step)
     np.equal(pos, top + 1, out=mask)
     mask &= neg
-    rows += np.multiply(step, ord("-") - ord(" "), out=step)
-    return rows.tobytes(order="F").decode()
+    rows += np.multiply(step, ord("-"), out=step)
+    return rows.T
 
 
 class GridError(ValueError):
@@ -590,16 +561,16 @@ class SampledFn:
         ``lo + k*(hi - lo)/m``, except the last, which is ``hi``.  Every
         row ends in a newline.  Rows go out in chunks of
         ``_CSV_CHUNK_ROWS``.  Within a chunk each edge is formatted once,
-        by ``_repr_floats`` (the edges of a dyadic grid in bulk), and each
-        distinct value once, by ``_format_cells``.
+        by ``_text_matrix``, and each distinct value once, by
+        ``_format_cells``; every fixed-notation float is written in bulk,
+        and the chunk's text is decoded once from one byte matrix.
         """
-        header = ["cell_left", "cell_right"]
-        if self.is_vector:
-            header += [f"value_{j}" for j in range(self.values.shape[1])]
-        else:
-            header += ["value"]
-        fobj.write(",".join(header) + "\n")
         vals = self.values if self.is_vector else self.values[:, None]
+        if self.is_vector:
+            names = "".join(f",value_{j}" for j in range(vals.shape[1]))
+        else:
+            names = ",value"
+        fobj.write(f"cell_left,cell_right{names}\n")
         m = self.m
         for b, edges in enumerate(self._interval_edges()):
             for start in range(0, m, _CSV_CHUNK_ROWS):

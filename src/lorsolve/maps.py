@@ -65,7 +65,12 @@ class Branch:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
             raise MapError(f"bad branch interval [{self.lo}, {self.hi})")
         xs = np.linspace(self.lo, self.hi, _MONO_PROBES)
-        ys = np.asarray(self.fn(xs), dtype=float)
+        ys = np.asarray(self.fn(xs))
+        ds = np.asarray(self.deriv(xs))
+        if np.iscomplexobj(ys) or np.iscomplexobj(ds):
+            raise MapError(f"branch on [{self.lo}, {self.hi}) has a complex "
+                           "value where a real one is needed")
+        ys, ds = ys.astype(float), ds.astype(float)
         if not np.all(np.isfinite(ys)):
             raise MapError("branch values must be finite")
         d = np.diff(ys)
@@ -77,7 +82,6 @@ class Branch:
             raise MapError(
                 f"branch on [{self.lo}, {self.hi}) is not strictly monotone"
             )
-        ds = np.asarray(self.deriv(xs), dtype=float)
         if inc and np.any(ds < -1e-12) or (not inc) and np.any(ds > 1e-12):
             raise MapError("derivative sign contradicts branch monotonicity")
         object.__setattr__(self, "_ylo", float(min(ys[0], ys[-1])))

@@ -329,7 +329,8 @@ class TestInputErrors:
         assert len(err) == 1 and err[0].startswith("error:")
         assert where in err[0]
 
-    @pytest.mark.parametrize("expr", ["1/0", "0^-1", "10^400", "(0-1)^0.5"])
+    @pytest.mark.parametrize("expr", ["1/0", "0^-1", "10^400", "(0-1)^0.5",
+                                      "(-0.3^0.3 % 1) / (0-7.6)^-2.25"])
     @pytest.mark.parametrize("old, new, where", [
         ("[coeff1]\nexpr = 0.25", "[coeff1]\nexpr = {}", "[coeff1] expr"),
         ("[h0]\nexpr = 1", "[h0]\nexpr = {}", "[h0] expr"),
@@ -345,6 +346,38 @@ class TestInputErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert where in err[0] and repr(expr) in err[0]
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("branch1 = 0, 0.5, 2*x, 2", "branch1 = 0, 0.5, 2*x + x*(0-1)^0.5, 2",
+         "[map1] branch1"),
+        ("[h0]\nexpr = 1", "[h0]\ncomponents = 1; x*(0-1)^0.5",
+         "[h0] components[1]"),
+    ], ids=["branch", "h0-components"])
+    def test_complex_value_where_a_real_one_is_needed(self, tmp_path, capsys,
+                                                      old, new, where):
+        # Complex in every x, so no constant probe refuses it.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TIGHT.replace(old, new))
+        rc = main(["audit", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert where in err[0]
+        assert "a complex value where a real one is needed" in err[0]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--count", "0", "--count must be >= 1"),
+        ("--count", "-3", "--count must be >= 1"),
+        ("--seed", "-1", "--seed must be >= 0"),
+    ])
+    def test_degenerate_axiom_corpus(self, tmp_path, capsys, flag, value,
+                                     message):
+        rc = main(["axioms", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert message in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_degenerate_tolerance(self, tmp_path, capsys, tol):

@@ -68,6 +68,8 @@ class TestRejections:
         ("(0-1)^0.5", "complex"),
         ("(0-1)^0.5 % 2", "complex"),
         ("x % (0-1)^0.5", "complex"),
+        # A numpy complex scalar, which float() would cut to 20.56.
+        ("(-0.3^0.3 % 1) / (0-7.6)^-2.25", "complex"),
     ])
     def test_no_x_can_evaluate(self, src, why):
         with pytest.raises(ExpressionError, match=why) as exc:

@@ -438,9 +438,9 @@ def _awkward_levels(rng, n):
     return np.concatenate([np.full(n // 2, 4.0 / 3.0), mixed])
 
 
-# Dyadic rationals k / 2**j of every size: the values the dyadic tier of
-# _repr_floats writes, and those just past its bounds (|x| < 1e-4,
-# |x| * 10**j of 2**53 and more).
+# Dyadic rationals k / 2**j of every size: short exact decimal
+# expansions, such as the edges of dyadic grids, and long ones (|x| <
+# 1e-4, |x| * 10**j of 2**53 and more).
 _dyadics = st.builds(lambda k, j: k / 2.0**j,
                      st.integers(min_value=-2**56, max_value=2**56),
                      st.integers(min_value=0, max_value=30))
@@ -452,14 +452,20 @@ _POWERS += ([float(np.nextafter(v, 0)) for v in _POWERS]
             + [float(np.nextafter(v, np.inf)) for v in _POWERS])
 
 
-def _bulk_repr_floats(x):
-    """grids._repr_floats with every fixed-notation value on a bulk tier,
-    however few there are, in chunks of the writer's size."""
+def _texts(mat):
+    """The rows of a zero-padded text matrix of grids, as strs: bulk rows
+    are padded on the left, ``repr`` rows on the right."""
+    return [bytes(r).replace(b"\0", b"").decode() for r in mat]
+
+
+def _bulk_texts(x):
+    """grids._text_matrix with every fixed-notation value on the bulk path,
+    however few there are, in chunks of the writer's size, as strs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grids, "_BULK_MIN", 1)
         step = grids._CSV_CHUNK_ROWS
         return [t for i in range(0, len(x), step)
-                for t in grids._repr_floats(x[i:i + step])]
+                for t in _texts(grids._text_matrix(x[i:i + step]))]
 
 
 def _assert_shortest_tier_matches(x, want):
@@ -473,8 +479,22 @@ def _assert_shortest_tier_matches(x, want):
     for i in range(0, len(a), grids._CSV_CHUNK_ROWS):
         chunk = slice(i, i + grids._CSV_CHUNK_ROWS)
         d, s = grids._shortest_digits(a[chunk])
-        texts += grids._decimal_text(d, s, neg[chunk]).split()
+        texts += _texts(grids._decimal_text(d, s, neg[chunk]))
     assert texts == [w for w, f in zip(want, fixed.tolist()) if f]
+
+
+def _mixed_widths(rng):
+    """At least ``_BULK_MIN`` distinct values whose ``repr`` fallbacks are
+    wider (-1.2345678901234567e-300) and narrower (1e-05, inf) than any
+    bulk text, among wide bulk texts (-9999999999999998.0), 0.0 and -0.0."""
+    n = grids._BULK_MIN
+    odd = [-1.2345678901234567e-300, 1e-05, np.inf, -9999999999999998.0,
+           0.0, -0.0]
+    # 1 <= |x| < 1000: at most 16 digits after the point, so the bulk
+    # texts are no wider than the 19 characters of -9999999999999998.0.
+    bulk = rng.uniform(1.0, 1000.0, n) * rng.choice([-1.0, 1.0], n)
+    x = np.concatenate([bulk, odd * 4])
+    return x[rng.permutation(len(x))]
 
 
 _CORPUS_KINDS = ["bits", "uniform", "log-uniform", "decimals", "integers",
@@ -508,7 +528,7 @@ def _corpus(kind, n=100_000):
 
 
 class TestReprFloats:
-    """grids._repr_floats against ``repr``, one value at a time."""
+    """grids._text_matrix against ``repr``, one value at a time."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(_dyadics, _dyadics, _finite), max_size=40))
@@ -537,11 +557,12 @@ class TestReprFloats:
     @example([0.99993133544921875])     # a tie: repr 0.9999313354492188
     @example([9999999999999998.0])
     @example(_POWERS)
+    @example(_mixed_widths(np.random.default_rng(12)).tolist())
     def test_matches_repr(self, values):
         x = np.array(values, dtype=float)
         want = [repr(v) for v in x.tolist()]
-        assert grids._repr_floats(x) == want
-        assert _bulk_repr_floats(x) == want
+        assert _texts(grids._text_matrix(x)) == want
+        assert _bulk_texts(x) == want
         _assert_shortest_tier_matches(x, want)
 
     @pytest.mark.parametrize("kind", _CORPUS_KINDS)
@@ -549,11 +570,12 @@ class TestReprFloats:
         x = _corpus(kind)
         assert len(x) >= 100_000
         want = [repr(v) for v in x.tolist()]
-        assert _bulk_repr_floats(x) == want
+        assert _bulk_texts(x) == want
         _assert_shortest_tier_matches(x, want)
 
     def test_only_scientific_values_go_through_repr(self, monkeypatch):
-        # Enough values for each bulk tier, and four that only repr writes.
+        # Enough values for the bulk path, dyadic ones among them, and
+        # four that only repr writes.
         rng = np.random.default_rng(5)
         n = grids._BULK_MIN
         x = np.concatenate([rng.uniform(0.5, 1.0, n), np.arange(n) / 64.0,
@@ -567,17 +589,17 @@ class TestReprFloats:
             return builtins.repr(v)
 
         monkeypatch.setattr(grids, "repr", counting_repr, raising=False)
-        assert grids._repr_floats(x) == want
+        assert _texts(grids._text_matrix(x)) == want
         assert len(calls) == 4
 
     def test_non_finite_values_go_through_repr(self):
         x = np.array([0.5, np.inf, 0.25, -np.inf, 1.5, np.nan, -2.0])
-        assert grids._repr_floats(x) == [repr(v) for v in x.tolist()]
-        assert _bulk_repr_floats(x) == [repr(v) for v in x.tolist()]
+        assert _texts(grids._text_matrix(x)) == [repr(v) for v in x.tolist()]
+        assert _bulk_texts(x) == [repr(v) for v in x.tolist()]
 
     def test_no_fixed_notation_value(self):
         x = np.resize([1e20, -3e-7, np.inf, np.nan], grids._BULK_MIN)
-        assert grids._repr_floats(x) == [repr(v) for v in x.tolist()]
+        assert _texts(grids._text_matrix(x)) == [repr(v) for v in x.tolist()]
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(_dyadics.filter(lambda v: abs(v) < 1e6),
@@ -596,8 +618,8 @@ class TestReprFloats:
             return
         (edges,) = SampledFn.zeros(Domain.interval(lo, hi), m)._interval_edges()
         want = [repr(v) for v in edges.tolist()]
-        assert grids._repr_floats(edges) == want
-        assert _bulk_repr_floats(edges) == want
+        assert _texts(grids._text_matrix(edges)) == want
+        assert _bulk_texts(edges) == want
 
 
 class TestCsvWriter:
@@ -627,13 +649,26 @@ class TestCsvWriter:
         ([(0.0, 1.0)], 2**18),
     ])
     def test_dyadic_edges_match_reference(self, boxes, m):
-        # The edges of the first two grids take the dyadic tier of
-        # _repr_floats; most of the last two grids' edges take the
-        # shortest-digits tier (at 2**18 cells, 26.5 % are dyadic).
+        # Every edge takes the shortest-digits tier of _text_matrix: all
+        # edges of the first two grids have short exact expansions, most of
+        # the last two grids' edges do not (at 2**18 cells, 26.5 % do).
         domain = Domain.from_intervals(boxes)
         rng = np.random.default_rng(9)
         f = SampledFn(domain, m, _awkward_levels(rng, len(boxes) * m))
         _assert_same_text(_csv_text(f), _reference_csv(f))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_fields_of_mixed_widths(self, kind):
+        # Cell values are finite: inf is left out.
+        rng = np.random.default_rng(13)
+        vals = _mixed_widths(rng)
+        vals = vals[np.isfinite(vals)]
+        if kind == "complex":
+            vals = vals + 1j * rng.permutation(vals)
+        f = SampledFn(Domain.interval(-0.3, 0.7), len(vals), vals)
+        text = _csv_text(f)
+        assert "\0" not in text
+        _assert_same_text(text, _reference_csv(f))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
     def test_single_precision_values_keep_every_row(self, dtype):
