@@ -146,8 +146,8 @@ def _load(args, require_admissible=False):
     inst, oracle = load_instance(
         path,
         grid=args.grid,
-        psi_family=args.psi,
-        psi_param=args.m,
+        psi_family=getattr(args, "psi", None),   # cov-check reads no psi
+        psi_param=getattr(args, "m", None),
         require_admissible=require_admissible,
     )
     _check_grid(inst.m)
@@ -379,7 +379,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Every subcommand takes --out; those that load an instance or build a
-    # grid also take --grid, --psi and --m.
+    # grid also take --grid, and those that take a norm --psi and --m.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current directory)")
@@ -387,14 +387,16 @@ def _build_parser():
     gridded = argparse.ArgumentParser(add_help=False, parents=[common])
     gridded.add_argument("--grid", type=int, default=None, metavar="M",
                          help="override grid size (power of two >= 16)")
-    gridded.add_argument("--psi", default=None, metavar="FAMILY",
-                         help="Young function family (default: instance "
-                              "file, else 'power')")
-    gridded.add_argument("--m", type=float, default=None, metavar="PARAM",
-                         help="Young family parameter (default: instance "
-                              "file, else 2.0)")
 
-    with_inst = argparse.ArgumentParser(add_help=False, parents=[gridded])
+    normed = argparse.ArgumentParser(add_help=False, parents=[gridded])
+    normed.add_argument("--psi", default=None, metavar="FAMILY",
+                        help="Young function family (default: instance "
+                             "file, else 'power')")
+    normed.add_argument("--m", type=float, default=None, metavar="PARAM",
+                        help="Young family parameter (default: instance "
+                             "file, else 2.0)")
+
+    with_inst = argparse.ArgumentParser(add_help=False, parents=[normed])
     with_inst.add_argument("--instance", required=True,
                            help="instance file path, or a bundled name: "
                                 + ", ".join(BUNDLED_INSTANCES))
@@ -417,7 +419,7 @@ def _build_parser():
     p.add_argument("--route", choices=ROUTES + ("all",), default="all")
     p.set_defaults(fn=_cmd_norm)
 
-    p = sub.add_parser("axioms", parents=[gridded],
+    p = sub.add_parser("axioms", parents=[normed],
                        help="function-norm axiom suite on a seeded corpus")
     p.add_argument("--instance", default=None,
                    help="optional instance providing domain/grid/psi")

@@ -7,15 +7,19 @@ Grammar (whitespace-insensitive, no function calls, no names beyond x):
     unary  := '-' unary | power
     power  := atom (('^' | '**') unary)?        # right associative
     atom   := NUMBER | 'x' | '(' expr ')'
+    NUMBER := (?:[0-9]+\\.?[0-9]*|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?    # ASCII
 
 Compilation produces a vectorized closure over numpy arrays; expressions
 without x still broadcast to the input's shape, so coefficient constants
-like "0.25" sample cleanly onto a grid.  Parsing is a hand-rolled
-recursive-descent pass with position-carrying errors; nothing is ever
-eval()ed.
+like "0.25" sample cleanly onto a grid.  The language is a subset of
+Python's expressions with the same precedence, so Python's parser reads
+it and its tree is translated, refusing all that is outside the grammar.
+Errors carry a position in the original text; nothing is ever eval()ed.
 """
 
+import ast
 import re
+import warnings
 
 import numpy as np
 
@@ -26,125 +30,80 @@ class ExpressionError(ValueError):
     """Raised for syntax errors, with the offending position in the text."""
 
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()+\-*/%^])"
-    r")"
-)
+# Characters that can appear in a valid or a merely misspelt expression.
+# Any other one is refused before Python's parser sees it: '#' would open
+# a comment, and a non-ASCII one would put the parser's byte columns off.
+_CHARS = re.compile(r"[0-9A-Za-z_.+\-*/%^()\s]*")
+# Python refuses line breaks and blanks other than space and tab between
+# tokens, and leading zeros in an integer ("007").  Each pattern starts
+# with what it must find, which keeps the scan fast.
+_BREAK = re.compile(r"[^\S \t]")
+_LEADING_ZEROS = re.compile(r"0(?<![\w.]0)(?<![eE][+-]0)0*(?=[0-9])")
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_SIGNED_NUMBER = re.compile(rf"\s*(-?)\s*({_NUMBER.pattern})\s*")
+_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div",
+           ast.Mod: "mod", ast.Pow: "pow"}
 
 
-def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            rest = src[pos:].lstrip()
-            if not rest:
-                break
-            raise ExpressionError(
-                f"unexpected character {rest[0]!r} at position {pos} in {src!r}"
-            )
-        if m.group("number") is not None:
-            tokens.append(("number", float(m.group("number")), m.start()))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(
-                f"expected {op!r} at position {pos} in {self.src!r}, "
-                f"found {val!r}" if val else
-                f"expected {op!r} at end of {self.src!r}"
-            )
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExpressionError(
-                f"unexpected {val!r} at position {pos} in {self.src!r}"
-            )
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                node = (("add" if val == "+" else "sub"), node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("*", "/", "%"):
-                self.take()
-                rhs = self.unary()
-                node = ({"*": "mul", "/": "div", "%": "mod"}[val], node, rhs)
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val in ("^", "**"):
-            self.take()
-            return ("pow", node, self.unary())
-        return node
-
-    def atom(self):
-        kind, val, pos = self.take()
-        if kind == "number":
-            return ("const", val)
-        if kind == "name":
-            if val == "x":
-                return ("var",)
-            raise ExpressionError(
-                f"unknown name {val!r} at position {pos} in {self.src!r} "
-                "(only x is available)"
-            )
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+def _parse(src):
+    """The tree of ("const", v), ("var",), ("neg", a) and (op, a, b)."""
+    # Most coefficients and derivatives are one number, which needs no
+    # parser: the same tree at a small part of the cost.
+    number = _SIGNED_NUMBER.fullmatch(src)
+    if number:
+        const = ("const", float(number[2]))
+        return ("neg", const) if number[1] else const
+    bad = _CHARS.match(src).end()
+    if bad < len(src):
         raise ExpressionError(
-            f"expected a number, x, or '(' at position {pos} in {self.src!r}"
+            f"unexpected character {src[bad]!r} at position {bad} in {src!r}"
         )
+    # Each rewrite keeps every column but a '^', which becomes '**'; the
+    # eval-mode parser refuses leading blanks as an indent.
+    text = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]),
+                              _BREAK.sub(" ", src)).replace("^", "**")
+    body = text.lstrip()
+
+    def at(col):
+        """The position in src of column col of body."""
+        cols = [i for i, c in enumerate(src) for _ in range(1 + (c == "^"))]
+        return (cols + [len(src)])[min(len(text) - len(body) + col,
+                                       len(cols))]
+
+    def translate(node):
+        kind = type(node)
+        if kind is ast.BinOp:
+            op = _BINOPS.get(type(node.op))
+            if op:
+                return (op, translate(node.left), translate(node.right))
+        elif kind is ast.Constant:
+            number = body[node.col_offset:node.end_col_offset]
+            if _NUMBER.fullmatch(number):
+                return ("const", float(number))
+        elif kind is ast.Name and node.id == "x":
+            return ("var",)
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return ("neg", translate(node.operand))
+        start = at(node.col_offset)
+        if kind is ast.Name:
+            raise ExpressionError(f"unknown name {node.id!r} at position "
+                                  f"{start} in {src!r} (only x is available)")
+        raise ExpressionError(
+            f"unexpected {src[start:at(node.end_col_offset)]!r} at position "
+            f"{start} in {src!r}")
+
+    # A number glued to a keyword ("1or x") is only a warning to Python.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            tree = ast.parse(body, mode="eval").body
+        except SyntaxError as exc:
+            # Python gives no column for an error at the end of the input.
+            where = (f"position {at(exc.offset - 1)} in" if exc.offset
+                     else "the end of")
+            raise ExpressionError(
+                f"invalid syntax at {where} {src!r}") from None
+    return translate(tree)
 
 
 def _evaluate(node, x):
@@ -176,12 +135,12 @@ def compile_expression(src):
     """Parse ``src`` and return a vectorized function of x.
 
     The result always matches the input's shape: constant expressions are
-    broadcast.  Raises :class:`ExpressionError` on malformed input, and on
-    input that no x can evaluate (``1/0``, ``10^400``, ``(0-1)^0.5``).
+    broadcast.  Raises :class:`ExpressionError` on malformed input, on
+    input nested too deeply to parse or evaluate, and on input that no x
+    can evaluate (``1/0``, ``10^400``, ``(0-1)^0.5``).
     """
     if not src or not src.strip():
         raise ExpressionError("empty expression")
-    tree = _Parser(src).parse()
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -196,11 +155,14 @@ def compile_expression(src):
     # Parts without x are Python floats and raise alike for every x, as
     # does numpy on a complex operand of %, so one probe finds them all.
     try:
+        tree = _parse(src)
         with np.errstate(all="ignore"):
             fn(np.zeros(1))
-    except (ZeroDivisionError, OverflowError, TypeError) as exc:
+    except (ZeroDivisionError, OverflowError, TypeError, RecursionError,
+            MemoryError) as exc:
         why = {ZeroDivisionError: "division by zero",
-               OverflowError: "a power too large for a float"}.get(
-                   type(exc), "a complex value where a real one is needed")
+               OverflowError: "a power too large for a float",
+               TypeError: "a complex value where a real one is needed"}.get(
+                   type(exc), "it is too long or nested too deeply")
         raise ExpressionError(f"cannot evaluate {fn.source!r}: {why}") from None
     return fn

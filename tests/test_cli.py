@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from lorsolve import ROUTES
+from lorsolve import ROUTES, bundled_instance_path
 from lorsolve.cli import _atomic_file, _atomic_write, main
 
 TIGHT = textwrap.dedent("""\
@@ -284,6 +284,22 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "power of two" in err and "CSV" not in err
 
+    @pytest.mark.parametrize("expr", [
+        "(" * 400 + "0.125" + ")" * 400,
+        "+".join(["0.001"] * 1200),
+    ], ids=["400-nested-parentheses", "1200-term-sum"])
+    def test_expression_too_deep(self, tmp_path, capsys, expr):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(bundled_instance_path("twobranch").read_text()
+                       .replace("expr = 0.125", f"expr = {expr}", 1))
+        out = tmp_path / "out"
+        rc = main(["solve", "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "[coeff1]" in err
+        assert not out.exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(TIGHT.replace("name = tight", "name = tight\u00e9")
@@ -475,6 +491,8 @@ class TestInputErrors:
         ["norm", "--instance", "doubling", "--seed", "1"],
         ["bridge", "--instance", "doubling", "--seed", "1"],
         ["cov-check", "--seed", "1"],
+        pytest.param(["cov-check", "--psi", "power"], id="cov-check-psi"),
+        pytest.param(["cov-check", "--m", "2"], id="cov-check-m"),
         ["selftest", "--grid", "64"],
     ], ids=lambda argv: argv[0])
     def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, argv):
