@@ -126,6 +126,13 @@ def _check_grid(m):
     return m
 
 
+def _check_tol(tol):
+    """Refuse a given ``--tol`` that is not a finite number > 0: at inf
+    every claim is vacuous, and NaN or <= 0 is never met."""
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise _InputError(f"--tol must be > 0 and finite, got {tol!r}")
+
+
 def _resolve_instance(arg):
     p = pathlib.Path(arg)
     if p.exists():
@@ -172,8 +179,7 @@ def _cmd_solve(args):
     files, solution.csv ``_CSV_CHUNK_ROWS`` rows at a time, so neither
     text is ever built whole (at 2^16 cells solution.csv is 3.6 MB).
     """
-    if args.tol is not None and not args.tol > 0:
-        raise _InputError(f"--tol must be > 0, got {args.tol!r}")
+    _check_tol(args.tol)
     if args.max_steps < 0:
         raise _InputError(f"--max-steps must be >= 0, got {args.max_steps!r}")
     inst, _ = _load(args, require_admissible=True)
@@ -281,6 +287,7 @@ _COV_H_SHAPES = (
 
 
 def _cmd_cov_check(args):
+    _check_tol(args.tol)
     m = _check_grid(args.grid if args.grid else 4096)
     if args.instance:
         inst, _ = _load(args)

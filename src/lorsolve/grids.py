@@ -814,7 +814,7 @@ class StepFn:
         return float(np.sum(self.values * np.diff(self.edges)))
 
 
-def _levels(values, measures):
+def _levels(values, measures, spread=True):
     """The distinct values in increasing order and the total measure of each.
 
     ``measures`` is one shared measure per value (a float) or an array of
@@ -829,7 +829,11 @@ def _levels(values, measures):
 
     Either way the run boundaries of the sorted values are marked in one
     bool buffer of n + 1; when every value is distinct, the sorted values
-    are the levels and the measures are only spread or permuted.
+    are the levels and the measures are only spread or permuted.  With a
+    shared measure and every value distinct, ``spread=False`` returns None
+    in place of the n copies of it: from its one sort, the
+    distribution-route norm (``lorsolve.norms``) learns that its measures
+    are the ladder of (measure, n) it caches.
     """
     shared = np.ndim(measures) == 0
     if shared:
@@ -843,7 +847,9 @@ def _levels(values, measures):
     edge[0] = edge[n] = True
     np.not_equal(v[1:], v[:-1], out=edge[1:n])
     if edge.all():
-        return v, np.full(n, float(measures)) if shared else measures[perm]
+        if not shared:
+            return v, measures[perm]
+        return v, np.full(n, float(measures)) if spread else None
     bounds = np.flatnonzero(edge)
     if shared:
         return v[bounds[:-1]], np.diff(bounds) * float(measures)
@@ -869,9 +875,18 @@ def _distribution_from(values, measures):
     on [u_j, u_{j+1}), summed sequentially from the top level down: one
     reversed ``np.cumsum`` written straight into the measures array.
     ``values`` (a float array) goes to :func:`_levels`, which may sort it
-    in place.
+    in place; :func:`_distribution_of` builds the distribution from its
+    levels.  n distinct levels on cells of one width w have measures that
+    depend on (w, n) alone; the distribution-route norm caches tau^-1 of
+    them, built by :func:`_distribution_of` from the levels 1, ..., n, so
+    they carry these sums' bits.
     """
-    uniq, agg = _levels(values, measures)
+    return _distribution_of(*_levels(values, measures))
+
+
+def _distribution_of(uniq, agg):
+    """The StepDistribution of levels ``uniq`` (increasing, >= 0) whose
+    measures are ``agg``, summed as :func:`_distribution_from` describes."""
     k = uniq.size
     if uniq[0] > 0.0:
         thresholds = np.empty(k + 1)

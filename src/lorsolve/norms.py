@@ -26,6 +26,9 @@ from .grids import (
     Domain,
     GridError,
     SampledFn,
+    _distribution_of,
+    _grid_measures,
+    _levels,
     distribution,
     pointwise_norm,
     rearrangement,
@@ -79,10 +82,67 @@ def _scalar_magnitude(f):
     return pointwise_norm(f) if f.is_vector else f
 
 
+# (tau, w, n, T): T is tau^-1 of the measure ladder of n distinct levels
+# on cells of width w, for the last (tau, w, n) seen.  The TauFn object is
+# held and compared with ``is``, so a new TauFn never meets a stale T.
+_ladder = (None, None, None, None)
+
+
+def _ladder_tau_inv(tau, w, n):
+    """tau^-1 of the measures of n distinct positive levels of measure w.
+
+    The ladder is the measures of the distribution of 1, 2, ..., n on cells
+    of width w, built by :func:`~lorsolve.grids._distribution_of`, the
+    code that sums every distribution's measures: its bits are those of any
+    n distinct positive levels of measure w, and its tail ``T[1:]`` those
+    of n distinct levels whose lowest is 0.
+    """
+    global _ladder
+    cached = _ladder  # one read: another thread may replace it
+    if cached[0] is tau and cached[1] == w and cached[2] == n:
+        return cached[3]
+    ladder = _distribution_of(np.arange(1.0, n + 1.0), np.full(n, w))
+    T = np.asarray(tau.inverse(ladder.measures), dtype=float)
+    T.setflags(write=False)
+    _ladder = (tau, w, n, T)
+    return T
+
+
+def _distribution_integral(f, tau):
+    """``distribution(f).lorentz_integral(tau.inverse)``, bit for bit, from
+    one sort of |f|.
+
+    When every cell has one width w and the n > 1 values of |f| are
+    distinct and finite, the measures of the distribution depend only on
+    (w, n): tau^-1 of them comes from :func:`_ladder_tau_inv`, and only the
+    widths between sorted levels are computed per call.  The products and
+    their pairwise sum are those of ``lorentz_integral``.  Any other f
+    takes the StepDistribution, which also raises the GridError of a
+    magnitude that overflowed to inf.
+    """
+    w = _grid_measures(f)
+    if np.ndim(w):  # unequal widths: per-cell measures, no ladder
+        return distribution(f).lorentz_integral(tau.inverse)
+    levels, agg = _levels(np.abs(f.values), w, spread=False)
+    n = levels.size
+    if agg is None:
+        if n > 1 and np.isfinite(levels[-1]):
+            T = _ladder_tau_inv(tau, w, n)
+            if levels[0] > 0.0:
+                return float(np.sum(T * np.diff(levels, prepend=0.0)))
+            return float(np.sum(T[1:] * np.diff(levels)))
+        agg = np.full(n, w)
+    return _distribution_of(levels, agg).lorentz_integral(tau.inverse)
+
+
 def lorentz_norm(f, tau, route="distribution"):
     """Lorentz norm of a scalar sampled function by the chosen route.
 
-    Both routes are exact finite sums over the step structure of f.
+    Both routes are exact finite sums over the step structure of f.  The
+    distribution route sorts |f| once; on a grid of one cell width where
+    every value of |f| is distinct it reuses tau^-1 of the cached measure
+    ladder (see :func:`_distribution_integral`), and its value has the bits
+    of ``distribution(f).lorentz_integral(tau.inverse)`` either way.
     """
     if route not in ROUTES:
         raise NormError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -91,8 +151,8 @@ def lorentz_norm(f, tau, route="distribution"):
             "lorentz_norm() takes scalar functions; use lorentz_norm_vector()"
         )
     if route == "distribution":
-        value = distribution(f).lorentz_integral(tau.inverse)
-        return NormValue(float(value), route, tau.source_label)
+        return NormValue(_distribution_integral(f, tau), route,
+                         tau.source_label)
 
     fs = rearrangement(f)
     value = float(np.sum(fs.values * np.diff(tau.inverse(fs.edges))))

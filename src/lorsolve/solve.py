@@ -140,12 +140,13 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     ``force`` is set, and a forced run is recorded in the trace so its
     certificate reports verdict FAIL even when the tolerance is reached.
     ``tol`` is absolute in norm units and defaults to 1e-8 * ||h0||; a
-    given ``tol`` must be > 0 and at least one ulp of the bound
+    given ``tol`` must be finite, > 0 and at least one ulp of the bound
     ||h0|| / (1 - 2*alpha) on ||phi|| (:class:`ToleranceError` otherwise:
-    such tolerances are never reached, or reached only when the tail bound
-    underflows, while the stored values are already further off than
-    ``tol``).  The default is 0 only for h0 = 0, where the 0-step answer
-    is exact.  Returns (solution, trace).
+    an infinite ``tol`` would certify nothing at step 0, and the others
+    are never reached, or reached only when the tail bound underflows,
+    while the stored values are already further off than ``tol``).  The
+    default is 0 only for h0 = 0, where the 0-step answer is exact.
+    Returns (solution, trace).
 
     ``max_steps`` must be >= 0 (``ValueError`` otherwise); at 0 the trace
     holds the single row m = 0.
@@ -160,8 +161,8 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     Raises :class:`DivergenceError` when term norms grow faster than the
     certified factor 2*alpha for 3 consecutive steps.
     """
-    if tol is not None and not tol > 0:
-        raise ToleranceError(f"tol must be > 0, got {tol!r}")
+    if tol is not None and not 0.0 < tol < np.inf:
+        raise ToleranceError(f"tol must be > 0 and finite, got {tol!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
     report = audit_contraction(inst)

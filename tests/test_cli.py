@@ -395,13 +395,25 @@ class TestInputErrors:
         assert message in err[0]
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e400"])
     def test_degenerate_tolerance(self, tmp_path, capsys, tol):
         rc = main(["solve", "--instance", "doubling", "--tol", tol,
                    "--max-steps", "3", "--out", str(tmp_path)])
         assert rc == 2
-        assert "--tol must be > 0" in capsys.readouterr().err
-        assert not (tmp_path / "certificate.txt").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--tol must be > 0 and finite" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_degenerate_cov_check_tolerance(self, tmp_path, capsys, tol):
+        rc = main(["cov-check", "--grid", "64", "--tol", tol,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "--tol must be > 0 and finite" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_max_steps(self, tmp_path, capsys):
         rc = main(["solve", "--instance", "doubling", "--max-steps", "-1",

@@ -1,7 +1,12 @@
+import gc
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorsolve import (
     Domain,
@@ -12,11 +17,15 @@ from lorsolve import (
     check_orlicz_lorentz_bridge,
     default_test_sets,
     derive_tau,
+    distribution,
+    grids,
     lorentz_norm,
     lorentz_norm_vector,
     luxemburg_norm,
     monomial_young,
+    norms,
     orlicz_modular,
+    pointwise_norm,
     power_young,
     seeded_corpus,
 )
@@ -107,6 +116,164 @@ class TestVectorNorm:
         assert lorentz_norm_vector(f, tau2).value == pytest.approx(
             2.0 * SQRT2, rel=1e-12
         )
+
+
+# One cell width on each grid but the last; 1/3 is not dyadic.
+_LADDER_DOMAINS = {
+    "unit": Domain.unit_interval(),
+    "third": Domain.interval(0.0, 1.0 / 3.0),
+    "two-equal": Domain.from_intervals([(0.0, 0.5), (2.0, 2.5)]),
+    "unequal": Domain.from_intervals([(0.0, 1.0), (2.0, 2.5)]),
+}
+_EXPONENTS = (1.3, 1.7, 2.0, 3.0)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _ladder_case(kind, domain, m, rng):
+    """A function of the given kind, and whether its norm takes the ladder."""
+    n = len(domain.boxes) * m
+    one_width = len({(hi - lo) / m for lo, hi in domain.boxes}) == 1
+    distinct = one_width and n > 1
+    if kind == "distinct":
+        vals = rng.uniform(0.5, 2.0, n)
+    elif kind == "distinct-with-zero":
+        vals = rng.uniform(0.5, 2.0, n)
+        vals[rng.integers(n)] = 0.0
+    elif kind == "ties":
+        vals = rng.integers(0, 3, n) / 4.0
+        distinct = distinct and np.unique(vals).size == n
+    elif kind == "zero":
+        vals = np.zeros(n)
+        distinct = False
+    elif kind == "vector":
+        vals = rng.uniform(-1.0, 1.0, (n, 3))
+    else:  # complex
+        vals = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    return SampledFn(domain, m, vals), distinct
+
+
+def _reference(f, tau):
+    g = pointwise_norm(f) if f.is_vector else f
+    return distribution(g).lorentz_integral(tau.inverse)
+
+
+class TestDistributionLadder:
+    """The distribution route reuses tau^-1 of a cached measure ladder when
+    every level is distinct on a one-width grid; its value must keep the
+    bits of ``distribution(f).lorentz_integral(tau.inverse)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(("distinct", "distinct-with-zero", "ties", "zero",
+                            "vector", "complex")),
+           st.sampled_from(sorted(_LADDER_DOMAINS)),
+           st.integers(1, 300), st.sampled_from(_EXPONENTS))
+    @example(seed=0, kind="distinct", grid="unit", m=1, exponent=2.0)
+    @example(seed=0, kind="zero", grid="unit", m=1, exponent=2.0)
+    @example(seed=0, kind="distinct-with-zero", grid="third", m=1024,
+             exponent=1.7)
+    @example(seed=1, kind="distinct", grid="third", m=1021, exponent=3.0)
+    def test_value_has_the_bits_of_the_step_distribution(
+            self, seed, kind, grid, m, exponent):
+        f, takes_ladder = _ladder_case(kind, _LADDER_DOMAINS[grid], m,
+                                       np.random.default_rng(seed))
+        tau = derive_tau(power_young(exponent))
+        if f.values.ndim == 1:
+            got = lorentz_norm(f, tau).value
+            assert _same_bits(lorentz_norm_vector(f, tau).value, got)
+        else:
+            got = lorentz_norm_vector(f, tau).value
+        assert _same_bits(got, _reference(f, tau))
+        assert (norms._ladder[0] is tau) == takes_ladder
+
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "vector"])
+    @pytest.mark.parametrize("grid", sorted(_LADDER_DOMAINS))
+    def test_every_norm_sorts_once(self, monkeypatch, kind, grid):
+        calls = []
+
+        def levels(*args, **kwargs):
+            calls.append(args[0].size)
+            return grids_levels(*args, **kwargs)
+
+        grids_levels = grids._levels
+        monkeypatch.setattr(grids, "_levels", levels)
+        monkeypatch.setattr(norms, "_levels", levels)
+        domain = _LADDER_DOMAINS[grid]
+        f, _ = _ladder_case(kind, domain, 100, np.random.default_rng(5))
+        lorentz_norm_vector(f, derive_tau(power_young(2.0)))
+        assert calls == [len(domain.boxes) * 100]
+
+    def test_alternating_exponents_on_one_grid(self, unit):
+        rng = np.random.default_rng(6)
+        fs = [SampledFn(unit, 777, rng.uniform(size=777)) for _ in range(3)]
+        taus = [derive_tau(power_young(1.5)), derive_tau(power_young(3.0))]
+        for _ in range(3):
+            for tau in taus:
+                for f in fs:
+                    assert _same_bits(lorentz_norm(f, tau).value,
+                                      _reference(f, tau))
+
+    def test_two_widths_at_one_cell_count(self):
+        rng = np.random.default_rng(8)
+        tau = derive_tau(power_young(2.0))
+        fs = [SampledFn(_LADDER_DOMAINS[grid], 512, rng.uniform(size=512))
+              for grid in ("unit", "third", "unit")]
+        for f in fs:
+            assert _same_bits(lorentz_norm(f, tau).value, _reference(f, tau))
+
+    def test_a_new_tau_never_meets_a_stale_ladder(self, unit):
+        # A cache keyed on id(tau) would hand a freed TauFn's ladder to a
+        # new TauFn built at the same address.
+        f = SampledFn(unit, 333, np.random.default_rng(7).uniform(size=333))
+        for exponent in (2.0, 3.0, 1.5, 2.0, 1.3, 3.0):
+            tau = derive_tau(power_young(exponent))
+            assert _same_bits(lorentz_norm(f, tau).value, _reference(f, tau))
+            del tau
+            gc.collect()
+
+    def test_threads_sharing_the_cache(self):
+        # Six threads on two cores replace the one cached ladder with their
+        # own (tau, width, cell count) at every switch.
+        cases = []
+        for i, exponent in enumerate((1.5, 2.0, 3.0) * 2):
+            domain = _LADDER_DOMAINS[("unit", "third")[i % 2]]
+            f = SampledFn(domain, 257 + i % 3,
+                          np.random.default_rng(i).uniform(size=257 + i % 3))
+            tau = derive_tau(power_young(exponent))
+            cases.append((f, tau, _reference(f, tau)))
+        wrong = []
+
+        def work(f, tau, want):
+            for _ in range(200):
+                if not _same_bits(lorentz_norm(f, tau).value, want):
+                    wrong.append(tau.label)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=case)
+                       for case in cases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_overflowing_magnitude_keeps_the_grid_error(self, unit):
+        vals = np.linspace(1.0, 2.0, 16) + 0j
+        vals[-1] = 1.5e308 + 1.5e308j  # |value| overflows to inf
+        f = SampledFn(unit, 16, vals)
+        tau = derive_tau(power_young(2.0))
+        with pytest.raises(grids.GridError, match="thresholds must be finite"):
+            distribution(f)
+        with pytest.raises(grids.GridError, match="thresholds must be finite"):
+            lorentz_norm(f, tau)
 
 
 class TestLuxemburg:

@@ -81,10 +81,10 @@ class TestSolveDoubling:
         with pytest.raises(ValueError, match="max_steps must be >= 0"):
             solve_elementary(inst, max_steps=-1)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_degenerate_tolerance_refused(self, tol):
         inst = make_doubling_instance(m=64)
-        with pytest.raises(ValueError, match="tol must be > 0"):
+        with pytest.raises(ToleranceError, match="tol must be > 0 and finite"):
             solve_elementary(inst, tol=tol, max_steps=5)
 
     def test_tolerance_below_float_resolution_refused(self):
