@@ -256,7 +256,7 @@ def _cmd_axioms(args):
         inst, _ = _load(args)
         domain, m, tau = inst.domain, inst.m, inst.tau
     else:
-        m = _check_grid(args.grid if args.grid else 1024)
+        m = _check_grid(1024 if args.grid is None else args.grid)
         domain = Domain.unit_interval()
         tau = derive_tau(_psi_from_flags(args))
     corpus = seeded_corpus(domain, m, args.count, args.seed)
@@ -288,7 +288,7 @@ _COV_H_SHAPES = (
 
 def _cmd_cov_check(args):
     _check_tol(args.tol)
-    m = _check_grid(args.grid if args.grid else 4096)
+    m = _check_grid(4096 if args.grid is None else args.grid)
     if args.instance:
         inst, _ = _load(args)
         domain = inst.domain

@@ -814,124 +814,87 @@ class StepFn:
         return float(np.sum(self.values * np.diff(self.edges)))
 
 
-def _levels(values, measures, spread=True):
-    """The distinct values in increasing order and the total measure of each.
-
-    ``measures`` is one shared measure per value (a float) or an array of
-    one measure per value.  With a shared measure the values are sorted in
-    place, so ``values`` must be a scratch array of the caller's, and a
-    level of ``count`` values measures ``count * measures`` (one rounding;
-    exact for dyadic measures).  Per-value measures follow one ``argsort``
-    of the kind ``np.unique`` takes for its inverse (quicksort), so a level
-    of 0.0 and -0.0 has ``np.unique``'s sign; each level's measures are
-    summed in value order by ``bincount`` over the inverse, bit for bit as
-    ``np.unique`` + ``bincount`` sum them.
-
-    Either way the run boundaries of the sorted values are marked in one
-    bool buffer of n + 1; when every value is distinct, the sorted values
-    are the levels and the measures are only spread or permuted.  With a
-    shared measure and every value distinct, ``spread=False`` returns None
-    in place of the n copies of it: from its one sort, the
-    distribution-route norm (``lorsolve.norms``) learns that its measures
-    are the ladder of (measure, n) it caches.
-    """
-    shared = np.ndim(measures) == 0
-    if shared:
-        values.sort()
-        v = values
-    else:
-        perm = np.argsort(values, kind="quicksort")
-        v = values[perm]
-    n = v.size
-    edge = np.empty(n + 1, dtype=bool)
-    edge[0] = edge[n] = True
-    np.not_equal(v[1:], v[:-1], out=edge[1:n])
-    if edge.all():
-        if not shared:
-            return v, measures[perm]
-        return v, np.full(n, float(measures)) if spread else None
-    bounds = np.flatnonzero(edge)
-    if shared:
-        return v[bounds[:-1]], np.diff(bounds) * float(measures)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[perm] = np.cumsum(edge[:n]) - 1
-    return v[bounds[:-1]], np.bincount(inverse, weights=measures,
-                                       minlength=bounds.size - 1)
-
-
-def _grid_measures(f):
-    """The cell measure of f's grid when every cell shares it (a float),
-    else ``f.cell_measures``; the width is computed as ``cell_measures``
-    computes it."""
+def _cell_width(f):
+    """The width of every cell of f's grid, computed as ``cell_measures``
+    computes it, or None when the intervals' cell widths differ."""
     widths = {(hi - lo) / f.m for lo, hi in f.domain.boxes}
-    return widths.pop() if len(widths) == 1 else f.cell_measures
+    return widths.pop() if len(widths) == 1 else None
 
 
-def _distribution_from(values, measures):
-    """Exact StepDistribution of nonnegative step data (value, measure).
+def _levels(f):
+    """One sort of |f|: its distinct values u_0 < ... < u_{k-1} and what
+    the measure of {|f| >= u_j} is read from.
 
-    With levels u_0 < ... < u_{k-1} of measures a_j, mu = a_0 + ... + a_{k-1}
-    (numpy's pairwise sum) below u_0 when u_0 > 0, and a_{j+1} + ... + a_{k-1}
-    on [u_j, u_{j+1}), summed sequentially from the top level down: one
-    reversed ``np.cumsum`` written straight into the measures array.
-    ``values`` (a float array) goes to :func:`_levels`, which may sort it
-    in place; :func:`_distribution_of` builds the distribution from its
-    levels.  n distinct levels on cells of one width w have measures that
-    depend on (w, n) alone; the distribution-route norm caches tau^-1 of
-    them, built by :func:`_distribution_of` from the levels 1, ..., n, so
-    they carry these sums' bits.
+    Returns ``(u, starts, w, mu)``.  Level j starts at position starts[j]
+    of the sorted |f|; ``starts`` is None when every value is distinct, so
+    that level j starts at j and the sorted values are the levels.  On a
+    grid of one cell width ``w`` the fresh ``np.abs`` array is sorted in
+    place, the measure of {|f| >= u_j} is (n - starts[j]) * w, rounded
+    once (exact on dyadic widths), and ``mu`` is None.  On unequal widths
+    ``w`` is None, one ``argsort`` orders the cells, and ``mu[j]`` is the
+    running sum of the cell measures in value order from the top down to
+    the first cell of level j.
     """
-    return _distribution_of(*_levels(values, measures))
-
-
-def _distribution_of(uniq, agg):
-    """The StepDistribution of levels ``uniq`` (increasing, >= 0) whose
-    measures are ``agg``, summed as :func:`_distribution_from` describes."""
-    k = uniq.size
-    if uniq[0] > 0.0:
-        thresholds = np.empty(k + 1)
-        thresholds[0] = 0.0
-        thresholds[1:] = uniq
-        mu = np.empty(k)
-        mu[0] = agg.sum()
-        tails = mu[:0:-1]
-    elif k == 1:  # f == 0
-        return StepDistribution(thresholds=np.array([0.0]), measures=np.array([]))
+    a = np.abs(f.values)
+    w = _cell_width(f)
+    if w is None:
+        perm = np.argsort(a)
+        a = a[perm]
+        mu = np.cumsum(f.cell_measures[perm[::-1]])[::-1]
     else:
-        thresholds = uniq
-        mu = np.empty(k - 1)
-        tails = mu[::-1]
-    # tails[i] = measure{value > u_(k-2-i)}: mu seen from its end.
-    np.cumsum(agg[:0:-1], out=tails)
-    return StepDistribution(thresholds=thresholds, measures=mu)
+        a.sort()
+        mu = None
+    edge = np.empty(a.size, dtype=bool)
+    edge[0] = True
+    np.not_equal(a[1:], a[:-1], out=edge[1:])
+    if edge.all():
+        return a, None, w, mu
+    starts = np.flatnonzero(edge)
+    return a[starts], starts, w, None if mu is None else mu[starts]
+
+
+def _level_measures(f):
+    """The levels u_0 < ... < u_{k-1} of |f| and the measure of
+    {|f| >= u_j} of each, from :func:`_levels`."""
+    u, starts, w, mu = _levels(f)
+    if mu is None:
+        n = f.ncells
+        mu = (np.arange(n, 0, -1) if starts is None else n - starts) * w
+    return u, mu
 
 
 def distribution(f):
     """Exact distribution function mu_f(s) = measure{|f| > s} of a scalar f.
 
-    When all intervals of the domain have the same cell width ``w``, the
-    levels of |f| come from one sort and a level of ``count`` cells
-    measures ``count * w``; otherwise the per-cell measures are summed
-    per level.  ``np.abs`` gives a fresh array, which is sorted in place.
+    One sort of |f| gives its levels u_0 < ... < u_{k-1} and the measure
+    M_j of {|f| >= u_j}: (number of cells at or above u_j) * w, rounded
+    once, when every cell has the same width ``w``, and otherwise the
+    running sum of the cell measures from the top level down.  mu_f is M_j
+    on [u_{j-1}, u_j), with u_{-1} = 0 when u_0 > 0.
     """
     if f.is_vector:
         raise GridError("distribution() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    return _distribution_from(np.abs(f.values), _grid_measures(f))
+    u, mu = _level_measures(f)
+    if u[0] > 0.0:
+        return StepDistribution(thresholds=np.concatenate([[0.0], u]),
+                                measures=mu)
+    return StepDistribution(thresholds=u, measures=mu[1:])
 
 
 def rearrangement(f):
     """Exact non-increasing rearrangement f* on [0, measure(domain)).
 
-    The plateaus are the levels of |f|, built as in :func:`distribution`:
-    one sort and ``count * w`` when every cell has the same width ``w``.
+    The plateaus are the levels of |f| from the top down, and the edges
+    are the measures of {|f| >= level} that :func:`distribution` reads,
+    in reverse, after a leading 0.
     """
     if f.is_vector:
         raise GridError("rearrangement() needs a scalar function; "
                         "reduce vectors with pointwise_norm() first")
-    uniq, agg = _levels(np.abs(f.values), _grid_measures(f))
-    edges = np.concatenate([[0.0], np.cumsum(agg[::-1])])
-    return StepFn(edges=edges, values=uniq[::-1].copy())
+    u, mu = _level_measures(f)
+    return StepFn(edges=np.concatenate([[0.0], mu[::-1]]),
+                  values=u[::-1].copy())
 
 
 def pointwise_norm(f):
@@ -953,7 +916,8 @@ def pointwise_norm(f):
     # The result shares f's cached cell measures.  Its norm needs them on
     # unequal widths, so they are built on f, where the functions derived
     # from f find them too.
-    _grid_measures(f)
+    if _cell_width(f) is None:
+        f.cell_measures
     a = np.abs(f.values.T, order="C")
     mx = a[0].copy()
     for row in a[1:]:

@@ -26,10 +26,7 @@ from .grids import (
     Domain,
     GridError,
     SampledFn,
-    _distribution_of,
-    _grid_measures,
     _levels,
-    distribution,
     pointwise_norm,
     rearrangement,
 )
@@ -82,27 +79,24 @@ def _scalar_magnitude(f):
     return pointwise_norm(f) if f.is_vector else f
 
 
-# (tau, w, n, T): T is tau^-1 of the measure ladder of n distinct levels
-# on cells of width w, for the last (tau, w, n) seen.  The TauFn object is
-# held and compared with ``is``, so a new TauFn never meets a stale T.
+# (tau, w, n, T): T[i] is tau^-1((n - i) * w), the measure of the i-th
+# sorted cell and all above it on n cells of width w, for the last
+# (tau, w, n) seen.  The TauFn object is held and compared with ``is``,
+# so a new TauFn never meets a stale T.
 _ladder = (None, None, None, None)
 
 
 def _ladder_tau_inv(tau, w, n):
-    """tau^-1 of the measures of n distinct positive levels of measure w.
+    """tau^-1 of the ladder (n - i) * w, i = 0, ..., n - 1.
 
-    The ladder is the measures of the distribution of 1, 2, ..., n on cells
-    of width w, built by :func:`~lorsolve.grids._distribution_of`, the
-    code that sums every distribution's measures: its bits are those of any
-    n distinct positive levels of measure w, and its tail ``T[1:]`` those
-    of n distinct levels whose lowest is 0.
-    """
+    On n cells of width w, the measure of {|f| >= u_j} is entry starts[j]
+    of the ladder, with the bits :func:`~lorsolve.grids.distribution`
+    gives it."""
     global _ladder
     cached = _ladder  # one read: another thread may replace it
     if cached[0] is tau and cached[1] == w and cached[2] == n:
         return cached[3]
-    ladder = _distribution_of(np.arange(1.0, n + 1.0), np.full(n, w))
-    T = np.asarray(tau.inverse(ladder.measures), dtype=float)
+    T = np.asarray(tau.inverse(np.arange(n, 0, -1) * w), dtype=float)
     T.setflags(write=False)
     _ladder = (tau, w, n, T)
     return T
@@ -112,37 +106,36 @@ def _distribution_integral(f, tau):
     """``distribution(f).lorentz_integral(tau.inverse)``, bit for bit, from
     one sort of |f|.
 
-    When every cell has one width w and the n > 1 values of |f| are
-    distinct and finite, the measures of the distribution depend only on
-    (w, n): tau^-1 of them comes from :func:`_ladder_tau_inv`, and only the
-    widths between sorted levels are computed per call.  The products and
-    their pairwise sum are those of ``lorentz_integral``.  Any other f
-    takes the StepDistribution, which also raises the GridError of a
-    magnitude that overflowed to inf.
+    On a grid of one cell width w, tau^-1 of the measures is read from
+    :func:`_ladder_tau_inv` at the level starts (the whole ladder when
+    every value is distinct); on unequal widths it is computed from the
+    measures.  The products with the gaps between levels and their
+    pairwise sum are those of ``lorentz_integral``.  A magnitude that
+    overflowed to inf raises the GridError of ``distribution(f)``.
     """
-    w = _grid_measures(f)
-    if np.ndim(w):  # unequal widths: per-cell measures, no ladder
-        return distribution(f).lorentz_integral(tau.inverse)
-    levels, agg = _levels(np.abs(f.values), w, spread=False)
-    n = levels.size
-    if agg is None:
-        if n > 1 and np.isfinite(levels[-1]):
-            T = _ladder_tau_inv(tau, w, n)
-            if levels[0] > 0.0:
-                return float(np.sum(T * np.diff(levels, prepend=0.0)))
-            return float(np.sum(T[1:] * np.diff(levels)))
-        agg = np.full(n, w)
-    return _distribution_of(levels, agg).lorentz_integral(tau.inverse)
+    levels, starts, w, mu = _levels(f)
+    if not np.isfinite(levels[-1]):
+        raise GridError("thresholds must be finite")
+    if w is None:
+        t = np.asarray(tau.inverse(mu), dtype=float)
+    else:
+        t = _ladder_tau_inv(tau, w, f.ncells)
+        if starts is not None:
+            t = t[starts]
+    if levels[0] > 0.0:
+        return float(np.sum(t * np.diff(levels, prepend=0.0)))
+    return float(np.sum(t[1:] * np.diff(levels)))
 
 
 def lorentz_norm(f, tau, route="distribution"):
     """Lorentz norm of a scalar sampled function by the chosen route.
 
     Both routes are exact finite sums over the step structure of f.  The
-    distribution route sorts |f| once; on a grid of one cell width where
-    every value of |f| is distinct it reuses tau^-1 of the cached measure
-    ladder (see :func:`_distribution_integral`), and its value has the bits
-    of ``distribution(f).lorentz_integral(tau.inverse)`` either way.
+    distribution route sorts |f| once; on a grid of one cell width it
+    reads tau^-1 of the measures from the cached ladder of that width and
+    cell count (see :func:`_distribution_integral`), and its value has the
+    bits of ``distribution(f).lorentz_integral(tau.inverse)`` on every
+    grid.
     """
     if route not in ROUTES:
         raise NormError(f"unknown route {route!r}; expected one of {ROUTES}")

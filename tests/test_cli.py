@@ -256,6 +256,19 @@ class TestInputErrors:
         assert rc == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--grid", "0", "--count", "4"],
+        ["cov-check", "--grid", "0"],
+    ], ids=["axioms", "cov-check"])
+    def test_zero_grid_is_refused_not_defaulted(self, tmp_path, capsys,
+                                                argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "got 0" in err
+        assert not out.exists()
+
     def test_small_grid(self, tmp_path):
         assert main(["audit", "--instance", "doubling", "--grid", "8",
                      "--out", str(tmp_path)]) == 2

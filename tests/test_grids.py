@@ -1,6 +1,8 @@
 import builtins
 import csv
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lorsolve import (
     SampledFn,
     derive_tau,
     distribution,
+    lorentz_norm,
     pointwise_norm,
     power_young,
     rearrangement,
@@ -743,36 +746,38 @@ class TestLevels:
         if nlevels > 2 and seed % 3 == 0:
             vals = np.full(m, vals[0])  # a constant function
         f = SampledFn(domain, m, vals)
-        w = grids._grid_measures(f)
-        assert isinstance(w, float) and w == length / m
-        # A shared measure sorts its argument in place: pass copies.
-        levels, measures = grids._levels(vals.copy(), w)
-        ref_levels, ref_measures = grids._levels(vals, f.cell_measures)
-        assert np.array_equal(levels, ref_levels)  # +-0.0 share a level
-        assert measures.tobytes() == ref_measures.tobytes()
-        # The callers pass magnitudes, where the bits agree too.
-        levels, measures = grids._levels(np.abs(vals), w)
-        ref_levels, ref_measures = grids._levels(np.abs(vals), f.cell_measures)
-        assert levels.tobytes() == ref_levels.tobytes()
-        assert measures.tobytes() == ref_measures.tobytes()
-        ref = grids._distribution_from(np.abs(vals), f.cell_measures)
-        mu = distribution(f)
-        assert np.array_equal(mu.thresholds, ref.thresholds)
-        assert np.array_equal(mu.measures, ref.measures)
+        levels, starts, w, mu = grids._levels(f)
+        assert isinstance(w, float) and w == length / m and mu is None
+        mags = np.abs(vals)
+        assert _same_bits(levels, np.unique(mags))  # +-0.0 share a level
+        assert (starts is None) == (levels.size == m)
+        assert _same_bits(f.values, vals)  # sorted a copy, not f's values
+        # On a dyadic width, count * w is the exact sum of the measures of
+        # the cells at or above a level.
+        cells = f.cell_measures
+        above = [math.fsum(cells[mags >= u]) for u in levels]
+        fs = rearrangement(f)
+        assert fs.edges[:0:-1].tolist() == above
+        dist = distribution(f)
+        assert dist.measures.tolist() == (above if levels[0] > 0.0
+                                          else above[1:])
 
-    def test_equal_width_intervals_share_one_measure(self):
+    def test_equal_width_intervals_share_one_measure(self, tau2):
         domain = Domain.from_intervals([(0.0, 0.5), (2.0, 2.5)])
         rng = np.random.default_rng(1)
         f = SampledFn(domain, 16, rng.choice([0.0, 1.0, 3.0], size=32))
-        assert grids._grid_measures(f) == 0.5 / 16
+        assert grids._levels(f)[2] == 0.5 / 16
         distribution(f)
         rearrangement(f)
+        lorentz_norm(f, tau2)
         assert f._measures is None  # no per-cell measure array was built
 
     def test_unequal_width_intervals_keep_per_cell_measures(self):
         domain = Domain.from_intervals([(0.0, 1.0), (2.0, 2.5)])
         f = SampledFn.constant(domain, 16, 1.0)
-        assert grids._grid_measures(f) is f.cell_measures
+        levels, starts, w, mu = grids._levels(f)
+        assert w is None and starts.tolist() == [0]
+        assert mu.tolist() == [1.5]
         assert distribution(f).measures.tolist() == [1.5]
 
     def test_level_measure_is_count_times_width(self):
@@ -784,42 +789,72 @@ class TestLevels:
         vals = np.ones(m)
         vals[3300:] = rng.choice([0.0, 2.5, 7.0], size=m - 3300)
         f = SampledFn(domain, m, vals)
-        w = grids._grid_measures(f)
+        w = grids._levels(f)[2]
         assert w == 0.3 / m
-        levels, measures = grids._levels(np.abs(f.values), w)
-        for level, measure in zip(levels, measures):
-            assert measure == np.count_nonzero(vals == level) * w
-        ones = levels.tolist().index(1.0)
-        assert measures[ones] == 0.24169921875  # 3300 * w
-        running = np.bincount(np.zeros(3300, dtype=int),
-                              weights=f.cell_measures[:3300])[0]
-        assert running == 0.24169921874998565
+        dist = distribution(f)
+        for level, measure in zip(dist.thresholds, dist.measures):
+            assert measure == np.count_nonzero(vals > level) * w
+        assert 3300 * w == 0.24169921875
+        assert np.cumsum(f.cell_measures)[3299] == 0.24169921874998565
 
 
-def _ref_levels(values, measures):
-    """The levels as computed before the in-place, run-buffer rewrite."""
-    if np.ndim(measures) == 0:
-        v = np.sort(values)
-        starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-        counts = np.diff(np.append(starts, v.size))
-        return v[starts], counts * float(measures)
-    uniq, inverse = np.unique(values, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=measures, minlength=uniq.size)
+_NON_DYADIC = {"0.3": Domain.interval(0.0, 0.3),
+               "1/3": Domain.interval(0.0, 1.0 / 3.0)}
 
 
-def _ref_distribution_from(values, measures):
-    """(thresholds, measures) as computed before the rewrite."""
-    uniq, agg = _ref_levels(np.asarray(values, dtype=float), measures)
-    tail = np.concatenate([np.cumsum(agg[::-1])[::-1][1:], [0.0]])
+class TestNonDyadicMeasures:
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "constant", "zero"])
+    @pytest.mark.parametrize("grid", sorted(_NON_DYADIC))
+    def test_measure_is_count_times_width_rounded_once(self, grid, kind):
+        m = 4096
+        rng = np.random.default_rng(23)
+        vals = {"distinct": rng.uniform(-1.0, 1.0, m),
+                "ties": rng.integers(-40, 41, m) / 8.0,
+                "constant": np.full(m, 0.7),
+                "zero": np.zeros(m)}[kind]
+        f = SampledFn(_NON_DYADIC[grid], m, vals)
+        lo, hi = _NON_DYADIC[grid].boxes[0]
+        w = Fraction((hi - lo) / m)
+        mags = np.sort(np.abs(vals))
+
+        def measure(count):
+            return float(Fraction(int(count)) * w)
+
+        mu = distribution(f)
+        above = m - np.searchsorted(mags, mu.thresholds[:-1], side="right")
+        assert mu.measures.tolist() == [measure(c) for c in above]
+        fs = rearrangement(f)
+        at_or_above = m - np.searchsorted(mags, fs.values, side="left")
+        assert fs.edges[1:].tolist() == [measure(c) for c in at_or_above]
+
+
+def _ref_level_measures(values, cells):
+    """The levels of ``values`` (>= 0) and the measure of {value >= level}
+    of each, coded apart from ``grids._levels``.  ``cells`` is the one cell
+    width (a float) or the per-cell measures.  One width: the exact product
+    of the count and the width, rounded once.  Unequal widths: a running
+    sum of the cell measures in a Python loop, from the top of the
+    ``argsort`` order down."""
+    if np.ndim(cells) == 0:
+        uniq, counts = np.unique(values, return_counts=True)
+        above = np.cumsum(counts[::-1])[::-1]
+        return uniq, np.array([float(Fraction(int(c)) * Fraction(cells))
+                               for c in above])
+    order = np.argsort(values)
+    running, sums = 0.0, []
+    for i in order[::-1]:
+        running += float(cells[i])
+        sums.append(running)
+    uniq, starts = np.unique(values[order], return_index=True)
+    return uniq, np.array(sums[::-1])[starts]
+
+
+def _ref_distribution_from(values, cells):
+    """(thresholds, measures) of the distribution of ``values`` >= 0."""
+    uniq, above = _ref_level_measures(values, cells)
     if uniq[0] > 0.0:
-        thresholds = np.concatenate([[0.0], uniq])
-        mu = np.concatenate([[float(agg.sum())], tail])
-    else:
-        thresholds = uniq
-        mu = tail
-    if thresholds.size == 1:
-        return np.array([0.0]), np.array([])
-    return thresholds, mu[:-1]
+        return np.concatenate([[0.0], uniq]), above
+    return uniq, above[1:]
 
 
 def _ref_tau_inv(psi, s):
@@ -840,7 +875,7 @@ def _same_bits(a, b):
 # (domain, cells per interval): one shared dyadic width, one shared
 # non-dyadic width, two equal-width intervals, and unequal widths (the
 # per-cell-measure path), dyadic and not.  On the last, the order in which
-# a level's measures are summed shows in their bits.
+# the cell measures are summed shows in their bits.
 _NORM_GRIDS = {
     "dyadic": (Domain.interval(1.0, 2.0), 256),
     "non-dyadic": (Domain.interval(0.0, 0.3), 4096),
@@ -879,10 +914,11 @@ class TestNormPipelineReference:
         else:
             vals = rng.normal(size=n)
         f = SampledFn(domain, m, vals)
-        w = grids._grid_measures(f)
-        assert isinstance(w, float) == (not grid.startswith("unequal"))
+        one_width = not grid.startswith("unequal")
+        lo, hi = domain.boxes[0]
+        cells = (hi - lo) / m if one_width else f.cell_measures
 
-        t_ref, mu_ref = _ref_distribution_from(np.abs(vals), w)
+        t_ref, mu_ref = _ref_distribution_from(np.abs(vals), cells)
         mu = distribution(f)
         assert _same_bits(mu.thresholds, t_ref)
         assert _same_bits(mu.measures, mu_ref)
@@ -892,17 +928,17 @@ class TestNormPipelineReference:
             want = float(np.sum(_ref_tau_inv(psi, mu_ref) * np.diff(t_ref)))
             got = mu.lorentz_integral(derive_tau(psi).inverse)
             assert _same_bits(got, want)
+            assert _same_bits(lorentz_norm(f, derive_tau(psi)).value, want)
 
-        # +-0.0 included; _levels sorts in place, so it gets a copy.
-        levels, measures = grids._levels(vals.copy(), w)
-        ref_levels, ref_measures = _ref_levels(vals, w)
+        # +-0.0 included: |f| gives them one level.
+        levels, starts, w, _ = grids._levels(f)
+        ref_levels, ref_measures = _ref_level_measures(np.abs(vals), cells)
         assert _same_bits(levels, ref_levels)
-        assert _same_bits(measures, ref_measures)
+        assert (w is None) == (not one_width)
         fs = rearrangement(f)
-        ref_levels, ref_measures = _ref_levels(np.abs(vals), w)
         assert _same_bits(fs.values, ref_levels[::-1])
         assert _same_bits(fs.edges,
-                          np.concatenate([[0.0], np.cumsum(ref_measures[::-1])]))
+                          np.concatenate([[0.0], ref_measures[::-1]]))
 
 
 class TestStepFinite:
@@ -965,14 +1001,13 @@ class TestStepFinite:
 class TestRearrangement:
     def test_equimeasurable_bitwise(self, unit):
         # measure{|f| > s} at each level of f*, read off its edges, is the
-        # distribution's (one sequential sum from the top level down); only
-        # the total below the lowest level is summed pairwise.
+        # distribution's, the total below the lowest level included.
         rng = np.random.default_rng(5)
         f = SampledFn(unit, 128, rng.normal(size=128))
         fs = rearrangement(f)
         mu = distribution(f)
         assert _same_bits(mu.thresholds[1:], fs.values[::-1])
-        assert _same_bits(mu.measures[1:], fs.edges[-2:0:-1])
+        assert _same_bits(mu.measures, fs.edges[:0:-1])
 
     def test_nonincreasing_with_zero_plateau(self, unit):
         f = SampledFn.indicator(unit, 8, [(0.25, 0.5)])

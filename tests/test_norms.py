@@ -1,3 +1,4 @@
+import decimal
 import gc
 import math
 import sys
@@ -133,10 +134,10 @@ def _same_bits(a, b):
 
 
 def _ladder_case(kind, domain, m, rng):
-    """A function of the given kind, and whether its norm takes the ladder."""
+    """A function of the given kind, and whether its norm takes the ladder:
+    whether every cell of its grid has one width."""
     n = len(domain.boxes) * m
     one_width = len({(hi - lo) / m for lo, hi in domain.boxes}) == 1
-    distinct = one_width and n > 1
     if kind == "distinct":
         vals = rng.uniform(0.5, 2.0, n)
     elif kind == "distinct-with-zero":
@@ -144,15 +145,13 @@ def _ladder_case(kind, domain, m, rng):
         vals[rng.integers(n)] = 0.0
     elif kind == "ties":
         vals = rng.integers(0, 3, n) / 4.0
-        distinct = distinct and np.unique(vals).size == n
     elif kind == "zero":
         vals = np.zeros(n)
-        distinct = False
     elif kind == "vector":
         vals = rng.uniform(-1.0, 1.0, (n, 3))
     else:  # complex
         vals = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-    return SampledFn(domain, m, vals), distinct
+    return SampledFn(domain, m, vals), one_width
 
 
 def _reference(f, tau):
@@ -161,9 +160,9 @@ def _reference(f, tau):
 
 
 class TestDistributionLadder:
-    """The distribution route reuses tau^-1 of a cached measure ladder when
-    every level is distinct on a one-width grid; its value must keep the
-    bits of ``distribution(f).lorentz_integral(tau.inverse)``."""
+    """The distribution route reads tau^-1 of a cached measure ladder on
+    every one-width grid, ties included; its value must keep the bits of
+    ``distribution(f).lorentz_integral(tau.inverse)`` on every grid."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1),
@@ -176,6 +175,7 @@ class TestDistributionLadder:
     @example(seed=0, kind="distinct-with-zero", grid="third", m=1024,
              exponent=1.7)
     @example(seed=1, kind="distinct", grid="third", m=1021, exponent=3.0)
+    @example(seed=2, kind="ties", grid="third", m=1024, exponent=1.7)
     def test_value_has_the_bits_of_the_step_distribution(
             self, seed, kind, grid, m, exponent):
         f, takes_ladder = _ladder_case(kind, _LADDER_DOMAINS[grid], m,
@@ -194,17 +194,20 @@ class TestDistributionLadder:
     def test_every_norm_sorts_once(self, monkeypatch, kind, grid):
         calls = []
 
-        def levels(*args, **kwargs):
-            calls.append(args[0].size)
-            return grids_levels(*args, **kwargs)
+        def levels(f):
+            calls.append(f.ncells)
+            return grids_levels(f)
 
         grids_levels = grids._levels
         monkeypatch.setattr(grids, "_levels", levels)
         monkeypatch.setattr(norms, "_levels", levels)
         domain = _LADDER_DOMAINS[grid]
-        f, _ = _ladder_case(kind, domain, 100, np.random.default_rng(5))
-        lorentz_norm_vector(f, derive_tau(power_young(2.0)))
+        f, one_width = _ladder_case(kind, domain, 100,
+                                    np.random.default_rng(5))
+        tau = derive_tau(power_young(2.0))
+        lorentz_norm_vector(f, tau)
         assert calls == [len(domain.boxes) * 100]
+        assert (norms._ladder[0] is tau) == one_width  # ties included
 
     def test_alternating_exponents_on_one_grid(self, unit):
         rng = np.random.default_rng(6)
@@ -265,15 +268,48 @@ class TestDistributionLadder:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_overflowing_magnitude_keeps_the_grid_error(self, unit):
-        vals = np.linspace(1.0, 2.0, 16) + 0j
+    @pytest.mark.parametrize("grid", ["unit", "two-equal", "unequal"])
+    def test_overflowing_magnitude_keeps_the_grid_error(self, grid):
+        domain = _LADDER_DOMAINS[grid]
+        n = len(domain.boxes) * 16
+        vals = np.linspace(1.0, 2.0, n) + 0j
         vals[-1] = 1.5e308 + 1.5e308j  # |value| overflows to inf
-        f = SampledFn(unit, 16, vals)
+        f = SampledFn(domain, 16, vals)
+        vector = np.stack([vals.real, vals.imag], axis=1)
+        g = SampledFn(domain, 16, vector)  # so does its pointwise length
         tau = derive_tau(power_young(2.0))
         with pytest.raises(grids.GridError, match="thresholds must be finite"):
             distribution(f)
         with pytest.raises(grids.GridError, match="thresholds must be finite"):
             lorentz_norm(f, tau)
+        # The length is refused as a cell value, after numpy's warning.
+        with pytest.raises(grids.GridError, match="values must be finite"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            lorentz_norm_vector(g, tau)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("grid", ["0.3", "1/3"])
+    def test_within_3_ulp_of_a_50_digit_reference(self, grid, seed):
+        # Measures rounded once from the float cell width: a running sum of
+        # it would miss by up to 10 ulp on these grids.
+        m = 512
+        domain = Domain.interval(0.0, 0.3 if grid == "0.3" else 1.0 / 3.0)
+        vals = np.random.default_rng(seed).uniform(size=m)
+        got = lorentz_norm(SampledFn(domain, m, vals),
+                           derive_tau(power_young(2.0))).value
+        lo, hi = domain.boxes[0]
+        mags = np.sort(vals)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            w = decimal.Decimal((hi - lo) / m)
+            want, below = decimal.Decimal(0), decimal.Decimal(0)
+            for i, level in enumerate(mags):
+                # tau^-1(s) = sqrt(2 s) for power[m=2]
+                gap = decimal.Decimal(level) - below
+                want += (2 * (m - i) * w).sqrt() * gap
+                below = decimal.Decimal(level)
+        want = float(want)
+        assert abs(got - want) <= 3 * np.spacing(want)
 
 
 class TestLuxemburg:
