@@ -1,5 +1,5 @@
 """Neumann-series solutions of weighted composition equations in Lorentz
-spaces, with machine-checkable contraction audits and a-posteriori error
+spaces, with machine-checkable contraction audits and a-priori tail-bound
 certificates.
 
 The package solves
@@ -10,8 +10,10 @@ by summing the series sum_m P^m h0 for the transfer-type operator
 P phi = sum_n g_n * (phi o f_n), on piecewise-constant functions over
 finite unions of intervals.  Everything is built on a Lorentz norm engine
 whose two independently coded exact routes cross-check each other, and
-every solve carries an explicit geometric tail bound as its error
-certificate.
+every solve carries the a-priori geometric tail bound
+(2 alpha)^m / (1 - 2 alpha) * ||h0|| as its certificate.  That bounds the
+distance to the fixed point of the grid operator, which composes by
+midpoint lookup, not the distance to the solution of the equation.
 
 Layers, bottom up:
 

@@ -153,7 +153,7 @@ def _load(args, require_admissible=False):
     inst, oracle = load_instance(
         path,
         grid=args.grid,
-        psi_family=getattr(args, "psi", None),   # cov-check reads no psi
+        psi_family=getattr(args, "psi", None),   # audit, cov-check: no psi
         psi_param=getattr(args, "m", None),
         require_admissible=require_admissible,
     )
@@ -403,10 +403,12 @@ def _build_parser():
                         help="Young family parameter (default: instance "
                              "file, else 2.0)")
 
-    with_inst = argparse.ArgumentParser(add_help=False, parents=[normed])
-    with_inst.add_argument("--instance", required=True,
-                           help="instance file path, or a bundled name: "
-                                + ", ".join(BUNDLED_INSTANCES))
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance", required=True,
+                          help="instance file path, or a bundled name: "
+                               + ", ".join(BUNDLED_INSTANCES))
+    with_inst = argparse.ArgumentParser(add_help=False,
+                                        parents=[normed, instance])
 
     p = sub.add_parser("solve", parents=[with_inst],
                        help="sum the series with a certified stopping rule")
@@ -417,7 +419,8 @@ def _build_parser():
                    help="iterate even if the contraction audit fails")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("audit", parents=[with_inst],
+    # The audit evaluates no norm: the psi it reports is the instance's.
+    p = sub.add_parser("audit", parents=[gridded, instance],
                        help="run the contraction audit only")
     p.set_defaults(fn=_cmd_audit)
 

@@ -327,28 +327,24 @@ class SampledFn:
     the function.  Results the package computes itself (arithmetic,
     ``abs``, ``clip_at``, :func:`pointwise_norm`, ``ProblemInstance.apply``
     and the solver's partial sum) take over their freshly built arrays
-    through ``_owning`` instead: the same checks, no copy, and the cached
-    cell measures and midpoints of the operand.
+    through ``_owning`` instead: the same checks, no copy.
     """
 
-    __slots__ = ("domain", "m", "values", "_measures", "_mids")
+    __slots__ = ("domain", "m", "values")
 
     def __init__(self, domain, m, values):
-        self._setup(domain, m, np.array(values, copy=True), None)
+        self._setup(domain, m, np.array(values, copy=True))
 
     @classmethod
     def _owning(cls, values, like):
-        """A function on ``like``'s grid that takes ``values`` over without
-        a copy: an array the caller built and keeps no reference to.
-
-        Makes every check of ``__init__``; the result also shares
-        ``like``'s cached cell measures and midpoints, which are read-only.
-        """
+        """A function on ``like``'s grid (its domain and ``m``) that takes
+        ``values`` over without a copy: an array the caller built and keeps
+        no reference to.  Makes every check of ``__init__``."""
         f = object.__new__(cls)
-        f._setup(like.domain, like.m, values, like)
+        f._setup(like.domain, like.m, values)
         return f
 
-    def _setup(self, domain, m, arr, like):
+    def _setup(self, domain, m, arr):
         if not isinstance(domain, Domain):
             raise GridError("domain must be a Domain")
         m = int(m)
@@ -373,9 +369,6 @@ class SampledFn:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_measures",
-                           None if like is None else like._measures)
-        object.__setattr__(self, "_mids", None if like is None else like._mids)
 
     def __setattr__(self, name, value):
         raise AttributeError("SampledFn is immutable")
@@ -419,23 +412,17 @@ class SampledFn:
 
     @property
     def cell_measures(self):
-        if self._measures is None:
-            m = self.m
-            chunks = [np.full(m, (hi - lo) / m) for lo, hi in self.domain.boxes]
-            object.__setattr__(self, "_measures", np.concatenate(chunks))
-            self._measures.setflags(write=False)
-        return self._measures
+        """(ncells,) cell widths in cell order, built per read."""
+        m = self.m
+        return np.concatenate([np.full(m, (hi - lo) / m)
+                               for lo, hi in self.domain.boxes])
 
     @property
     def midpoints(self):
-        """(ncells,) midpoint coordinates in cell order."""
-        if self._mids is None:
-            m = self.m
-            chunks = [lo + (np.arange(m) + 0.5) * (hi - lo) / m
-                      for lo, hi in self.domain.boxes]
-            object.__setattr__(self, "_mids", np.concatenate(chunks))
-            self._mids.setflags(write=False)
-        return self._mids
+        """(ncells,) midpoint coordinates in cell order, built per read."""
+        m = self.m
+        return np.concatenate([lo + (np.arange(m) + 0.5) * (hi - lo) / m
+                               for lo, hi in self.domain.boxes])
 
     def _interval_edges(self):
         """Per interval, its m + 1 cell edges ``lo + k*(hi - lo)/m`` (one
@@ -721,6 +708,36 @@ def _require_sorted(name, a, strict):
     raise GridError(f"{name} must {rule}")
 
 
+def _freeze_step(step, breaks, heights):
+    """Check and freeze the fields ``breaks`` (finite, strictly increasing
+    from 0) and ``heights`` (one fewer; finite, nonincreasing, nonnegative)
+    of a step-function dataclass; a fault raises GridError naming its field."""
+    x = np.asarray(getattr(step, breaks), dtype=float)
+    y = np.asarray(getattr(step, heights), dtype=float)
+    if x.size != y.size + 1:
+        raise GridError(f"need len({breaks}) == len({heights}) + 1")
+    _require_sorted(breaks, x, strict=True)
+    _require_sorted(heights, y, strict=False)
+    if x.size and x[0] != 0.0:
+        raise GridError(f"{breaks} must start at 0")
+    if y.size and y[-1] < 0.0:
+        raise GridError(f"{heights} must be nonnegative")
+    for name, a in ((breaks, x), (heights, y)):
+        a.setflags(write=False)
+        object.__setattr__(step, name, a)
+
+
+def _step_at(breaks, heights, s):
+    """The step function that is ``heights[i]`` on [breaks[i],
+    breaks[i+1]) and 0 elsewhere, at the points ``s``."""
+    s = np.asarray(s, dtype=float)
+    idx = np.searchsorted(breaks, s, side="right") - 1
+    out = np.zeros(s.shape)
+    inside = (idx >= 0) & (idx < heights.size)
+    out[inside] = heights[idx[inside]]
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     """mu_f(s) = measure{|f| > s} as an exact right-continuous step function.
@@ -736,28 +753,10 @@ class StepDistribution:
     measures: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.thresholds, dtype=float)
-        mu = np.asarray(self.measures, dtype=float)
-        if t.size != mu.size + 1:
-            raise GridError("need len(thresholds) == len(measures) + 1")
-        _require_sorted("thresholds", t, strict=True)
-        _require_sorted("measures", mu, strict=False)
-        if mu.size and mu[-1] < 0.0:
-            raise GridError("measures must be nonnegative")
-        if t.size and t[0] != 0.0:
-            raise GridError("thresholds must start at 0")
-        t.setflags(write=False)
-        mu.setflags(write=False)
-        object.__setattr__(self, "thresholds", t)
-        object.__setattr__(self, "measures", mu)
+        _freeze_step(self, "thresholds", "measures")
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        idx = np.searchsorted(self.thresholds, s, side="right") - 1
-        out = np.zeros(s.shape)
-        inside = (idx >= 0) & (idx < self.measures.size)
-        out[inside] = self.measures[idx[inside]]
-        return out if out.ndim else float(out)
+        return _step_at(self.thresholds, self.measures, s)
 
     def lorentz_integral(self, tau_inverse):
         """Exact integral of tau_inverse(mu_f(s)) ds over [0, max|f|].
@@ -787,38 +786,13 @@ class StepFn:
     values: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if e.size != v.size + 1:
-            raise GridError("need len(edges) == len(values) + 1")
-        _require_sorted("edges", e, strict=True)
-        _require_sorted("values", v, strict=False)
-        if e.size and e[0] != 0.0:
-            raise GridError("edges must start at 0")
-        if v.size and v[-1] < 0:
-            raise GridError("values must be nonnegative")
-        e.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "edges", e)
-        object.__setattr__(self, "values", v)
+        _freeze_step(self, "edges", "values")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.edges, t, side="right") - 1
-        out = np.zeros(t.shape)
-        inside = (idx >= 0) & (idx < self.values.size)
-        out[inside] = self.values[idx[inside]]
-        return out if out.ndim else float(out)
+        return _step_at(self.edges, self.values, t)
 
     def integral(self):
         return float(np.sum(self.values * np.diff(self.edges)))
-
-
-def _cell_width(f):
-    """The width of every cell of f's grid, computed as ``cell_measures``
-    computes it, or None when the intervals' cell widths differ."""
-    widths = {(hi - lo) / f.m for lo, hi in f.domain.boxes}
-    return widths.pop() if len(widths) == 1 else None
 
 
 def _levels(f):
@@ -836,7 +810,9 @@ def _levels(f):
     the first cell of level j.
     """
     a = np.abs(f.values)
-    w = _cell_width(f)
+    # The cell width of each interval, computed as ``cell_measures`` does.
+    widths = {(hi - lo) / f.m for lo, hi in f.domain.boxes}
+    w = widths.pop() if len(widths) == 1 else None
     if w is None:
         perm = np.argsort(a)
         a = a[perm]
@@ -913,11 +889,6 @@ def pointwise_norm(f):
     """
     if not f.is_vector:
         return f.abs()
-    # The result shares f's cached cell measures.  Its norm needs them on
-    # unequal widths, so they are built on f, where the functions derived
-    # from f find them too.
-    if _cell_width(f) is None:
-        f.cell_measures
     a = np.abs(f.values.T, order="C")
     mx = a[0].copy()
     for row in a[1:]:
@@ -927,4 +898,7 @@ def pointwise_norm(f):
     total = a[0]
     for row in a[1:]:
         total += row
-    return SampledFn._owning(mx * np.sqrt(total), f)
+    # A length that overflows to inf is refused by _owning as a cell value.
+    with np.errstate(over="ignore"):
+        length = mx * np.sqrt(total)
+    return SampledFn._owning(length, f)

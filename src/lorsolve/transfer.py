@@ -138,7 +138,10 @@ class ProblemInstance:
         self.tau = derive_tau(psi)
         self.label = label or "instance"
 
+        # Read-only: the coefficient callables, the maps and the audit all
+        # read this one array.
         x = h0.midpoints
+        x.setflags(write=False)
         sampled = []
         for i, g in enumerate(coeffs):
             if not isinstance(g, SampledFn):
@@ -183,6 +186,7 @@ class ProblemInstance:
             raise InstanceError("target cell index outside the grid")
         self._target_idx = tuple(idx_arrays)
         self._abs_jac = tuple(jac_arrays)
+        self._midpoints = x
         self.clamped_within_tol = clamped_within
         self.clamped_beyond_tol = clamped_beyond
 
@@ -364,7 +368,7 @@ def audit_contraction(inst):
     per_map_worst = []
     worst = 0.0
     witness = "none"
-    mids = inst.h0.midpoints
+    mids = inst._midpoints
     for i, g in enumerate(inst.coeffs):
         absg = np.abs(g.values)
         absj = inst._abs_jac[i]

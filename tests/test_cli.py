@@ -518,6 +518,10 @@ class TestInputErrors:
         ["cov-check", "--seed", "1"],
         pytest.param(["cov-check", "--psi", "power"], id="cov-check-psi"),
         pytest.param(["cov-check", "--m", "2"], id="cov-check-m"),
+        pytest.param(["audit", "--instance", "doubling", "--psi", "power"],
+                     id="audit-psi"),
+        pytest.param(["audit", "--instance", "doubling", "--m", "2"],
+                     id="audit-m"),
         ["selftest", "--grid", "64"],
     ], ids=lambda argv: argv[0])
     def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, argv):

@@ -129,15 +129,6 @@ class TestSampledFn:
                 np.errstate(over="ignore"):
             _ = f + f
 
-    def test_results_share_cached_geometry(self):
-        d = Domain.from_intervals([(0.0, 0.3), (1.0, 1.7)])
-        f = SampledFn(d, 8, np.arange(16.0))
-        measures, mids = f.cell_measures, f.midpoints
-        for r in (f + f, -f, f.abs(), f.clip_at(3.0)):
-            assert r.cell_measures is measures and r.midpoints is mids
-        fresh = SampledFn(d, 8, np.arange(16.0))
-        assert fresh.cell_measures is not measures
-
     @pytest.mark.parametrize("boxes", [[(-0.3, 2.0), (2.0, 2.5)], [(0.1, 0.7)]])
     def test_last_edge_of_each_interval_is_its_end(self, boxes):
         # -0.3 + 16 * (2.0 - -0.3) / 16 is 1.9999999999999998.
@@ -762,15 +753,21 @@ class TestLevels:
         assert dist.measures.tolist() == (above if levels[0] > 0.0
                                           else above[1:])
 
-    def test_equal_width_intervals_share_one_measure(self, tau2):
+    def test_equal_width_intervals_share_one_measure(self, tau2, monkeypatch):
         domain = Domain.from_intervals([(0.0, 0.5), (2.0, 2.5)])
         rng = np.random.default_rng(1)
         f = SampledFn(domain, 16, rng.choice([0.0, 1.0, 3.0], size=32))
+
+        def no_cell_measures(self):
+            raise AssertionError("a per-cell measure array was built")
+
+        # No per-cell measure array is built on a one-width grid.
+        monkeypatch.setattr(SampledFn, "cell_measures",
+                            property(no_cell_measures))
         assert grids._levels(f)[2] == 0.5 / 16
         distribution(f)
         rearrangement(f)
         lorentz_norm(f, tau2)
-        assert f._measures is None  # no per-cell measure array was built
 
     def test_unequal_width_intervals_keep_per_cell_measures(self):
         domain = Domain.from_intervals([(0.0, 1.0), (2.0, 2.5)])
@@ -979,6 +976,8 @@ class TestStepFinite:
             StepFn([0.0, 1.0, 2.0], [1.0, 2.0])
         with pytest.raises(GridError, match="thresholds must start at 0"):
             StepDistribution([0.5, 1.0], [1.0])
+        with pytest.raises(GridError, match="edges must start at 0"):
+            StepFn([0.5, 1.0], [1.0])
 
     @pytest.mark.parametrize("thresholds, measures", [
         ([0.0, 1.0], [-1.0]),
@@ -988,6 +987,8 @@ class TestStepFinite:
         # tau^-1 is 0 wherever s <= 0, so a negative measure would count as 0
         with pytest.raises(GridError, match="measures must be nonnegative"):
             StepDistribution(thresholds, measures)
+        with pytest.raises(GridError, match="values must be nonnegative"):
+            StepFn(thresholds, measures)
 
     def test_finite_data_accepted(self, tau2):
         mu = StepDistribution([0.0, 1.0, 3.0], [2.0, 0.5])
