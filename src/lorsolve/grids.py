@@ -14,6 +14,8 @@ interval.  Projection of a callable onto the grid samples at cell midpoints.
 
 import csv
 import io
+import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -574,71 +576,104 @@ class SampledFn:
         grid order, with as many comma-separated fields as the header:
         the two cell edges (rel tolerance 1e-9) and the values.  Lines end
         in ``\\n`` or ``\\r\\n``.  A field is a decimal number as ``float``
-        reads it (``1.5``, ``-2E-300``, ``inf``), optionally padded with
-        whitespace and optionally in double quotes.  If any field after
-        the header holds a ``j``, values are complex (``1.5-2j``,
-        ``(1+2j)``, ``3j``).  Refused: blank lines, a line break inside a
-        quoted field, digit separators (``1_0``), non-ASCII digits, ``#``,
-        and imaginary parts without digits or with a capital ``J``
-        (``1+j``, ``2J``).
+        reads it (``1.5``, ``-2E-300``), optionally padded with whitespace
+        and optionally in double quotes.  If any field after the header
+        holds a ``j``, values are complex (``1.5-2j``, ``(1+2j)``,
+        ``3j``).  Refused: blank lines, a line break inside a quoted
+        field, digit separators (``1_0``), non-ASCII digits, ``#``,
+        imaginary parts without digits or with a capital ``J`` (``1+j``,
+        ``2J``), and values that are not finite (``nan``, ``inf``,
+        ``1e400``).
 
-        A valid file is parsed by one ``np.loadtxt`` call (a second one
-        reads the edges of a complex file); any other file is scanned
-        row by row only to name its first bad row.
+        A file is read once, as bytes, and every check before the parse
+        runs on those bytes.  A valid file is parsed by one ``np.loadtxt``
+        call (a second one reads the edges of a complex file), from the
+        path or from the text's lines (see ``_loadtxt``); any other file
+        is scanned row by row only to name its first bad row.
         """
-        text = path_or_text
-        if not (isinstance(text, str) and "\n" in text):
+        text = None
+        if isinstance(path_or_text, str) and "\n" in path_or_text:
+            text = path_or_text
+            data = text.encode("utf-8", "surrogatepass")
+        else:
+            # Absolute, since numpy would fetch a path that parses as a URL.
+            path = os.path.abspath(os.fsdecode(path_or_text))
             # Read whole: streaming rows through csv.reader left the later
             # solve ~35% slower (glibc mmap threshold, ROADMAP item 1b(d)).
+            with open(path, "rb") as fobj:
+                data = fobj.read()
+        if not data:
+            raise GridError("empty CSV")
+        if not data.isascii():
             try:
-                with open(path_or_text, newline="", encoding="utf-8") as fobj:
-                    text = fobj.read()
+                data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise GridError(f"CSV is not UTF-8 text: {exc}") from None
-        if not text:
-            raise GridError("empty CSV")
-        head, _, body = text.partition("\n")
+        # No byte of a multi-byte UTF-8 character is "\n", "\r" or "j", so
+        # the checks below can count and find them in the bytes.
+        end = data.find(b"\n")
+        head = data if end < 0 else data[:end]
         try:
-            header = next(csv.reader([head]))
+            header = next(csv.reader([head.decode("utf-8")]))
         except csv.Error as exc:
             raise GridError(f"CSV header: {exc}") from None
         if len(header) < 3:
             raise GridError(f"CSV header {header} has no value columns")
+        start = len(head) + 1
+        nlines = data.count(b"\n", start) + (
+            len(data) > start and not data.endswith(b"\n"))
+        # np.loadtxt skips empty lines, so the line count is checked
+        # first; an all-blank body would also make it warn.
+        blank = re.compile(rb"\s*").fullmatch(data, start) is not None
+        is_complex = data.find(b"j", start) >= 0
+        if text is None and b"\r" not in data and not path.endswith(
+                (".gz", ".bz2", ".xz", ".lzma")):
+            src = path
+        else:
+            src = (data.decode("utf-8") if text is None else text).split("\n")
+        del data
         probe = cls.zeros(domain, m)
         left, right = probe.cell_bounds()
         tol = 1e-9 * max(1.0, float(np.max(np.abs(right))))
-        is_complex = "j" in body
-        nlines = body.count("\n") + (body[-1:] not in ("", "\n"))
         try:
-            # np.loadtxt skips empty lines, so the line count is checked
-            # first; an all-blank body would also make it warn.
-            if nlines != probe.ncells or body.isspace():
+            if nlines != probe.ncells or blank:
                 raise ValueError
-            lines = body.split("\n")
-            vals = _loadtxt(lines, complex if is_complex else float)
-            edges = _loadtxt(lines, float, usecols=(0, 1)) if is_complex else vals
+            vals = _loadtxt(src, complex if is_complex else float)
+            edges = _loadtxt(src, float, usecols=(0, 1)) if is_complex else vals
             if vals.shape != (probe.ncells, len(header)):
                 raise ValueError
+            # ``<=`` so that a NaN edge fails the check.
+            if not ((np.abs(edges[:, 0] - left) <= tol).all()
+                    and (np.abs(edges[:, 1] - right) <= tol).all()
+                    and np.isfinite(vals).all()):
+                raise ValueError
         except ValueError:
+            if text is None:
+                with open(path, encoding="utf-8", newline="") as fobj:
+                    text = fobj.read()
             raise GridError(_csv_fault(text, len(header), left, right, tol,
                                        is_complex)) from None
-        # ``<=`` so that a NaN edge fails the check.
-        ok = (np.abs(edges[:, 0] - left) <= tol) & (np.abs(edges[:, 1] - right) <= tol)
-        if not ok.all():
-            raise GridError(f"CSV row {np.argmin(ok) + 1} cell edges do not match grid")
         vals = vals[:, 2:]
         return cls(domain, m, vals[:, 0] if vals.shape[1] == 1 else vals)
 
 
-def _loadtxt(lines, dtype, usecols=None):
-    """The comma-separated ``lines`` as a 2-d array (numpy's C reader;
-    ``comments=None`` so that a ``#`` is a non-numeric field).
+def _loadtxt(src, dtype, usecols=None):
+    """The comma-separated rows of ``src`` after its header line, as a 2-d
+    array (numpy's C reader; ``comments=None`` so that a ``#`` is a
+    non-numeric field).  Empty lines are skipped.
 
-    A list of lines, not an ``io.StringIO``: that would hold a copy of
-    the whole text at 4 bytes per character.  Empty lines are skipped.
+    ``src`` is a path, or a list of the lines of a text.  numpy reads a
+    path itself, in chunks, and that is the fastest route: a file object
+    or an ``io.StringIO`` is read line by line, and the latter also holds
+    a copy of the text at 4 bytes per character.  But numpy opens a path
+    with universal newlines, where a stray ``\\r`` would end a row that
+    ``csv`` refuses, and by its extension decompresses a ``.gz``,
+    ``.bz2``, ``.xz`` or ``.lzma`` file.  So such files, and strings, come
+    as lines split at ``\\n``.
     """
-    return np.loadtxt(lines, dtype=dtype, delimiter=",",
-                      comments=None, quotechar='"', ndmin=2, usecols=usecols)
+    return np.loadtxt(src, dtype=dtype, delimiter=",", comments=None,
+                      quotechar='"', ndmin=2, usecols=usecols, skiprows=1,
+                      encoding="utf-8")
 
 
 # The number syntax of np.loadtxt's C reader, for naming a bad row:
@@ -656,11 +691,12 @@ _COMPLEX_FIELD = re.compile(rf"\(\s*{_COMPLEX}\s*\)|{_COMPLEX}")
 
 def _csv_fault(text, ncols, left, right, tol, is_complex):
     """The message naming the first fault of a CSV file that np.loadtxt
-    refused or read into the wrong shape.
+    refused or read into the wrong shape, off the grid or not finite.
 
     One ``csv.reader`` scan, checking what ``SampledFn.from_csv`` checks
     in its order: the row count, then row by row that the row is one
-    line, its field count, its numbers and its cell edges.
+    line, its field count, its numbers, its cell edges and that its
+    values are finite (each unsigned number in them, read by ``float``).
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -678,9 +714,12 @@ def _csv_fault(text, ncols, left, right, tol, is_complex):
         if not (all(_FLOAT_FIELD.fullmatch(x.strip()) for x in row[:2])
                 and all(value_field.fullmatch(x.strip()) for x in row[2:])):
             return f"CSV row {i + 1} has a non-numeric field: {row!r}"
-        lo, hi = float(row[0]), float(row[1])
+        lo, hi = float(row[0].strip()), float(row[1].strip())
         if not (abs(lo - left[i]) <= tol and abs(hi - right[i]) <= tol):
             return f"CSV row {i + 1} cell edges do not match grid"
+        if not all(math.isfinite(float(x))
+                   for x in re.findall(_UNSIGNED, ",".join(row[2:]))):
+            return f"CSV row {i + 1} has a non-finite value: {row!r}"
     return "CSV is not one line of numbers per cell"
 
 

@@ -334,6 +334,24 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "h0.csv" in err and "not UTF-8" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_h0_csv_non_finite_value(self, tmp_path, capsys, value):
+        rows = ["cell_left,cell_right,value"]
+        rows += [f"{i / 16!r},{(i + 1) / 16!r},1.0" for i in range(16)]
+        rows[5] = f"{4 / 16!r},{5 / 16!r},{value}"
+        (tmp_path / "h0.csv").write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TIGHT.replace("m = 128", "m = 16")
+                       .replace("expr = 1\n", "csv = h0.csv\n", 1))
+        out = tmp_path / "out"
+        rc = main(["solve", "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("CSV row 5 has a non-finite value: "
+                f"['0.25', '0.3125', '{value}']") in err
+        assert not out.exists()
+
     def test_broken_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("[instance]\nname = broken\n")

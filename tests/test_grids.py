@@ -223,24 +223,52 @@ _CSV_DOMAINS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    """Where _read_both writes its file (module scope: hypothesis tests
+    rewrite it for every example)."""
+    return tmp_path_factory.mktemp("csv") / "h0.csv"
+
+
+def _read_both(text, domain, m, path):
+    """SampledFn.from_csv of ``text`` as a string and of its UTF-8 bytes
+    as a file at ``path``: both routes give the same values, bit for bit,
+    or raise a GridError with the same message, which is raised again."""
+    path.write_bytes(text.encode())
+    outcomes = []
+    for src in (text, path):
+        try:
+            g = SampledFn.from_csv(src, domain, m)
+            outcomes.append((g.values.dtype, g.values.shape,
+                             g.values.tobytes()))
+        except GridError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[1], str):
+        raise GridError(outcomes[1])
+    return g
+
+
 def _np_reads(field, dtype):
-    """Whether np.loadtxt reads ``field`` as one number of ``dtype``."""
+    """The number np.loadtxt reads ``field`` as, of ``dtype``, or None if
+    it does not read one number."""
     try:
         a = np.loadtxt(io.StringIO(f"0,{field}\n"), dtype=dtype, delimiter=",",
                        comments=None, quotechar='"', ndmin=2)
     except ValueError:
-        return False
-    return a.shape == (1, 2)
+        return None
+    return a[0, 1] if a.shape == (1, 2) else None
 
 
 class TestCsvParser:
     """SampledFn.from_csv: what it accepts, bit for bit, and the row its
-    error messages name."""
+    error messages name, the same for a string and for a file."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(_CSV_DOMAINS), st.integers(1, 9),
            st.integers(1, 3), st.booleans(), st.data())
-    def test_round_trip_bit_for_bit(self, domain, m, d, is_complex, data):
+    def test_round_trip_bit_for_bit(self, csv_path, domain, m, d, is_complex,
+                                    data):
         n = len(domain.boxes) * m * d * (2 if is_complex else 1)
         vals = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
         if is_complex:
@@ -248,7 +276,7 @@ class TestCsvParser:
             vals = vals.view(complex)
         vals = vals.reshape(-1, d) if d > 1 else vals
         f = SampledFn(domain, m, vals)
-        g = SampledFn.from_csv(_csv_text(f), domain, m)
+        g = _read_both(_csv_text(f), domain, m, csv_path)
         assert g.values.dtype == f.values.dtype
         assert g.values.shape == f.values.shape
         assert g.values.tobytes() == f.values.tobytes()
@@ -260,9 +288,9 @@ class TestCsvParser:
         return _csv_text(f).splitlines()
 
     @staticmethod
-    def _read(rows, m=5000, end="\n"):
-        return SampledFn.from_csv(end.join(rows) + end,
-                                  Domain.unit_interval(), m)
+    def _read(rows, path, m=5000, end="\n"):
+        return _read_both(end.join(rows) + end, Domain.unit_interval(), m,
+                          path)
 
     @pytest.mark.parametrize("edit, message", [
         ({4097: lambda r: r.rsplit(",", 1)[0] + ",abc"},
@@ -282,109 +310,241 @@ class TestCsvParser:
         ({10: lambda r: "0.5," + r.split(",", 1)[1], 4097: lambda r: r + "x"},
          "CSV row 10 cell edges do not match grid"),
     ])
-    def test_first_fault_is_named(self, edit, message):
+    def test_first_fault_is_named(self, edit, message, csv_path):
         rows = self._rows()
         for i, change in edit.items():
             rows[i] = change(rows[i])
         rows = [r for r in rows if r is not None]
         with pytest.raises(GridError) as err:
-            self._read(rows)
+            self._read(rows, csv_path)
         assert str(err.value).startswith(message)
 
-    def test_non_numeric_message_lists_the_fields(self):
+    def test_non_numeric_message_lists_the_fields(self, csv_path):
         rows = self._rows(16)
         rows[5] = rows[5].rsplit(",", 1)[0] + ", one "
         fields = next(csv.reader([rows[5]]))
         with pytest.raises(GridError) as err:
-            self._read(rows, 16)
+            self._read(rows, csv_path, 16)
         assert str(err.value) == f"CSV row 5 has a non-numeric field: {fields!r}"
 
     @pytest.mark.parametrize("value", ["0.5#", "#0.5", "0.5 # note"])
-    def test_hash_is_not_a_comment(self, value):
+    def test_hash_is_not_a_comment(self, value, csv_path):
         rows = self._rows(16)
         rows[7] = rows[7].rsplit(",", 1)[0] + "," + value
         with pytest.raises(GridError, match="CSV row 7 has a non-numeric"):
-            self._read(rows, 16)
+            self._read(rows, csv_path, 16)
 
-    def test_comment_line_is_a_row(self):
+    def test_comment_line_is_a_row(self, csv_path):
         rows = self._rows(16)
         rows.insert(3, "# a comment")
         with pytest.raises(GridError, match="CSV has 17 cells, grid needs 16"):
-            self._read(rows, 16)
+            self._read(rows, csv_path, 16)
 
     @pytest.mark.parametrize("value", ["1_0", "١", "2J", "1+j", "1e"])
-    def test_refused_numbers(self, value):
+    def test_refused_numbers(self, value, csv_path):
         rows = self._rows(16)
         rows[16] = rows[16].rsplit(",", 1)[0] + "," + value
         with pytest.raises(GridError, match="CSV row 16 has a non-numeric"):
-            self._read(rows, 16)
+            self._read(rows, csv_path, 16)
 
-    def test_crlf_quotes_and_spaces_accepted(self):
+    def test_crlf_quotes_and_spaces_accepted(self, csv_path):
         rows = self._rows(16)
-        want = self._read(rows, 16).values
+        want = self._read(rows, csv_path, 16).values
         styled = []
         for i, row in enumerate(rows):
             lo, hi, v = row.split(",")
             styled.append(row if i == 0 else
                           [f'"{lo}",{hi},{v}', f' {lo} ,\t{hi},"  {v} "',
                            f'{lo},"{hi}", {v}'][i % 3])
-        got = self._read(styled, 16, end="\r\n").values
+        got = self._read(styled, csv_path, 16, end="\r\n").values
         assert got.tobytes() == want.tobytes()
 
-    def test_missing_final_newline_accepted(self):
+    def test_missing_final_newline_accepted(self, csv_path):
         rows = self._rows(16)
-        got = SampledFn.from_csv("\n".join(rows), Domain.unit_interval(), 16)
-        assert got.values.tobytes() == self._read(rows, 16).values.tobytes()
+        got = _read_both("\n".join(rows), Domain.unit_interval(), 16,
+                         csv_path)
+        want = self._read(rows, csv_path, 16).values
+        assert got.values.tobytes() == want.tobytes()
 
-    def test_complex_forms(self, unit):
+    def test_complex_forms(self, csv_path):
         rows = ["cell_left,cell_right,value",
                 "0.0,0.25,(1+2j)", "0.25,0.5,3j", "0.5,0.75, ( -1-0j ) ",
                 "0.75,1.0,1.5"]
-        g = self._read(rows, 4)
+        g = self._read(rows, csv_path, 4)
         assert g.values.tolist() == [1 + 2j, 3j, complex(-1.0, -0.0), 1.5]
 
-    def test_complex_edge_is_non_numeric(self):
+    def test_complex_edge_is_non_numeric(self, csv_path):
         rows = ["cell_left,cell_right,value",
                 "0.0,0.25,1j", "0.25j,0.5,1j", "0.5,0.75,1j", "0.75,1.0,1j"]
         with pytest.raises(GridError, match="CSV row 2 has a non-numeric"):
-            self._read(rows, 4)
+            self._read(rows, csv_path, 4)
 
-    def test_line_break_inside_quotes_refused(self):
+    def test_line_break_inside_quotes_refused(self, csv_path):
         rows = self._rows(16)
         rows[4] = rows[4].rsplit(",", 1)[0] + ',"0.5\n"'
         with pytest.raises(GridError,
                            match="CSV row 4 has a line break inside a quoted"):
-            self._read(rows, 16)
+            self._read(rows, csv_path, 16)
 
-    def test_stray_carriage_return_refused(self):
+    def test_stray_carriage_return_refused(self, csv_path):
         rows = self._rows(16)
         # Data row 6 is line 7 of the file.
         rows[6] = rows[6] + "\r" + rows[7]
         del rows[7]
         with pytest.raises(GridError, match="CSV line 7: "):
-            self._read(rows, 16)
+            self._read(rows, csv_path, 16)
         rows = self._rows(16)
         rows[0] = rows[0].replace(",", "\r", 1)
         with pytest.raises(GridError, match="CSV header: "):
-            self._read(rows, 16)
+            self._read(rows, csv_path, 16)
+
+    def test_stray_carriage_return_inside_a_row_refused(self, csv_path):
+        # The file keeps its 16 lines, so np.loadtxt reads it.
+        rows = self._rows(16)
+        rows[6] = rows[6].replace(",", ",\r", 1)
+        with pytest.raises(GridError, match="CSV line 7: "):
+            self._read(rows, csv_path, 16)
+
+    def test_edge_padded_with_x1c_is_scanned(self, csv_path):
+        # np.loadtxt and the row scan strip "\x1c", which str.strip
+        # takes for whitespace and float does not.
+        rows = self._rows(16)
+        rows[2] = rows[2].replace(",", "\x1c,", 1)
+        rows[9] += "x"
+        with pytest.raises(GridError, match="CSV row 9 has a non-numeric"):
+            self._read(rows, csv_path, 16)
+
+    def test_row_ending_in_two_carriage_returns_refused(self, csv_path):
+        # From a path numpy would read "\r\r\n" as a row end and a blank
+        # line, and accept the file.
+        rows = self._rows(16)
+        rows[16] += "\r\r"
+        with pytest.raises(GridError,
+                           match="CSV is not one line of numbers per cell"):
+            self._read(rows, csv_path, 16)
+
+    def test_crlf_without_final_newline_accepted(self, csv_path):
+        rows = self._rows(16)
+        got = _read_both("\r\n".join(rows), Domain.unit_interval(), 16,
+                         csv_path)
+        want = self._read(rows, csv_path, 16).values
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_utf8_bom_accepted(self, csv_path):
+        rows = self._rows(16)
+        got = _read_both("\ufeff" + "\n".join(rows) + "\n",
+                         Domain.unit_interval(), 16, csv_path)
+        want = self._read(rows, csv_path, 16).values
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_unclosed_quote_at_the_end_accepted(self, csv_path):
+        rows = self._rows(16)
+        want = self._read(rows, csv_path, 16).values
+        lo, hi, v = rows[16].split(",")
+        rows[16] = f'{lo},{hi},"{v}'
+        got = self._read(rows, csv_path, 16).values
+        assert got.tobytes() == want.tobytes()
+
+    def test_line_break_inside_quotes_on_a_full_count_refused(self, csv_path):
+        # With a row left out the file keeps its 16 lines, so np.loadtxt
+        # reads it, and joins the two lines into one row.
+        rows = self._rows(16)
+        rows[4] = rows[4].rsplit(",", 1)[0] + ',"0.5\n"'
+        del rows[9]
+        with pytest.raises(GridError, match="CSV has 15 cells, grid needs 16"):
+            self._read(rows, csv_path, 16)
+
+    def test_non_utf8_file_refused(self, csv_path):
+        data = ("\n".join(self._rows(16)) + "\n").encode()
+        data = data.replace(b"0.5,", b"0.5\xe9,", 1)
+        with pytest.raises(UnicodeDecodeError) as want:
+            data.decode("utf-8")
+        csv_path.write_bytes(data)
+        with pytest.raises(GridError) as err:
+            SampledFn.from_csv(csv_path, Domain.unit_interval(), 16)
+        assert str(err.value) == f"CSV is not UTF-8 text: {want.value}"
+
+    @pytest.mark.parametrize("value", [
+        "nan", "inf", "-Infinity", "1e400", "-1e309", "(1+nanj)", "1e400j",
+        "inf-1j"])
+    def test_non_finite_value_names_its_row(self, value, csv_path):
+        rows = self._rows(16)
+        rows[9] = rows[9].rsplit(",", 1)[0] + "," + value
+        rows[12] = rows[12].rsplit(",", 1)[0] + ",nan"
+        fields = next(csv.reader([rows[9]]))
+        with pytest.raises(GridError) as err:
+            self._read(rows, csv_path, 16)
+        assert str(err.value) == (
+            f"CSV row 9 has a non-finite value: {fields!r}")
+
+    def test_non_finite_value_before_other_faults(self, csv_path):
+        rows = self._rows(16)
+        rows[3] = rows[3].rsplit(",", 1)[0] + ",inf"
+        rows[5] = "0.5," + rows[5].split(",", 1)[1]
+        with pytest.raises(GridError, match="CSV row 3 has a non-finite"):
+            self._read(rows, csv_path, 16)
+        rows[3] = "0.5," + rows[3].split(",", 1)[1]
+        with pytest.raises(GridError, match="CSV row 3 cell edges"):
+            self._read(rows, csv_path, 16)
+
+    def test_non_finite_vector_component_names_its_row(self, csv_path):
+        f = SampledFn(Domain.unit_interval(), 8, np.ones((8, 2)))
+        rows = _csv_text(f).splitlines()
+        rows[6] = rows[6].rsplit(",", 1)[0] + ",-inf"
+        with pytest.raises(GridError, match="CSV row 6 has a non-finite"):
+            self._read(rows, csv_path, 8)
+
+    def test_a_plain_file_is_parsed_from_its_path(self, tmp_path,
+                                                  monkeypatch):
+        # numpy reads a path fastest; a file with a "\r", or a name numpy
+        # would decompress, is parsed from its lines.
+        srcs = []
+        loadtxt = np.loadtxt
+
+        def recorder(src, *args, **kwargs):
+            srcs.append(src)
+            return loadtxt(src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recorder)
+        monkeypatch.chdir(tmp_path)
+        text = "\n".join(self._rows(16)) + "\n"
+        want = self._read(self._rows(16), tmp_path / "want.csv", 16).values
+        for name, content, route in [
+                ("h0.csv", text, str),
+                ("crlf.csv", text.replace("\n", "\r\n"), list),
+                ("h0.csv.gz", text, list)]:
+            (tmp_path / name).write_bytes(content.encode())
+            srcs.clear()
+            got = SampledFn.from_csv(name, Domain.unit_interval(), 16)
+            assert got.values.tobytes() == want.tobytes()
+            assert [type(src) for src in srcs] == [route]
+            if route is str:
+                assert srcs[0] == str(tmp_path / name)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(
         list("0123456789.eE+-jJ() \t_#x") + ["\xa0", "١", "inf", "nan",
                                              "infinity", "NaN", "1", "5"]),
         max_size=8).map("".join), st.booleans())
-    def test_bad_row_is_the_one_numpy_refuses(self, field, complex_file):
+    def test_bad_row_is_the_one_numpy_refuses(self, csv_path, field,
+                                              complex_file):
         # Row 1 holds ``field`` and row 2 is never a number: the message
-        # names row 1 exactly when np.loadtxt refuses ``field``.
+        # names row 1 exactly when np.loadtxt refuses ``field``, or reads
+        # it as a number that is not finite.
         last = "1j" if complex_file else "1.0"
         rows = ["cell_left,cell_right,value", f"0.0,0.25,{field}",
                 "0.25,0.5,x", "0.5,0.75,1.0", f"0.75,1.0,{last}"]
         dtype = complex if complex_file or "j" in field else float
-        bad_row = 2 if _np_reads(field, dtype) else 1
+        value = _np_reads(field, dtype)
+        if value is None:
+            message = "CSV row 1 has a non-numeric field"
+        elif np.isfinite(value):
+            message = "CSV row 2 has a non-numeric field"
+        else:
+            message = "CSV row 1 has a non-finite value"
         with pytest.raises(GridError) as err:
-            self._read(rows, 4)
-        assert str(err.value).startswith(
-            f"CSV row {bad_row} has a non-numeric field")
+            self._read(rows, csv_path, 4)
+        assert str(err.value).startswith(message)
 
 
 def _reference_csv(f):
