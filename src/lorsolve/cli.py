@@ -4,7 +4,8 @@ Subcommands: solve, audit, norm, axioms, bridge, cov-check, selftest.
 All outputs are plain CSV / flat text, written atomically (temp + rename)
 into --out, and contain no timestamps or machine identifiers: the same
 inputs and seed produce byte-identical files.  Exit status: 0 for PASS
-verdicts, 1 for FAIL verdicts, 2 for input errors.
+verdicts, 1 for FAIL verdicts, 2 for input errors (among them a map that
+leaves a gap in the domain or is not a self-map of it).
 """
 
 import argparse

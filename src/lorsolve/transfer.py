@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import SampledFn
-from .maps import MapError, PiecewiseMap
+from .maps import MapError, PiecewiseMap, _merge_intervals
 from .norms import lorentz_norm_vector
 from .young import derive_tau
 
@@ -41,10 +41,6 @@ __all__ = [
     "AuditReport",
     "audit_contraction",
 ]
-
-_CLAMP_TOL = 1e-12
-_OUTSIDE_FRACTION_LIMIT = 1e-3
-
 
 class InstanceError(ValueError):
     """Raised for ill-formed problem instances."""
@@ -62,27 +58,6 @@ class AuditFailure(RuntimeError):
         )
 
 
-def _clamp_to_domain(points, domain, m):
-    """Clamp points outside the domain onto the nearest interval's end cell.
-
-    Returns (flat cell indices, distances to that interval's closure).  A
-    point below an interval goes to its first cell, one at or above its
-    upper end to its last cell; of equally near intervals the earlier one
-    wins.  A NaN point gets index -1.
-    """
-    pts = np.asarray(points, dtype=float)
-    for b, (lo, hi) in enumerate(domain.boxes):
-        d = np.maximum(lo - pts, pts - hi)
-        cell = np.where(pts < lo, b * m, np.where(pts >= hi, b * m + m - 1, -1))
-        if b == 0:
-            best, best_d = cell, d
-        else:
-            take = d < best_d
-            best = np.where(take, cell, best)
-            best_d = np.where(take, d, best_d)
-    return best, best_d
-
-
 class ProblemInstance:
     """Fixed data of one functional equation phi = P phi + h0.
 
@@ -94,10 +69,13 @@ class ProblemInstance:
     declared contraction parameter; psi selects the Young function
     generating the norm.
 
-    Construction precomputes, per map, the target cell index of every
-    midpoint image; midpoints mapping outside the domain are clamped to the
-    nearest cell (counted, and allowed only within a small tolerance for
-    more than 0.1% of cells).
+    Construction checks, from the branch ends, that every map covers each
+    box of the domain and sends it into the domain's closure (the image of
+    each branch piece lies inside one interval of the merged closure of
+    the boxes); either failure raises InstanceError.  It then precomputes,
+    per map, the target cell index of every midpoint image.  Such an image
+    leaves the domain only by rounding onto a box's closed right end: it
+    goes to that box's last cell and is counted in ``clamped_images``.
     """
 
     def __init__(self, domain, maps, coeffs, h0, K_decl, L_decl, alpha, psi,
@@ -153,42 +131,56 @@ class ProblemInstance:
             sampled.append(g)
         self.coeffs = tuple(sampled)
 
+        closure = _merge_intervals(domain.boxes)
+        for F in maps:
+            covered = _merge_intervals((br.lo, br.hi) for br in F.branches)
+            for lo, hi in domain.boxes:
+                # The first point of the box that no branch holds, and the
+                # start of the next branch after it.
+                gap = next((e for s, e in covered if s <= lo < e), lo)
+                if gap < hi:
+                    end = min([s for s, _ in covered if gap < s] + [hi])
+                    raise InstanceError(
+                        f"map {F.label!r} does not cover the domain: no "
+                        f"branch holds [{gap!r}, {end!r})"
+                    )
+            for ylo, yhi in F.piece_images(domain.boxes):
+                if not any(lo <= ylo and yhi <= hi for lo, hi in closure):
+                    raise InstanceError(
+                        f"map {F.label!r} is not a self-map of the domain: "
+                        f"its image [{ylo!r}, {yhi!r}] reaches outside the "
+                        "domain"
+                    )
+
+        # A box's closed right end, onto which a midpoint image can round,
+        # and that box's last cell.
+        tops = {hi: b * h0.m + h0.m - 1
+                for b, (_, hi) in enumerate(domain.boxes)}
         idx_arrays = []
         jac_arrays = []
-        clamped_within = 0
-        clamped_beyond = 0
+        clamped = 0
         for F in maps:
             y, jac = F.evaluate(x)
-            uncovered = int(np.isnan(y).sum())
-            if uncovered:
+            nan = int(np.isnan(y).sum())
+            if nan:
                 raise InstanceError(
-                    f"map {F.label!r} does not cover all grid midpoints "
-                    f"({uncovered} uncovered)"
+                    f"map {F.label!r} is NaN at {nan} grid midpoints"
                 )
             idx = h0.cell_index_of(y)
-            outside = idx < 0
-            if outside.any():
-                fixed, dist = _clamp_to_domain(y[outside], domain, h0.m)
-                beyond = dist > _CLAMP_TOL
-                clamped_within += int((~beyond).sum())
-                clamped_beyond += int(beyond.sum())
-                idx[outside] = fixed
+            for i in np.flatnonzero(idx < 0):
+                if y[i] not in tops:
+                    raise InstanceError(
+                        f"map {F.label!r} sends midpoint {float(x[i])!r} "
+                        f"to {float(y[i])!r}, outside the domain"
+                    )
+                idx[i] = tops[y[i]]
+                clamped += 1
             idx_arrays.append(idx)
             jac_arrays.append(np.abs(jac))
-        n_checks = len(maps) * x.size
-        if clamped_beyond > _OUTSIDE_FRACTION_LIMIT * n_checks:
-            raise InstanceError(
-                f"{clamped_beyond} of {n_checks} midpoint images fall "
-                "outside the domain beyond tolerance; the maps are not "
-                "self-maps of the domain"
-            )
-        if any(idx.min() < 0 or idx.max() >= h0.ncells for idx in idx_arrays):
-            raise InstanceError("target cell index outside the grid")
         self._target_idx = tuple(idx_arrays)
         self._abs_jac = tuple(jac_arrays)
         self._midpoints = x
-        self.clamped_within_tol = clamped_within
-        self.clamped_beyond_tol = clamped_beyond
+        self.clamped_images = clamped
 
     # -- derived quantities --------------------------------------------------
 
@@ -227,7 +219,7 @@ class ProblemInstance:
         acc = np.zeros(rows.shape, dtype=dtype)
         # One gather buffer for all maps: per-map temporaries of this size
         # are mmapped and page-faulted afresh.  ``mode="clip"`` writes into
-        # ``buf`` directly ("raise" copies); __init__ checked every index.
+        # ``buf`` directly ("raise" copies); every index is a cell of the grid.
         buf = np.empty(rows.shape, dtype=dtype)
         for g, idx in zip(self.coeffs, self._target_idx):
             np.take(rows, idx, axis=-1, out=buf, mode="clip")
@@ -303,7 +295,8 @@ class AuditReport:
     ``k_est`` and ``l_est``, which are exact: computed from the branch
     image intervals, not sampled.  ``overlap_witness`` names the maps whose
     images cover the first segment where the overlap order ``l_est`` is
-    reached.
+    reached.  ``clamped_images`` counts the midpoint images that rounded
+    onto a box's closed right end and went to its last cell.
     """
 
     instance_label: str
@@ -320,8 +313,7 @@ class AuditReport:
     per_map_worst: tuple
     feasible_alpha: float
     worst_witness: str
-    clamped_within_tol: int
-    clamped_beyond_tol: int
+    clamped_images: int
     passed: bool
 
     def as_text(self):
@@ -347,8 +339,7 @@ class AuditReport:
         lines += [
             f"feasible_alpha = {self.feasible_alpha!r}",
             f"worst_witness = {self.worst_witness}",
-            f"clamped_within_tol = {self.clamped_within_tol}",
-            f"clamped_beyond_tol = {self.clamped_beyond_tol}",
+            f"clamped_images = {self.clamped_images}",
             "note = PASS is evidence at grid resolution; FAIL is authoritative",
             f"verdict = {'PASS' if self.passed else 'FAIL'}",
         ]
@@ -412,7 +403,6 @@ def audit_contraction(inst):
         per_map_worst=tuple(per_map_worst),
         feasible_alpha=worst,
         worst_witness=witness,
-        clamped_within_tol=inst.clamped_within_tol,
-        clamped_beyond_tol=inst.clamped_beyond_tol,
+        clamped_images=inst.clamped_images,
         passed=bool(passed),
     )

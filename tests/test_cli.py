@@ -313,6 +313,29 @@ class TestInputErrors:
         assert "[coeff1]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["solve", "audit"])
+    @pytest.mark.parametrize("branches, message", [
+        ("branch1 = 0, 1, x/2 - 0.0009, 0.5",
+         "image [-0.0009, 0.4991] reaches outside the domain"),
+        ("branch1 = 0, 0.5, x/2, 0.5\nbranch2 = 0.5001, 1, x/2, 0.5",
+         "does not cover the domain: no branch holds [0.5, 0.5001)"),
+    ], ids=["not-a-self-map", "gap-between-branches"])
+    def test_map_that_leaves_or_misses_the_domain(self, tmp_path, capsys,
+                                                 subcommand, branches,
+                                                 message):
+        # Checked from the branch ends: no midpoint of the default grid
+        # falls into the gap, and only two leave the domain.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(bundled_instance_path("twobranch").read_text()
+                       .replace("branch1 = 0, 1, x/2, 0.5", branches))
+        out = tmp_path / "out"
+        rc = main([subcommand, "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "map 'map1'" in err and message in err
+        assert not out.exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(TIGHT.replace("name = tight", "name = tight\u00e9")

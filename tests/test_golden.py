@@ -93,8 +93,9 @@ GOLDEN = {
             "61f7daece8b522043418336d20cbd078d33a04995780e5613e26a7e3ba42645d",
     },
     "audit-tight": {
+        # The two clamp lines became the one line clamped_images = 0.
         "audit.txt":
-            "0c54f544d9c57d2a028cff000b7c850f2e8e418bb1d377e3d57fbe7d6442fcf8",
+            "11ae4a161947e034bb1094b1b356add8f259c876ed5d27640a1a9dcafa97e455",
     },
     "solve-pair": {
         "solution.csv":
@@ -107,8 +108,9 @@ GOLDEN = {
             "c114fc60ea0af864897998448cb4652bcdc280818cd17f014ba890591665e1d4",
     },
     "audit-pair": {
+        # The two clamp lines became the one line clamped_images = 0.
         "audit.txt":
-            "2026bce5e8897b5201992f26eb202abe0a8ba2d6ca593c4676aadbc152be908c",
+            "c7f2ac5eb80dd9332c9792fb117a9167b9303e4974393bc1fad150879ffb936f",
     },
     "cov-check": {
         "cov.csv":

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lorsolve import (
+    Branch,
     Domain,
     InstanceError,
+    PiecewiseMap,
     ProblemInstance,
     SampledFn,
     affine_map,
@@ -140,7 +142,8 @@ class TestInstanceValidation:
         partial = affine_map([(0.0, 0.5, 1.0, 0.0)], label="partial")
         h0 = SampledFn.constant(unit, 32, 1.0)
         g = SampledFn.constant(unit, 32, 0.25)
-        with pytest.raises(InstanceError):
+        with pytest.raises(InstanceError,
+                           match=r"'partial'.*no branch holds \[0\.5, 1\.0\)"):
             ProblemInstance(unit, (partial,), (g,), h0, K_decl=1,
                             L_decl=1, alpha=0.25, psi=power_young(2.0))
 
@@ -155,20 +158,17 @@ class TestInstanceValidation:
 
 
 class TestOutsideImages:
-    def test_tiny_excursion_is_clamped(self, unit):
-        # slope sized so only the top midpoint's image exceeds 1, by ~1e-13
-        # (below the clamp tolerance): accepted and counted
+    def test_tiny_excursion_is_refused(self, unit):
+        # slope sized so only the top midpoint's image exceeds 1, by ~1e-13;
+        # the map's image reaches about 1.0079, so it is no self-map
         top_mid = 1.0 - 0.5 / 64
         slope = (1.0 + 1e-13) / top_mid
         drift = affine_map([(0.0, 1.0, slope, 0.0)], label="drift")
         h0 = SampledFn.constant(unit, 64, 1.0)
         g = SampledFn.constant(unit, 64, 0.25)
-        inst = ProblemInstance(unit, (drift,), (g,), h0, K_decl=1,
-                               L_decl=1, alpha=0.30, psi=power_young(2.0))
-        assert inst.clamped_within_tol == 1
-        assert inst.clamped_beyond_tol == 0
-        # the clamped image resolves to the top cell
-        assert inst.apply(h0).values[-1] == 0.25
+        with pytest.raises(InstanceError, match="'drift'.*outside"):
+            ProblemInstance(unit, (drift,), (g,), h0, K_decl=1,
+                            L_decl=1, alpha=0.30, psi=power_young(2.0))
 
     def test_large_excursion_rejected(self, unit):
         shifted = affine_map([(0.0, 1.0, 1.0, 0.01)], label="shifted")
@@ -177,6 +177,47 @@ class TestOutsideImages:
         with pytest.raises(InstanceError, match="outside"):
             ProblemInstance(unit, (shifted,), (g,), h0, K_decl=1,
                             L_decl=1, alpha=0.30, psi=power_young(2.0))
+
+    def test_image_rounded_onto_top_end_lands_on_last_cell(self, unit):
+        # A self-map whose image closes at 1: exactly one midpoint image
+        # rounds onto 1.0, outside [0, 1), and goes to the top cell.
+        m = 2**14
+        quartic = PiecewiseMap([Branch(0.0, 1.0, lambda x: 1 - (1 - x)**4,
+                                       lambda x: 4 * (1 - x)**3)])
+        h0 = SampledFn.constant(unit, m, 1.0)
+        g = SampledFn.constant(unit, m, 0.1)
+        inst = ProblemInstance(unit, (quartic,), (g,), h0, K_decl=1,
+                               L_decl=1, alpha=0.25, psi=power_young(2.0))
+        top = np.flatnonzero(quartic(h0.midpoints) == 1.0)
+        assert top.size == 1
+        assert inst._target_idx[0][top[0]] == m - 1
+        assert inst.clamped_images == 1
+        assert audit_contraction(inst).clamped_images == 1
+
+    @pytest.mark.parametrize("boxes, top, accepted", [
+        (((0.0, 1.0), (2.0, 2.5)), 2.25, False),
+        (((0.0, 1.0), (1.0, 2.0)), 1.5, True),
+    ], ids=["across-a-gap", "across-touching-boxes"])
+    def test_image_spanning_two_boxes(self, boxes, top, accepted):
+        # The first box goes onto [0.5, top], the second onto itself.
+        domain = Domain.from_intervals(boxes)
+        lo, hi = boxes[1]
+        spread = affine_map([(0.0, 1.0, top - 0.5, 0.5), (lo, hi, 1.0, 0.0)],
+                            label="spread")
+        h0 = SampledFn.constant(domain, 64, 1.0)
+        g = SampledFn.constant(domain, 64, 0.1)
+
+        def build():
+            return ProblemInstance(domain, (spread,), (g,), h0, K_decl=1,
+                                   L_decl=1, alpha=0.25,
+                                   psi=power_young(2.0))
+
+        if accepted:
+            assert build().clamped_images == 0
+        else:
+            with pytest.raises(InstanceError,
+                               match=r"'spread'.*\[0\.5, 2\.25\].*outside"):
+                build()
 
 
 class TestEstimates:
@@ -310,18 +351,16 @@ class TestAudit:
         assert rep.feasible_alpha == 0.25
 
 
-class TestClampFarFromZero:
+class TestExcursionFarFromZero:
     @pytest.mark.parametrize("lo", [0.0, 1e8])
-    def test_top_image_lands_on_last_cell(self, lo):
+    def test_top_excursion_is_refused(self, lo):
         # The top midpoint's image lies 0.25 cells above the domain; the
-        # clamp must not depend on where the domain sits on the real line.
+        # refusal must not depend on where the domain sits on the real line.
         m = 2048
         domain = Domain.interval(lo, lo + 1.0)
         shifted = affine_map([(lo, lo + 1.0, 1.0, 0.75 / m)], label="shifted")
         h0 = SampledFn.constant(domain, m, 1.0)
         g = SampledFn.constant(domain, m, 0.1)
-        inst = ProblemInstance(domain, (shifted,), (g,), h0, K_decl=1,
-                               L_decl=1, alpha=0.25, psi=power_young(2.0))
-        want = np.minimum(np.arange(m) + 1, m - 1)
-        assert np.array_equal(inst._target_idx[0], want)
-        assert (inst.clamped_within_tol, inst.clamped_beyond_tol) == (0, 1)
+        with pytest.raises(InstanceError, match="'shifted'.*outside"):
+            ProblemInstance(domain, (shifted,), (g,), h0, K_decl=1,
+                            L_decl=1, alpha=0.25, psi=power_young(2.0))
