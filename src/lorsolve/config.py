@@ -26,8 +26,8 @@ Schema (INI-style sections; `#` starts a comment; no interpolation):
     # csv = h0.csv                   #   a SampledFn CSV next to the config
 
     [map1]
-    branch1 = 0, 0.5, 2*x, 2         # lo, hi, value expr, derivative expr
-    branch2 = 0.5, 1, 2*x - 1, 2
+    branch1 = 0, 0.5, 2*x, 2         # lo, hi, value expr[, derivative expr]
+    branch2 = 0.5, 1, 2*x - 1
 
     [coeff1]
     expr = 0.25                      # one [coeffN] per [mapN]
@@ -37,7 +37,9 @@ Schema (INI-style sections; `#` starts a comment; no interpolation):
     h0_lorentz_norm = 1.4142135623730951
 
 Maps and coefficients are numbered from 1 and must be consecutive and
-paired.
+paired.  A branch's derivative is worked out from its value expression; a
+declared one is optional, and must agree with it at every probe point of
+the branch to a relative 1e-9.
 """
 
 import configparser
@@ -46,9 +48,9 @@ from importlib import resources
 
 import numpy as np
 
-from .expressions import ExpressionError, compile_expression
+from .expressions import ExpressionError, _parse, compile_expression
 from .grids import Domain, GridError, SampledFn
-from .maps import Branch, MapError, PiecewiseMap
+from .maps import _MONO_PROBES, Branch, MapError, PiecewiseMap
 from .transfer import InstanceError, ProblemInstance
 from .young import YoungFnError, young_family
 
@@ -59,6 +61,9 @@ __all__ = [
 ]
 
 BUNDLED_INSTANCES = ("doubling", "twobranch", "linear_h0")
+# The relative gap allowed between a declared derivative and the one
+# worked out from the branch's expression.
+_DERIV_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -140,6 +145,23 @@ def _compile(src_text, where, source):
         raise ConfigError(f"{source}: {where}: {exc}") from exc
 
 
+def _check_derivative(branch, declared, where):
+    """Refuse a declared derivative that differs from the branch's own by
+    more than _DERIV_RTOL, relative, at a probe where that one has a
+    value."""
+    xs = np.linspace(branch.lo, branch.hi, _MONO_PROBES)
+    with np.errstate(all="ignore"):
+        want, got = branch.deriv(xs), declared(xs)
+        bad = ~((got == want) | np.isnan(want)
+                | (np.abs(got - want) < _DERIV_RTOL * np.abs(want)))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ConfigError(
+            f"{where}: the declared derivative {declared.source!r} is "
+            f"{got[i].item()!r} at x = {xs[i].item()!r}, but the derivative "
+            f"of the expression is {want[i].item()!r} there")
+
+
 def _parse_map(cp, section, source):
     branches = []
     for key in sorted(cp.options(section)):
@@ -150,10 +172,10 @@ def _parse_map(cp, section, source):
             )
         raw = cp.get(section, key)
         bits = raw.split(",")
-        if len(bits) != 4:
+        if len(bits) not in (3, 4):
             raise ConfigError(
-                f"{source}: [{section}] {key} must be 'lo, hi, expr, "
-                f"deriv_expr', got {raw!r}"
+                f"{source}: [{section}] {key} must be 'lo, hi, expr' or "
+                f"'lo, hi, expr, deriv_expr', got {raw!r}"
             )
         try:
             lo, hi = float(bits[0]), float(bits[1])
@@ -161,12 +183,18 @@ def _parse_map(cp, section, source):
             raise ConfigError(
                 f"{source}: [{section}] {key}: endpoints must be numbers"
             ) from None
-        fn = _compile(bits[2], f"[{section}] {key} value", source)
-        deriv = _compile(bits[3], f"[{section}] {key} derivative", source)
         try:
-            branches.append(Branch(lo=lo, hi=hi, fn=fn, deriv=deriv))
-        except MapError as exc:
+            branch = Branch(lo, hi, bits[2])
+        except (ExpressionError, MapError) as exc:
             raise ConfigError(f"{source}: [{section}] {key}: {exc}") from exc
+        if len(bits) == 4:
+            declared = _compile(bits[3], f"[{section}] {key} derivative",
+                                source)
+            # The same tree agrees at every x; only another one is probed.
+            if _parse(declared.source) != branch.deriv_tree:
+                _check_derivative(branch, declared,
+                                  f"{source}: [{section}] {key}")
+        branches.append(branch)
     if not branches:
         raise ConfigError(f"{source}: [{section}] has no branches")
     try:

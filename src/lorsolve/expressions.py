@@ -15,9 +15,12 @@ like "0.25" sample cleanly onto a grid.  The language is a subset of
 Python's expressions with the same precedence, so Python's parser reads
 it and its tree is translated, refusing all that is outside the grammar.
 Errors carry a position in the original text; nothing is ever eval()ed.
+The derivative of a tree is a tree too, by the rules of calculus, which
+is how a map's branch gets its slope.
 """
 
 import ast
+import contextlib
 import re
 import warnings
 
@@ -131,6 +134,98 @@ def _evaluate(node, x):
     raise AssertionError(f"unhandled node {op!r}")
 
 
+_ZERO, _ONE = ("const", 0.0), ("const", 1.0)
+
+
+def _node(op, a, b):
+    """(op, a, b) for op in add, sub, mul and div, with a zero term, a zero
+    or unit factor and a unit divisor cut short, and the result of two
+    constants folded."""
+    if op == "mul" and _ZERO in (a, b) or op == "div" and a == _ZERO:
+        return _ZERO
+    if b == (_ONE if op in ("mul", "div") else _ZERO):
+        return a
+    if op != "div" and a == (_ONE if op == "mul" else _ZERO):
+        return ("neg", b) if op == "sub" else b
+    if a[0] == b[0] == "const" and (op != "div" or b[1]):
+        return ("const", _evaluate((op, a, b), None))
+    return (op, a, b)
+
+
+def _has_x(tree):
+    return tree[0] == "var" or (tree[0] != "const"
+                                and any(map(_has_x, tree[1:])))
+
+
+def _derivative(tree, src):
+    """The tree of the derivative in x of ``tree``, which :func:`_parse`
+    read from ``src``.
+
+    A part without x differentiates to ("const", 0.0) and adds nothing to
+    the rest.  ``%`` takes the slope of its dividend (off its wraps) and
+    ``^`` the power rule, so x in the divisor of a ``%`` or in an exponent
+    raises :class:`ExpressionError`.
+    """
+    op = tree[0]
+    if op in ("const", "var"):
+        return _ONE if op == "var" else _ZERO
+    if op in ("mod", "pow") and _has_x(tree[2]):
+        where = "divisor" if op == "mod" else "exponent"
+        raise ExpressionError(
+            f"cannot differentiate {src!r}: x in the {where} of {op!r}")
+    slopes = [_derivative(kid, src) for kid in tree[1:]]
+    if all(d == _ZERO for d in slopes):
+        return _ZERO
+    if op == "neg":
+        return ("neg", slopes[0])
+    (a, b), (da, db) = tree[1:], slopes
+    if op in ("add", "sub"):
+        return _node(op, da, db)
+    if op == "mod":
+        return da
+    if op == "pow":
+        k = _evaluate(b, None)
+        return _node("mul", _node("mul", ("const", k),
+                                  ("pow", a, ("const", k - 1))), da)
+    if op == "mul":
+        return _node("add", _node("mul", da, b), _node("mul", a, db))
+    if db == _ZERO:
+        return _node("div", da, b)
+    return _node("div", _node("sub", _node("mul", da, b), _node("mul", a, db)),
+                 ("mul", b, b))
+
+
+@contextlib.contextmanager
+def _evaluation_errors(source):
+    """Turn what parsing or evaluating ``source`` raises into an
+    :class:`ExpressionError`."""
+    try:
+        yield
+    except (ZeroDivisionError, OverflowError, TypeError, RecursionError,
+            MemoryError) as exc:
+        why = {ZeroDivisionError: "division by zero",
+               OverflowError: "a power too large for a float",
+               TypeError: "a complex value where a real one is needed"}.get(
+                   type(exc), "it is too long or nested too deeply")
+        raise ExpressionError(f"cannot evaluate {source!r}: {why}") from None
+
+
+def _vectorize(tree, source):
+    """A vectorized function of x that evaluates ``tree``; a constant tree
+    is broadcast to the input's shape."""
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        out = _evaluate(tree, x)
+        if np.ndim(out) == 0:
+            if np.iscomplexobj(out):    # float() of a numpy complex only warns
+                raise TypeError("complex constant")
+            return np.full(x.shape, float(out))
+        return out
+
+    fn.source = source
+    return fn
+
+
 def compile_expression(src):
     """Parse ``src`` and return a vectorized function of x.
 
@@ -141,28 +236,11 @@ def compile_expression(src):
     """
     if not src or not src.strip():
         raise ExpressionError("empty expression")
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = _evaluate(tree, x)
-        if np.ndim(out) == 0:
-            if np.iscomplexobj(out):    # float() of a numpy complex only warns
-                raise TypeError("complex constant")
-            return np.full(x.shape, float(out))
-        return out
-
-    fn.source = src.strip()
-    # Parts without x are Python floats and raise alike for every x, as
-    # does numpy on a complex operand of %, so one probe finds them all.
-    try:
-        tree = _parse(src)
+    source = src.strip()
+    with _evaluation_errors(source):
+        fn = _vectorize(_parse(src), source)
+        # Parts without x are Python floats and raise alike for every x, as
+        # does numpy on a complex operand of %, so one probe finds them all.
         with np.errstate(all="ignore"):
             fn(np.zeros(1))
-    except (ZeroDivisionError, OverflowError, TypeError, RecursionError,
-            MemoryError) as exc:
-        why = {ZeroDivisionError: "division by zero",
-               OverflowError: "a power too large for a float",
-               TypeError: "a complex value where a real one is needed"}.get(
-                   type(exc), "it is too long or nested too deeply")
-        raise ExpressionError(f"cannot evaluate {fn.source!r}: {why}") from None
     return fn

@@ -1,11 +1,11 @@
 """Piecewise monotone maps, multiplicity counting, change of variables.
 
 A :class:`PiecewiseMap` is a finite list of branches, each a strictly
-monotone C^1 map on a half-open interval with a caller-supplied derivative
-evaluator.  This branch class is exactly the one for which counting
-preimages is trivial (each branch is a bijection onto its image interval)
-and for which preimages of null sets are null, so the change-of-variables
-identity
+monotone C^1 map on a half-open interval, given by an expression in x
+whose derivative is worked out from the expression's tree.  This branch
+class is exactly the one for which counting preimages is trivial (each
+branch is a bijection onto its image interval) and for which preimages of
+null sets are null, so the change-of-variables identity
 
     integral_E H(F(x)) |F'(x)| dx  =  integral H(y) N_F(y, E) dy
 
@@ -13,11 +13,13 @@ holds with N_F the Banach indicatrix (number of preimages of y in E).
 :func:`change_of_variables_check` verifies it numerically on a grid.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .expressions import _derivative, _evaluation_errors, _parse, _vectorize
 from .grids import SampledFn
 
 __all__ = [
@@ -51,41 +53,51 @@ _BOUNDARY_ATOL = 1e-12
 class Branch:
     """One strictly monotone C^1 piece of a map, on [lo, hi).
 
-    ``fn`` and ``deriv`` must be vectorized.  Strict monotonicity is probed
-    at construction on a uniform sample; the derivative may vanish at
-    finitely many points but must not change sign.
+    ``expr`` is the value in x, as text in the language of
+    :mod:`lorsolve.expressions` or as a tree of its parser.  The branch
+    keeps that ``tree`` and the ``deriv_tree`` of its derivative, which
+    the rules of :func:`lorsolve.expressions._derivative` work out, and
+    evaluates them with the vectorized ``fn`` and ``deriv``.  Strict
+    monotonicity is probed at construction on a uniform sample.  An
+    expression that cannot be parsed, evaluated or differentiated raises
+    :class:`~lorsolve.expressions.ExpressionError`.
     """
 
     lo: float
     hi: float
-    fn: Callable
-    deriv: Callable
+    expr: object
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.lo < self.hi):
             raise MapError(f"bad branch interval [{self.lo}, {self.hi})")
+        text = isinstance(self.expr, str)
+        source = self.expr.strip() if text else repr(self.expr)
         xs = np.linspace(self.lo, self.hi, _MONO_PROBES)
-        ys = np.asarray(self.fn(xs))
-        ds = np.asarray(self.deriv(xs))
-        if np.iscomplexobj(ys) or np.iscomplexobj(ds):
+        with _evaluation_errors(source), np.errstate(all="ignore"):
+            tree = _parse(self.expr) if text else self.expr
+            deriv_tree = _derivative(tree, source)
+            fn = _vectorize(tree, source)
+            deriv = _vectorize(deriv_tree, source)
+            # Parts without x raise alike for every x, so the probes find
+            # them all.
+            ys = fn(xs)
+            deriv(xs)
+        if ys.dtype.kind == "c":
             raise MapError(f"branch on [{self.lo}, {self.hi}) has a complex "
                            "value where a real one is needed")
-        ys, ds = ys.astype(float), ds.astype(float)
-        if not np.all(np.isfinite(ys)):
+        if not np.isfinite(ys).all():
             raise MapError("branch values must be finite")
-        d = np.diff(ys)
-        if np.all(d > 0):
-            inc = True
-        elif np.all(d < 0):
-            inc = False
-        else:
+        d = ys[1:] - ys[:-1]
+        if not ((d > 0).all() or (d < 0).all()):
             raise MapError(
                 f"branch on [{self.lo}, {self.hi}) is not strictly monotone"
             )
-        if inc and np.any(ds < -1e-12) or (not inc) and np.any(ds > 1e-12):
-            raise MapError("derivative sign contradicts branch monotonicity")
-        object.__setattr__(self, "_ylo", float(min(ys[0], ys[-1])))
-        object.__setattr__(self, "_yhi", float(max(ys[0], ys[-1])))
+        for name, value in [("tree", tree), ("deriv_tree", deriv_tree),
+                            ("fn", fn), ("deriv", deriv),
+                            ("_ylo", float(min(ys[0], ys[-1]))),
+                            ("_yhi", float(max(ys[0], ys[-1])))]:
+            object.__setattr__(self, name, value)
 
     @property
     def image(self):
@@ -273,16 +285,14 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
 
 
 def affine_map(pieces, label=""):
-    """Build a map from affine pieces (lo, hi, slope, intercept)."""
-    branches = []
-    for lo, hi, a, c in pieces:
-        a, c = float(a), float(c)
-        branches.append(
-            Branch(lo=float(lo), hi=float(hi),
-                   fn=(lambda a=a, c=c: (lambda x: a * np.asarray(x, dtype=float) + c))(),
-                   deriv=(lambda a=a: (lambda x: np.full(np.shape(x), a)))())
-        )
-    return PiecewiseMap(branches, label=label)
+    """Build a map from affine pieces (lo, hi, slope, intercept), each
+    the tree of slope*x + intercept."""
+    return PiecewiseMap(
+        [Branch(float(lo), float(hi),
+                ("add", ("mul", ("const", float(a)), ("var",)),
+                 ("const", float(c))))
+         for lo, hi, a, c in pieces],
+        label=label)
 
 
 def identity_map():

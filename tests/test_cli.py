@@ -336,6 +336,42 @@ class TestInputErrors:
         assert "map 'map1'" in err and message in err
         assert not out.exists()
 
+    @staticmethod
+    def _eighth_map(tmp_path, branch):
+        """linear_h0 with the map x/8 and g = 0.24 at alpha = 0.25: since
+        |g|/|f'| = 1.92, the contraction audit must FAIL."""
+        cfg = tmp_path / "eighth.cfg"
+        cfg.write_text(bundled_instance_path("linear_h0").read_text()
+                       .replace("branch1 = 0, 1, x, 1", branch)
+                       .replace("[coeff1]\nexpr = 0", "[coeff1]\nexpr = 0.24")
+                       .replace("alpha = 0.0", "alpha = 0.25"))
+        return cfg
+
+    @pytest.mark.parametrize("subcommand", ["solve", "audit"])
+    def test_declared_derivative_that_is_wrong(self, tmp_path, capsys,
+                                               subcommand):
+        # Declared 1 where x/8 has slope 1/8: taken on trust, the 1 let
+        # the audit PASS.
+        cfg = self._eighth_map(tmp_path, "branch1 = 0, 1, x/8, 1")
+        out = tmp_path / "out"
+        rc = main([subcommand, "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("[map1] branch1: the declared derivative '1' is 1.0 at "
+                "x = 0.0, but the derivative of the expression is 0.125 "
+                "there") in err
+        assert not out.exists()
+
+    def test_derived_derivative_fails_the_audit(self, tmp_path, capsys):
+        cfg = self._eighth_map(tmp_path, "branch1 = 0, 1, x/8")
+        out = tmp_path / "out"
+        assert main(["audit", "--instance", str(cfg), "--out", str(out)]) == 1
+        assert "feasible_alpha = 1.92\n" in (out / "audit.txt").read_text()
+        assert main(["solve", "--instance", str(cfg), "--out", str(out)]) == 1
+        assert "use --force" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(TIGHT.replace("name = tight", "name = tight\u00e9")

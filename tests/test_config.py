@@ -8,6 +8,7 @@ from lorsolve import (
     BUNDLED_INSTANCES,
     ConfigError,
     SampledFn,
+    audit_contraction,
     bundled_instance_path,
     load_instance,
 )
@@ -133,10 +134,29 @@ class TestRejections:
         with pytest.raises(ConfigError, match="alpha"):
             load_instance(MINIMAL.replace("alpha = 0.25", "alpha = wide"))
 
-    def test_branch_needs_four_fields(self):
-        with pytest.raises(ConfigError, match="branch"):
-            load_instance(MINIMAL.replace(
-                "branch1 = 0, 0.5, 2*x, 2", "branch1 = 0, 0.5, 2*x"))
+    def test_branch_needs_three_or_four_fields(self):
+        for branch in ["0, 0.5", "0, 0.5, 2*x, 2, 2"]:
+            with pytest.raises(ConfigError, match="branch1 must be"):
+                load_instance(MINIMAL.replace("0, 0.5, 2*x, 2", branch))
+
+    def test_declared_derivative_changes_nothing(self):
+        three = MINIMAL.replace(", 2\n", "\n")
+        assert "2*x\n" in three and "2*x - 1\n" in three
+        (a, _), (b, _) = load_instance(three), load_instance(MINIMAL)
+        assert all(np.array_equal(i, j)
+                   for i, j in zip(a._target_idx, b._target_idx))
+        assert audit_contraction(a).as_text() == audit_contraction(b).as_text()
+
+    @pytest.mark.parametrize("declared", ["", ", 0.5*x^-0.5"],
+                             ids=["derived", "declared"])
+    def test_infinite_slope_at_an_end_loads_without_warning(self, declared):
+        # The slope of x^0.5 is infinite at x = 0, a probe point; a numpy
+        # warning there is an error under this suite's warning filter.
+        text = MINIMAL.replace(
+            "branch1 = 0, 0.5, 2*x, 2\nbranch2 = 0.5, 1, 2*x - 1, 2",
+            f"branch1 = 0, 1, x^0.5{declared}")
+        branch = load_instance(text)[0].maps[0].branches[0]
+        assert branch.deriv(np.array([0.25, 1.0])).tolist() == [1.0, 0.5]
 
     def test_noncontiguous_maps(self):
         text = MINIMAL.replace("[map1]", "[map3]").replace("[coeff1]",

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from numpy.polynomial import Polynomial
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lorsolve import ExpressionError, compile_expression
-from lorsolve.expressions import _parse
+from lorsolve.expressions import _derivative, _evaluate, _parse
 
 
 class TestGrammar:
@@ -109,14 +110,18 @@ _OPERANDS = {"pow": (5, 3), "neg": (3,), "mul": (2, 3), "div": (2, 3),
 _SYMBOLS = {"add": ("+",), "sub": ("-",), "mul": ("*",), "div": ("/",),
             "mod": ("%",), "pow": ("^", "**")}
 
-_trees = st.recursive(
-    st.one_of(st.just(("var",)),
-              st.floats(min_value=0.0, allow_infinity=False)
-              .map(lambda v: ("const", abs(v)))),
-    lambda kids: st.one_of(
-        st.tuples(st.just("neg"), kids),
-        st.tuples(st.sampled_from(sorted(_SYMBOLS)), kids, kids)),
-    max_leaves=16)
+def _trees(consts, binary, max_leaves=16):
+    """Trees over x, the constants drawn from consts, "neg" and the binary
+    nodes that binary(kids) draws."""
+    return st.recursive(
+        st.one_of(st.just(("var",)), consts.map(lambda v: ("const", v))),
+        lambda kids: st.one_of(st.tuples(st.just("neg"), kids), binary(kids)),
+        max_leaves=max_leaves)
+
+
+_any_trees = _trees(
+    st.floats(min_value=0.0, allow_infinity=False).map(abs),
+    lambda kids: st.tuples(st.sampled_from(sorted(_SYMBOLS)), kids, kids))
 
 
 def _print(node, level, draw):
@@ -144,8 +149,78 @@ def _print(node, level, draw):
 
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
-    @given(_trees, st.data())
+    @given(_any_trees, st.data())
     def test_printed_tree_parses_back(self, tree, data):
         space = st.text(" \t\n", max_size=2)
         text = data.draw(space) + _print(tree, 1, data.draw) + data.draw(space)
         assert _parse(text) == tree
+
+
+def _slope(src, x):
+    """The derived derivative of src at the points x."""
+    return np.broadcast_to(_evaluate(_derivative(_parse(src), src), x),
+                           np.shape(x))
+
+
+def _integral(tree):
+    """tree with each constant an int, so that numpy's polynomials of
+    Python ints evaluate it exactly."""
+    if tree[0] == "const":
+        return ("const", int(tree[1]))
+    return (tree[0], *map(_integral, tree[1:])) if tree[0] != "var" else tree
+
+
+# Polynomials in x: + - * and ^ with an exponent of 0, 1 or 2, on integer
+# constants, so that every coefficient is an exact integer.
+_polynomials = _trees(
+    st.integers(0, 3).map(float),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), kids, kids),
+        st.tuples(st.just("pow"), kids,
+                  st.integers(0, 2).map(lambda k: ("const", float(k))))),
+    max_leaves=8)
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("src, want", [
+        ("0.75", lambda x: 0 * x),                              # const
+        ("x", lambda x: 1 + 0 * x),                             # var
+        ("-x^2", lambda x: -2 * x),                             # neg
+        ("x^2 + 3*x", lambda x: 2 * x + 3),                     # add
+        ("x^3 - x", lambda x: 3 * x**2 - 1),                    # sub
+        ("(x + 1)*(x - 2)", lambda x: 2 * x - 1),               # mul
+        ("x/4", lambda x: 0.25 + 0 * x),                        # div
+        ("1/x", lambda x: -1 / x**2),
+        ("x/(x + 1)", lambda x: 1 / (x + 1)**2),
+        ("(3*x) % 1", lambda x: 3 + 0 * x),                     # mod
+        ("x^0.5", lambda x: 0.5 * x**-0.5),                     # pow
+        ("(2*x + 1)^-2", lambda x: -4 * (2 * x + 1)**-3),
+        ("x^(1/2)", lambda x: 0.5 * x**-0.5),
+    ])
+    def test_closed_form(self, src, want):
+        x = np.array([0.3, 0.7, 1.9])
+        np.testing.assert_allclose(_slope(src, x), want(x), rtol=1e-14)
+
+    @pytest.mark.parametrize("src, where", [
+        ("x % x", "divisor"),
+        ("2^x", "exponent"),
+        ("x^x", "exponent"),
+        ("x + x^(x - x)", "exponent"),
+    ])
+    def test_x_in_a_divisor_or_exponent_is_refused(self, src, where):
+        with pytest.raises(ExpressionError, match=where) as exc:
+            _derivative(_parse(src), src)
+        assert repr(src) in str(exc.value)
+
+    def test_parts_without_x_add_nothing(self):
+        tree = _parse("0.5 + (x - 0.25)*3 % 1 + 2^-3")
+        assert _derivative(tree, "") == ("const", 3.0)
+
+    @seed(27)
+    @settings(max_examples=200, deadline=None)
+    @given(_polynomials)
+    def test_polynomials(self, tree):
+        x = Polynomial(np.array([0, 1], dtype=object))
+        want = (_evaluate(_integral(tree), x) + 0 * x).deriv()
+        got = _evaluate(_integral(_derivative(tree, "")), x)
+        assert not (got - want).trim().coef.any()

@@ -4,6 +4,7 @@ import pytest
 from lorsolve import (
     Branch,
     Domain,
+    ExpressionError,
     MapError,
     PiecewiseMap,
     SampledFn,
@@ -21,27 +22,31 @@ from lorsolve import (
 
 class TestBranch:
     def test_increasing_detection(self):
-        b = Branch(0.0, 1.0, lambda x: 2.0 * x, lambda x: 2.0 + 0.0 * x)
+        b = Branch(0.0, 1.0, "2*x")
         assert b.image == (0.0, 2.0)
+        assert b.deriv_tree == ("const", 2.0)
 
     def test_decreasing_branch(self):
-        b = Branch(0.0, 1.0, lambda x: 1.0 - x, lambda x: -1.0 + 0.0 * x)
+        b = Branch(0.0, 1.0, "1 - x")
         lo, hi = b.image
         assert (lo, hi) == (0.0, 1.0)
+        assert b.deriv_tree == ("neg", ("const", 1.0))
 
     def test_constant_rejected(self):
         with pytest.raises(MapError):
-            Branch(0.0, 1.0, lambda x: 0.0 * x + 1.0, lambda x: 0.0 * x)
+            Branch(0.0, 1.0, "0*x + 1")
 
-    def test_derivative_sign_mismatch_rejected(self):
-        with pytest.raises(MapError):
-            Branch(0.0, 1.0, lambda x: x, lambda x: -1.0 + 0.0 * x)
+    def test_derivative_that_no_x_can_evaluate(self):
+        # x/(1-1) is infinite, so the value is x, but its slope divides by
+        # a zero without x.
+        with pytest.raises(ExpressionError, match="division by zero"):
+            Branch(0.5, 1.0, "x + 1/(x/(1-1))")
 
 
 class TestPiecewiseMap:
     def test_overlapping_branches_rejected(self):
-        b1 = Branch(0.0, 0.6, lambda x: x, lambda x: 1.0 + 0.0 * x)
-        b2 = Branch(0.5, 1.0, lambda x: x, lambda x: 1.0 + 0.0 * x)
+        b1 = Branch(0.0, 0.6, "x")
+        b2 = Branch(0.5, 1.0, "x")
         with pytest.raises(MapError):
             PiecewiseMap([b1, b2])
 
@@ -233,7 +238,7 @@ class TestChangeOfVariables:
     def test_nonlinear_map(self, unit):
         # F(x) = x^2 with |J| = 2x; integral H(F(x))|J| dx = integral H
         square = PiecewiseMap(
-            [Branch(0.0, 1.0, lambda x: x**2, lambda x: 2.0 * x)],
+            [Branch(0.0, 1.0, "x^2")],
             label="square",
         )
         H = SampledFn.from_callable(unit, 4096, lambda y: y)

@@ -182,8 +182,7 @@ class TestOutsideImages:
         # A self-map whose image closes at 1: exactly one midpoint image
         # rounds onto 1.0, outside [0, 1), and goes to the top cell.
         m = 2**14
-        quartic = PiecewiseMap([Branch(0.0, 1.0, lambda x: 1 - (1 - x)**4,
-                                       lambda x: 4 * (1 - x)**3)])
+        quartic = PiecewiseMap([Branch(0.0, 1.0, "1 - (1 - x)^4")])
         h0 = SampledFn.constant(unit, m, 1.0)
         g = SampledFn.constant(unit, m, 0.1)
         inst = ProblemInstance(unit, (quartic,), (g,), h0, K_decl=1,
