@@ -83,7 +83,6 @@ from .transfer import (
     InstanceError,
     ProblemInstance,
     audit_contraction,
-    estimate_multiplicity,
     estimate_overlap_L,
 )
 from .young import (

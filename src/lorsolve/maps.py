@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expressions import _derivative, _evaluation_errors, _parse, _vectorize
+from .expressions import (_derivative, _evaluate, _evaluation_errors,
+                          _parse, _vectorize)
 from .grids import SampledFn
 
 __all__ = [
@@ -58,8 +59,12 @@ class Branch:
     keeps that ``tree`` and the ``deriv_tree`` of its derivative, which
     the rules of :func:`lorsolve.expressions._derivative` work out, and
     evaluates them with the vectorized ``fn`` and ``deriv``.  Strict
-    monotonicity is probed at construction on a uniform sample.  An
-    expression that cannot be parsed, evaluated or differentiated raises
+    monotonicity is probed at construction on a uniform sample, and so is
+    smoothness: a ``%`` must not wrap inside the branch, that is, the
+    quotient floor(a/b) of each ``a % b`` must be the same at every probe.
+    Both checks are sampled, so a wrap between two probes passes;
+    interval evaluation of the tree would close that gap.  An expression
+    that cannot be parsed, evaluated or differentiated raises
     :class:`~lorsolve.expressions.ExpressionError`.
     """
 
@@ -83,6 +88,9 @@ class Branch:
             # them all.
             ys = fn(xs)
             deriv(xs)
+            wraps = any(np.unique(np.floor_divide(_evaluate(a, xs),
+                                                  _evaluate(b, xs))).size > 1
+                        for _, a, b in _mod_nodes(tree))
         if ys.dtype.kind == "c":
             raise MapError(f"branch on [{self.lo}, {self.hi}) has a complex "
                            "value where a real one is needed")
@@ -93,16 +101,20 @@ class Branch:
             raise MapError(
                 f"branch on [{self.lo}, {self.hi}) is not strictly monotone"
             )
+        if wraps:
+            raise MapError(f"branch on [{self.lo}, {self.hi}) is not smooth: "
+                           f"a '%' in {source!r} wraps inside it")
         for name, value in [("tree", tree), ("deriv_tree", deriv_tree),
-                            ("fn", fn), ("deriv", deriv),
-                            ("_ylo", float(min(ys[0], ys[-1]))),
-                            ("_yhi", float(max(ys[0], ys[-1])))]:
+                            ("fn", fn), ("deriv", deriv)]:
             object.__setattr__(self, name, value)
 
-    @property
-    def image(self):
-        """Closed image interval endpoints (ylo, yhi)."""
-        return (self._ylo, self._yhi)
+
+def _mod_nodes(tree):
+    """Every ("mod", a, b) node of ``tree``."""
+    if tree[0] in ("const", "var"):
+        return []
+    return ([tree] if tree[0] == "mod" else []) + [
+        node for kid in tree[1:] for node in _mod_nodes(kid)]
 
 
 def _merge_intervals(ivals):
@@ -150,10 +162,6 @@ class PiecewiseMap:
     def __call__(self, x):
         out = self.evaluate(x)[0]
         return out if out.ndim else float(out)
-
-    def image_intervals(self):
-        """The image of the map as a merged union of closed intervals."""
-        return _merge_intervals(b.image for b in self.branches)
 
     def piece_images(self, boxes):
         """Image (ylo, yhi) of each branch cut to each interval of ``boxes``.

@@ -15,10 +15,11 @@ inequality
 
 where K bounds the preimage multiplicity of each map, L the overlap order
 of their images, and N is the number of maps.  K and L are declared by the
-caller and cross-checked against their exact values, computed by one sweep
-over the branch image intervals (never silently inferred).  The ratio
-|g_n|/|J_n| is sampled at midpoints, so a PASS is evidence at grid
-resolution; a FAIL is authoritative.
+caller and cross-checked against their exact values, swept from the
+images of the branch pieces on the domain that the instance computed
+(never silently inferred; a branch part outside the domain counts for
+neither).  The ratio |g_n|/|J_n| is sampled at midpoints, so a PASS is
+evidence at grid resolution; a FAIL is authoritative.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grids import SampledFn
-from .maps import MapError, PiecewiseMap, _merge_intervals
+from .maps import PiecewiseMap, _merge_intervals
 from .norms import lorentz_norm_vector
 from .young import derive_tau
 
@@ -35,7 +36,6 @@ __all__ = [
     "InstanceError",
     "AuditFailure",
     "ProblemInstance",
-    "estimate_multiplicity",
     "OverlapEstimate",
     "estimate_overlap_L",
     "AuditReport",
@@ -72,8 +72,9 @@ class ProblemInstance:
     Construction checks, from the branch ends, that every map covers each
     box of the domain and sends it into the domain's closure (the image of
     each branch piece lies inside one interval of the merged closure of
-    the boxes); either failure raises InstanceError.  It then precomputes,
-    per map, the target cell index of every midpoint image.  Such an image
+    the boxes, kept as ``piece_images``: one list of (ylo, yhi) per map);
+    either failure raises InstanceError.  It then precomputes, per map,
+    the target cell index of every midpoint image.  Such an image
     leaves the domain only by rounding onto a box's closed right end: it
     goes to that box's last cell and is counted in ``clamped_images``.
     """
@@ -132,7 +133,8 @@ class ProblemInstance:
         self.coeffs = tuple(sampled)
 
         closure = _merge_intervals(domain.boxes)
-        for F in maps:
+        self.piece_images = tuple(F.piece_images(domain.boxes) for F in maps)
+        for F, images in zip(maps, self.piece_images):
             covered = _merge_intervals((br.lo, br.hi) for br in F.branches)
             for lo, hi in domain.boxes:
                 # The first point of the box that no branch holds, and the
@@ -144,7 +146,7 @@ class ProblemInstance:
                         f"map {F.label!r} does not cover the domain: no "
                         f"branch holds [{gap!r}, {end!r})"
                     )
-            for ylo, yhi in F.piece_images(domain.boxes):
+            for ylo, yhi in images:
                 if not any(lo <= ylo and yhi <= hi for lo, hi in closure):
                     raise InstanceError(
                         f"map {F.label!r} is not a self-map of the domain: "
@@ -248,36 +250,20 @@ def _max_depth(intervals):
     return best, segment
 
 
-def estimate_multiplicity(F, domain):
-    """Essential preimage multiplicity of a map on ``domain``, exact for
-    branch maps.
-
-    The largest number of branch pieces whose images share a segment of
-    positive length: the images of ``F.piece_images(domain.boxes)``,
-    each clipped to the domain, so only preimages and levels inside the
-    domain count.
-    """
-    boxes = domain.boxes
-    return _max_depth((max(ylo, y0), min(yhi, y1))
-                      for ylo, yhi in F.piece_images(boxes)
-                      for y0, y1 in boxes)[0]
-
-
 class OverlapEstimate(NamedTuple):
     L: int
     witness: tuple  # (map indices 1-based, (a, b)): the maps covering [a, b)
 
 
-def estimate_overlap_L(maps):
+def estimate_overlap_L(piece_images):
     """Largest number of maps whose images share a segment of positive
-    length, computed exactly from branch image intervals.
+    length, computed exactly from the branch piece images, one list of
+    (ylo, yhi) per map (:attr:`ProblemInstance.piece_images`).
 
     Returns the order L and a witness: the maps whose images cover the
     first segment where L is reached.
     """
-    images = [F.image_intervals() for F in maps]
-    if not images:
-        raise MapError("estimate_overlap_L needs at least one map")
+    images = [_merge_intervals(pieces) for pieces in piece_images]
     L, (a, b) = _max_depth(iv for image in images for iv in image)
     covering = tuple(i for i, image in enumerate(images, start=1)
                      if any(lo <= a and b <= hi for lo, hi in image))
@@ -292,8 +278,9 @@ class AuditReport:
     |g_n(x)| * max{K*L/|J_n(x)|, N} over all maps and cells: the smallest
     alpha the grid data would admit.  PASS requires it to be at most the
     declared alpha, with no slack, and the declared K, L to dominate
-    ``k_est`` and ``l_est``, which are exact: computed from the branch
-    image intervals, not sampled.  ``overlap_witness`` names the maps whose
+    ``k_est`` and ``l_est``, which are exact: computed from the images of
+    the branch pieces on the domain, not sampled, so a branch part outside
+    the domain counts for neither.  ``overlap_witness`` names the maps whose
     images cover the first segment where the overlap order ``l_est`` is
     reached.  ``clamped_images`` counts the midpoint images that rounded
     onto a box's closed right end and went to its last cell.
@@ -351,8 +338,10 @@ def audit_contraction(inst):
 
     Checks, per map and cell midpoint, the ratio form of the inequality
     (see :class:`AuditReport`), and cross-checks the declared K and L
-    against :func:`estimate_multiplicity` and :func:`estimate_overlap_L`,
-    which compute them exactly from the branch image intervals.
+    against their exact values, read from ``inst.piece_images`` with no
+    branch evaluated: K is the depth of one map's piece images (each lies
+    inside one interval of the domain's closure, so no clip is needed), L
+    that of the maps' merged images (:func:`estimate_overlap_L`).
     """
     n = inst.n_maps
     kl = float(inst.K_decl * inst.L_decl)
@@ -366,10 +355,10 @@ def audit_contraction(inst):
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.maximum(kl / absj, float(n))
             ratio = np.where(absg == 0.0, 0.0, absg * factor)
-        w = float(np.max(ratio)) if ratio.size else 0.0
+        w = float(np.max(ratio))
         per_map_worst.append(w)
         if w > worst or witness == "none":
-            worst = max(worst, w)
+            worst = w
             c = int(np.argmax(ratio))
             # The slice keeps the report's one-element list form, x = [...].
             witness = (
@@ -378,10 +367,9 @@ def audit_contraction(inst):
                 f"ratio = {float(ratio[c])!r}"
             )
 
-    mults = tuple(estimate_multiplicity(F, domain=inst.domain)
-                  for F in inst.maps)
+    mults = tuple(_max_depth(images)[0] for images in inst.piece_images)
     k_est = max(mults)
-    overlap = estimate_overlap_L(inst.maps)
+    overlap = estimate_overlap_L(inst.piece_images)
 
     passed = (
         worst <= inst.alpha

@@ -372,6 +372,42 @@ class TestInputErrors:
         assert "use --force" in capsys.readouterr().err
         assert not (out / "solution.csv").exists()
 
+    @pytest.mark.parametrize("subcommand", ["solve", "audit"])
+    def test_percent_that_wraps_inside_a_branch(self, tmp_path, capsys,
+                                                subcommand):
+        # The value falls from 0.249949 at x = 0.4899 to 0.245051 at
+        # x = 0.4901, between two monotonicity probes: with K = 2 the
+        # audit's ratio would be 0.392, but K = 1 let it PASS at 0.196.
+        cfg = tmp_path / "wrap.cfg"
+        cfg.write_text(bundled_instance_path("linear_h0").read_text()
+                       .replace("branch1 = 0, 1, x, 1",
+                                "branch1 = 0, 1, 0.5*x + 0.01*((x + 0.01) % 0.5)")
+                       .replace("[coeff1]\nexpr = 0", "[coeff1]\nexpr = 0.1")
+                       .replace("alpha = 0.0", "alpha = 0.25"))
+        out = tmp_path / "out"
+        rc = main([subcommand, "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "[map1] branch1" in err and "'%'" in err and "wraps" in err
+        assert not out.exists()
+
+    def test_branch_part_outside_the_domain_does_not_count(self, tmp_path):
+        # x/2 on [0, 2) and on [0, 1) give the same operator on [0, 1).
+        texts = []
+        for branch in ("branch1 = 0, 2, x/2", "branch1 = 0, 1, x/2"):
+            cfg = tmp_path / "outside.cfg"
+            cfg.write_text(bundled_instance_path("twobranch").read_text()
+                           .replace("branch1 = 0, 1, x/2, 0.5", branch)
+                           .replace("expr = 0.125", "expr = 0.1")
+                           .replace("alpha = 0.25", "alpha = 0.4"))
+            out = tmp_path / "out"
+            assert main(["audit", "--instance", str(cfg),
+                         "--out", str(out)]) == 0
+            texts.append((out / "audit.txt").read_text())
+        assert "L_estimated = 1\n" in texts[0]
+        assert texts[0] == texts[1]
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(TIGHT.replace("name = tight", "name = tight\u00e9")

@@ -10,7 +10,6 @@ from lorsolve import (
     SampledFn,
     affine_map,
     banach_indicatrix,
-    estimate_multiplicity,
     change_of_variables_check,
     doubling_map,
     halving_map,
@@ -18,18 +17,18 @@ from lorsolve import (
     indicatrix_profile,
     tent3_map,
 )
+from lorsolve.transfer import _max_depth
 
 
 class TestBranch:
     def test_increasing_detection(self):
         b = Branch(0.0, 1.0, "2*x")
-        assert b.image == (0.0, 2.0)
+        assert PiecewiseMap([b]).piece_images([(0.0, 1.0)]) == [(0.0, 2.0)]
         assert b.deriv_tree == ("const", 2.0)
 
     def test_decreasing_branch(self):
         b = Branch(0.0, 1.0, "1 - x")
-        lo, hi = b.image
-        assert (lo, hi) == (0.0, 1.0)
+        assert PiecewiseMap([b]).piece_images([(0.0, 1.0)]) == [(0.0, 1.0)]
         assert b.deriv_tree == ("neg", ("const", 1.0))
 
     def test_constant_rejected(self):
@@ -41,6 +40,25 @@ class TestBranch:
         # a zero without x.
         with pytest.raises(ExpressionError, match="division by zero"):
             Branch(0.5, 1.0, "x + 1/(x/(1-1))")
+
+    @pytest.mark.parametrize("lo, hi, expr, why", [
+        # The quotient goes 0, 1, 2 at x = 0.49 and 0.99, between probes,
+        # where the values still rise.
+        (0.0, 1.0, "0.5*x + 0.01*((x + 0.01) % 0.5)", "wraps"),
+        # Wraps of an inner % inside an outer one.
+        (0.0, 1.0, "x + 0.001*((x % 0.3) % 1)", "wraps"),
+        # The only wrap is at the closed end x = 1, a probe, where the
+        # values fall first.
+        (0.5, 1.0, "(2*x) % 1", "not strictly monotone"),
+    ])
+    def test_percent_that_wraps_inside_rejected(self, lo, hi, expr, why):
+        with pytest.raises(MapError, match=why):
+            Branch(lo, hi, expr)
+
+    def test_percent_that_does_not_wrap_loads(self):
+        b = Branch(0.0, 0.5, "(x + 0.25) % 1")
+        assert b.fn(np.array([0.0, 0.25])).tolist() == [0.25, 0.5]
+        assert PiecewiseMap([b]).piece_images([(0.0, 0.5)]) == [(0.25, 0.75)]
 
 
 class TestPiecewiseMap:
@@ -67,12 +85,11 @@ class TestPiecewiseMap:
         assert not np.isnan(y[:2]).any() and not np.isnan(d[:2]).any()
         assert np.isnan(y[2]) and np.isnan(d[2])
 
-    def test_image_intervals_merged(self):
-        # both doubling branches map onto (0,1): the union is one interval
-        ivs = doubling_map().image_intervals()
-        assert len(ivs) == 1
-        lo, hi = ivs[0]
-        assert (lo, hi) == (0.0, 1.0)
+    def test_piece_images_split_at_box_ends(self):
+        # both doubling branches map onto [0, 1]; a box end at 0.25 cuts the
+        # first one in two
+        ivs = doubling_map().piece_images([(0.0, 0.25), (0.25, 1.0)])
+        assert ivs == [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)]
 
 
 def _gapped_affine_map(seed, n=5):
@@ -191,15 +208,18 @@ def _random_domain(rng):
 
 
 class TestMultiplicityFromIndicatrix:
-    """estimate_multiplicity is the largest indicatrix count over the
-    levels inside D where a clipped piece image can start: piece image
-    endpoints and the left ends of D's intervals."""
+    """The audit's K, the depth of the piece images on D, is the largest
+    indicatrix count over the levels where a piece image can start: the
+    piece image endpoints."""
 
     @staticmethod
     def _max_count(F, D):
-        ys = np.array([*(y for piece in F.piece_images(D.boxes) for y in piece),
-                       *(lo for lo, _ in D.boxes)])
-        return int(indicatrix_profile(F, D, ys[D.contains(ys)])[0].max())
+        ys = np.array([y for piece in F.piece_images(D.boxes) for y in piece])
+        return int(indicatrix_profile(F, D, ys)[0].max())
+
+    @staticmethod
+    def _depth(F, D):
+        return _max_depth(F.piece_images(D.boxes))[0]
 
     @pytest.mark.parametrize("factory", [identity_map, doubling_map,
                                          halving_map, tent3_map])
@@ -207,14 +227,14 @@ class TestMultiplicityFromIndicatrix:
         rng = np.random.default_rng(17)
         F = factory()
         for D in [unit] + [_random_domain(rng) for _ in range(30)]:
-            assert estimate_multiplicity(F, D) == self._max_count(F, D)
+            assert self._depth(F, D) == self._max_count(F, D)
 
     def test_random_maps(self):
         rng = np.random.default_rng(18)
         for _ in range(100):
             F = affine_map(_random_affine_pieces(rng))
             D = _random_domain(rng)
-            assert estimate_multiplicity(F, D) == self._max_count(F, D)
+            assert self._depth(F, D) == self._max_count(F, D)
 
 
 class TestChangeOfVariables:

@@ -12,7 +12,6 @@ from lorsolve import (
     audit_contraction,
     bundled_instance_path,
     doubling_map,
-    estimate_multiplicity,
     estimate_overlap_L,
     identity_map,
     load_instance,
@@ -219,42 +218,70 @@ class TestOutsideImages:
                 build()
 
 
+def _unit_instance(*maps, K=1, L=1):
+    """Maps on [0, 1), each with the coefficient 0."""
+    unit = Domain.unit_interval()
+    g = SampledFn.constant(unit, 32, 0.0)
+    return ProblemInstance(unit, maps, [g] * len(maps),
+                           SampledFn.constant(unit, 32, 1.0), K_decl=K,
+                           L_decl=L, alpha=0.25, psi=power_young(2.0))
+
+
+def _overlap(*maps):
+    return estimate_overlap_L(_unit_instance(*maps, L=len(maps)).piece_images)
+
+
 class TestEstimates:
-    def test_multiplicity(self, unit):
-        assert estimate_multiplicity(doubling_map(), domain=unit) == 2
-        assert estimate_multiplicity(identity_map(), domain=unit) == 1
-        assert estimate_multiplicity(tent3_map(), domain=unit) == 3
+    def test_multiplicity(self):
+        for F, k in [(doubling_map(), 2), (identity_map(), 1), (tent3_map(), 3)]:
+            assert audit_contraction(_unit_instance(F, K=k)).k_est == k
 
     def test_overlap_single_map(self):
-        est = estimate_overlap_L((doubling_map(),))
-        assert est.L == 1
+        assert _overlap(doubling_map()).L == 1
 
     def test_overlap_identical_images(self):
-        est = estimate_overlap_L((doubling_map(), doubling_map()))
-        assert est.L == 2
+        assert _overlap(doubling_map(), doubling_map()).L == 2
 
     def test_overlap_disjoint_images(self):
         lower = affine_map([(0.0, 1.0, 0.5, 0.0)])
         upper = affine_map([(0.0, 1.0, 0.5, 0.5)])
-        est = estimate_overlap_L((lower, upper))
-        assert est.L == 1
+        assert _overlap(lower, upper).L == 1
 
     def test_overlap_witness(self):
         lower = affine_map([(0.0, 1.0, 0.5, 0.0)])   # image [0, 0.5]
         middle = affine_map([(0.0, 1.0, 0.5, 0.25)])  # image [0.25, 0.75]
         upper = affine_map([(0.0, 1.0, 0.5, 0.5)])   # image [0.5, 1]
-        est = estimate_overlap_L((lower, middle, upper))
+        est = _overlap(lower, middle, upper)
         # depth 2 first on [0.25, 0.5), where lower and middle overlap
         assert est.L == 2
         assert est.witness == ((1, 2), (0.25, 0.5))
 
-    def test_multiplicity_ignores_what_lies_outside_the_domain(self, unit):
+    def test_overlap_merges_the_pieces_of_one_map(self):
+        # both doubling branches map onto [0, 1]: the union is one interval
+        pieces = doubling_map().piece_images([(0.0, 1.0)])
+        assert pieces == [(0.0, 1.0), (0.0, 1.0)]
+        assert estimate_overlap_L([pieces]) == (1, ((1,), (0.0, 1.0)))
+
+    def test_multiplicity_ignores_what_lies_outside_the_domain(self):
         # the second branch lies outside [0, 1) and maps onto it
         outside_part = affine_map([(0.0, 1.0, 1.0, 0.0), (1.0, 2.0, 1.0, -1.0)])
-        assert estimate_multiplicity(outside_part, domain=unit) == 1
-        # the branch images [0.75, 1.25] and [1, 1.5] overlap beyond 1 only
+        assert audit_contraction(_unit_instance(outside_part)).k_est == 1
+        # the branch images [0.75, 1.25] and [1, 1.5] reach beyond 1: the
+        # instance refuses the map before any estimate
         outside_image = affine_map([(0.0, 0.5, 1.0, 0.75), (0.5, 1.0, 1.0, 0.5)])
-        assert estimate_multiplicity(outside_image, domain=unit) == 1
+        with pytest.raises(InstanceError, match="not a self-map"):
+            _unit_instance(outside_image)
+
+    def test_audit_evaluates_no_branch(self, monkeypatch):
+        inst, _ = load_instance(bundled_instance_path("twobranch").read_text())
+        want = audit_contraction(inst).as_text()
+
+        def refuse(*args):
+            raise AssertionError("the audit evaluated a branch")
+
+        monkeypatch.setattr(PiecewiseMap, "piece_images", refuse)
+        monkeypatch.setattr(PiecewiseMap, "evaluate", refuse)
+        assert audit_contraction(inst).as_text() == want
 
 
 class TestMaxDepth:
