@@ -3,12 +3,13 @@
 Everything in this library lives on a finite union of intervals split
 into equal cells; functions are constant on cells.  That makes distribution
 functions and decreasing rearrangements *exact* step computations, and
-gives two independently coded routes to the same rearrangement norm:
+gives two routes to the same rearrangement norm:
 
   distribution          exact sum over level plateaus
   rearrangement_tau     exact sum after the monotone substitution
 
-Their agreement on every input is one of the library's standing checks.
+Both read the levels and measures from one sort, so their agreement on
+every input, one of the library's standing checks, checks the two sums.
 
 Run:  python3 demos/02_rearrangement_and_norms.py
 """

@@ -16,11 +16,11 @@ Run:  python3 demos/04_change_of_variables.py
 from lorsolve import (
     Domain,
     SampledFn,
-    banach_indicatrix,
     change_of_variables_check,
     doubling_map,
     halving_map,
     identity_map,
+    indicatrix_profile,
     tent3_map,
 )
 
@@ -33,13 +33,13 @@ def main():
     print("1. Counting preimages with the branch counter")
     print("=" * 70)
     for F in gallery:
-        counts = [banach_indicatrix(F, unit, y).count for y in (0.25, 0.75)]
+        counts = indicatrix_profile(F, unit, [0.25, 0.75])
         print(f"  {F.label:<10} N(0.25) = {counts[0]}, N(0.75) = {counts[1]}")
     print()
     print("Restricting the count to a subset E = (0, 1/2):")
     E = Domain.from_intervals([(0.0, 0.5)])
-    c = banach_indicatrix(doubling_map(), E, 0.3)
-    print(f"  doubling, y = 0.3, E = (0, 1/2): count = {c.count}")
+    [c] = indicatrix_profile(doubling_map(), E, [0.3])
+    print(f"  doubling, y = 0.3, E = (0, 1/2): count = {c}")
     print("  (only the first branch's preimage lies inside E)")
 
     print()

@@ -21,7 +21,7 @@ from lorsolve import (
     bundled_instance_path,
     derive_tau,
     load_instance,
-    lorentz_norm_vector,
+    lorentz_norm,
     pointwise_norm,
     power_young,
     solve_elementary,
@@ -40,7 +40,7 @@ def main():
     mag = pointwise_norm(f)
     print(f"f has values (3, 4) in every cell; |f| = {mag.values[0]} everywhere")
     tau = derive_tau(power_young(2.0))
-    print(f"||f|| = ||(|f|)|| = {lorentz_norm_vector(f, tau).value!r} "
+    print(f"||f|| = ||(|f|)|| = {lorentz_norm(f, tau).value!r} "
           f"(= 5 * sqrt(2))")
 
     print()

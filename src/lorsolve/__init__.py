@@ -9,8 +9,10 @@ The package solves
 by summing the series sum_m P^m h0 for the transfer-type operator
 P phi = sum_n g_n * (phi o f_n), on piecewise-constant functions over
 finite unions of intervals.  Everything is built on a Lorentz norm engine
-whose two independently coded exact routes cross-check each other, and
-every solve carries the a-priori geometric tail bound
+with two exact routes; they read the levels and measures from one sort,
+so their agreement checks the two summations.  A vector-valued function
+is measured by its pointwise length.  Every solve carries the a-priori
+geometric tail bound
 (2 alpha)^m / (1 - 2 alpha) * ||h0|| as its certificate.  That bounds the
 distance to the fixed point of the grid operator, which composes by
 midpoint lookup, not the distance to the solution of the equation.
@@ -50,7 +52,6 @@ from .maps import (
     MapError,
     PiecewiseMap,
     affine_map,
-    banach_indicatrix,
     change_of_variables_check,
     doubling_map,
     halving_map,
@@ -65,7 +66,6 @@ from .norms import (
     check_orlicz_lorentz_bridge,
     default_test_sets,
     lorentz_norm,
-    lorentz_norm_vector,
     luxemburg_norm,
     orlicz_modular,
     seeded_corpus,
@@ -118,7 +118,6 @@ __all__ = [
     "affine_map",
     "audit_contraction",
     "axiom_suite",
-    "banach_indicatrix",
     "bundled_instance_path",
     "change_of_variables_check",
     "check_orlicz_lorentz_bridge",
@@ -132,7 +131,6 @@ __all__ = [
     "indicatrix_profile",
     "load_instance",
     "lorentz_norm",
-    "lorentz_norm_vector",
     "luxemburg_norm",
     "monomial_young",
     "orlicz_modular",

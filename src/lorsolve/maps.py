@@ -15,7 +15,6 @@ holds with N_F the Banach indicatrix (number of preimages of y in E).
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +26,7 @@ __all__ = [
     "Branch",
     "PiecewiseMap",
     "MapError",
-    "IndicatrixCount",
     "CovReport",
-    "banach_indicatrix",
     "indicatrix_profile",
     "change_of_variables_check",
     "identity_map",
@@ -45,9 +42,6 @@ class MapError(ValueError):
 
 
 _MONO_PROBES = 33
-# Levels this close (scaled by the image size) to a piece image endpoint
-# are flagged ambiguous by indicatrix_profile.
-_BOUNDARY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,70 +176,29 @@ class PiecewiseMap:
         return images
 
 
-class IndicatrixCount(NamedTuple):
-    count: int
-    ambiguous: bool  # y within float tolerance of a piece image endpoint
-
-
 def indicatrix_profile(F, E, ys):
-    """Vectorized Banach indicatrix N_F(y+, E) for an array of levels ``ys``.
+    """Banach indicatrix N_F(y+, E) at each level of the array ``ys``.
 
-    ``E`` (a Domain) restricts preimages to a sub-domain: the count at y is
-    the number of pieces of ``F.piece_images(E.boxes)`` with
-    ylo <= y < yhi, the right limit N(y+).  It equals N(y) except at the
-    image of a branch end or of a point where E cuts a branch.  Returns
-    (counts, ambiguous) arrays; ambiguous marks levels within 1e-12
-    (scaled) of some piece image endpoint, where the count is
-    edge-sensitive.
+    ``E`` (a Domain) restricts preimages to a sub-domain.  Each strictly
+    monotone branch cut to an interval of E contributes at most one
+    preimage, so the count at y is the number of pieces of
+    ``F.piece_images(E.boxes)`` with ylo <= y < yhi: the right limit
+    N(y+).  It equals N(y) except at the image of a branch end or of a
+    point where E cuts a branch, a finite set of levels.
     """
     ys = np.asarray(ys, dtype=float)
     counts = np.zeros(ys.shape, dtype=np.int64)
-    ambiguous = np.zeros(ys.shape, dtype=bool)
     for ylo, yhi in F.piece_images(E.boxes):
-        tol = _BOUNDARY_ATOL * max(1.0, abs(ylo), abs(yhi))
         counts += (ys >= ylo) & (ys < yhi)
-        ambiguous |= (np.abs(ys - ylo) <= tol) | (np.abs(ys - yhi) <= tol)
-    return counts, ambiguous
-
-
-def banach_indicatrix(F, E, y):
-    """Count preimages of level ``y`` under F inside sub-domain ``E``.
-
-    Each strictly monotone branch cut to an interval of E contributes at
-    most one preimage: one when y lies in the half-open image [ylo, yhi)
-    of that piece (the right-limit convention of
-    :func:`indicatrix_profile`).  Returns an :class:`IndicatrixCount`;
-    ``ambiguous`` flags a level at a piece image endpoint (a measure-zero
-    set where the count depends on the half-open convention).
-    """
-    counts, amb = indicatrix_profile(F, E, np.array([float(y)]))
-    return IndicatrixCount(count=int(counts[0]), ambiguous=bool(amb[0]))
+    return counts
 
 
 @dataclass(frozen=True)
 class CovReport:
-    map_label: str
     lhs: float
     rhs: float
     rel_gap: float
-    tol: float
-    passed: bool
-    grid_m: int
-    ambiguous_levels: int
-
-    def as_text(self):
-        lines = [
-            f"check = change_of_variables",
-            f"map = {self.map_label}",
-            f"lhs = {self.lhs!r}",
-            f"rhs = {self.rhs!r}",
-            f"rel_gap = {self.rel_gap!r}",
-            f"tol = {self.tol!r}",
-            f"grid_m = {self.grid_m}",
-            f"ambiguous_levels = {self.ambiguous_levels}",
-            f"verdict = {'PASS' if self.passed else 'FAIL'}",
-        ]
-        return "\n".join(lines) + "\n"
+    passed: bool  # rel_gap <= tol
 
 
 def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
@@ -256,8 +209,7 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
     side is a midpoint sum on an ``m``-cell grid over ``E``; the right side
     sums H's own cells against the indicatrix at cell midpoints.  A
     midpoint at a piece image endpoint counts N(y+), the pieces whose
-    images continue to the right of it; ``ambiguous_levels`` reports how
-    many midpoints were there.
+    images continue to the right of it.
     """
     if H.is_vector or H.values.dtype.kind == "c":
         raise MapError("H must be a real scalar function")
@@ -270,21 +222,13 @@ def change_of_variables_check(F, H, E, m=4096, tol=1e-3):
         raise MapError("map branches do not cover the integration domain")
     lhs = float(np.sum(H.eval_at(fx) * np.abs(jac) * grid.cell_measures))
 
-    counts, amb = indicatrix_profile(F, E, H.midpoints)
+    counts = indicatrix_profile(F, E, H.midpoints)
     rhs = float(np.sum(H.values * counts * H.cell_measures))
 
     scale = max(abs(lhs), abs(rhs), 1e-30)
     rel_gap = abs(lhs - rhs) / scale
-    return CovReport(
-        map_label=F.label,
-        lhs=lhs,
-        rhs=rhs,
-        rel_gap=rel_gap,
-        tol=float(tol),
-        passed=bool(rel_gap <= tol),
-        grid_m=int(m),
-        ambiguous_levels=int(amb.sum()),
-    )
+    return CovReport(lhs=lhs, rhs=rhs, rel_gap=rel_gap,
+                     passed=bool(rel_gap <= tol))
 
 
 # ---------------------------------------------------------------------------

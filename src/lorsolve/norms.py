@@ -4,7 +4,7 @@ The Lorentz norm here is the rearrangement-invariant functional
 
     rho(f) = integral_0^inf tau_inv(mu_f(s)) ds,
 
-computed by two independently coded routes that must agree:
+computed by two routes that must agree:
 
 ``distribution``
     exact finite sum over the step distribution function (the reference
@@ -13,6 +13,11 @@ computed by two independently coded routes that must agree:
     exact finite sum over the rearrangement f* after the monotone
     substitution u = tau(s), with breakpoints at tau_inv of f*'s plateau
     edges.
+
+Both routes read their levels and measures from the one sort of
+:func:`~lorsolve.grids._levels`, so their agreement checks the two
+summations, not the levels or the measures.  A vector-valued f is
+measured by its pointwise length |f(x)|_2.
 
 The Orlicz (Luxemburg) norm, the Orlicz-Lorentz comparison check and the
 function-norm axiom suite (P1)-(P5) complete the module.
@@ -38,7 +43,6 @@ __all__ = [
     "NormError",
     "LuxemburgBracketError",
     "lorentz_norm",
-    "lorentz_norm_vector",
     "luxemburg_norm",
     "orlicz_modular",
     "BridgeReport",
@@ -72,11 +76,6 @@ class NormValue:
 
     def __float__(self):
         return self.value
-
-
-def _scalar_magnitude(f):
-    """Reduce to a scalar function: vectors via the pointwise Euclidean norm."""
-    return pointwise_norm(f) if f.is_vector else f
 
 
 # (tau, w, n, T): T[i] is tau^-1((n - i) * w), the measure of the i-th
@@ -128,9 +127,11 @@ def _distribution_integral(f, tau):
 
 
 def lorentz_norm(f, tau, route="distribution"):
-    """Lorentz norm of a scalar sampled function by the chosen route.
+    """Lorentz norm of a sampled function by the chosen route.
 
-    Both routes are exact finite sums over the step structure of f.  The
+    A vector-valued f is measured by its pointwise length: it is first
+    reduced by :func:`~lorsolve.grids.pointwise_norm`.  Both routes are
+    exact finite sums over the step structure of the scalar.  The
     distribution route sorts |f| once; on a grid of one cell width it
     reads tau^-1 of the measures from the cached ladder of that width and
     cell count (see :func:`_distribution_integral`), and its value has the
@@ -140,33 +141,23 @@ def lorentz_norm(f, tau, route="distribution"):
     if route not in ROUTES:
         raise NormError(f"unknown route {route!r}; expected one of {ROUTES}")
     if f.is_vector:
-        raise NormError(
-            "lorentz_norm() takes scalar functions; use lorentz_norm_vector()"
-        )
-    if route == "distribution":
-        return NormValue(_distribution_integral(f, tau), route,
-                         tau.source_label)
-
-    fs = rearrangement(f)
-    value = float(np.sum(fs.values * np.diff(tau.inverse(fs.edges))))
+        f = pointwise_norm(f)
+    # A sum past the largest float is inf, which NormValue refuses.
+    with np.errstate(over="ignore"):
+        if route == "distribution":
+            value = _distribution_integral(f, tau)
+        else:
+            fs = rearrangement(f)
+            value = float(np.sum(fs.values * np.diff(tau.inverse(fs.edges))))
     return NormValue(value, route, tau.source_label)
-
-
-def lorentz_norm_vector(f, tau):
-    """Lorentz norm of a vector-valued function: the norm of |f(x)|_2.
-
-    Scalar inputs pass through to the exact scalar route unchanged.
-    """
-    g = _scalar_magnitude(f)
-    return lorentz_norm(g, tau, "distribution")
 
 
 def orlicz_modular(u, psi_orlicz, scale=1.0):
     """Exact cell sum of psi_orlicz(|u| / scale) over the domain."""
-    g = _scalar_magnitude(u)
+    g = pointwise_norm(u)
     if scale <= 0.0:
         raise NormError("modular scale must be positive")
-    levels = psi_orlicz.fn(np.abs(g.values) / scale)
+    levels = psi_orlicz.fn(g.values / scale)
     return float(np.sum(levels * g.cell_measures))
 
 
@@ -181,7 +172,7 @@ def luxemburg_norm(u, psi_orlicz):
     bracket width 1e-10; the returned value is the feasible (upper) end of
     the final bracket, so its modular really is <= 1.
     """
-    g = _scalar_magnitude(u)
+    g = pointwise_norm(u)
     if g.max_abs() == 0.0:
         return NormValue(0.0, "luxemburg", psi_orlicz.label)
 
@@ -265,7 +256,7 @@ def check_orlicz_lorentz_bridge(h, psi_orlicz, psi):
     with it closed the verdict is NO_CLAIM.
     """
     tau = derive_tau(psi)
-    g = _scalar_magnitude(h)
+    g = pointwise_norm(h)
     modular = orlicz_modular(g, psi_orlicz)
     gate = modular <= 1.0
     lorentz = lorentz_norm(g, tau, "distribution").value

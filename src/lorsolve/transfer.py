@@ -29,7 +29,7 @@ import numpy as np
 
 from .grids import SampledFn
 from .maps import PiecewiseMap, _merge_intervals
-from .norms import lorentz_norm_vector
+from .norms import lorentz_norm
 from .young import derive_tau
 
 __all__ = [
@@ -200,7 +200,7 @@ class ProblemInstance:
 
     def norm(self, f):
         """The instance norm: exact distribution-route Lorentz norm."""
-        return lorentz_norm_vector(f, self.tau).value
+        return lorentz_norm(f, self.tau).value
 
     def apply(self, phi):
         """Evaluate P phi on the instance grid (exact cell arithmetic).

@@ -1,3 +1,4 @@
+import csv
 import os
 import pathlib
 import stat
@@ -7,7 +8,7 @@ import textwrap
 
 import pytest
 
-from lorsolve import ROUTES, bundled_instance_path
+from lorsolve import ROUTES, bundled_instance_path, load_instance, lorentz_norm
 from lorsolve.cli import _atomic_file, _atomic_write, main
 
 TIGHT = textwrap.dedent("""\
@@ -174,6 +175,29 @@ class TestNorm:
         assert rc == 0
         lines = (tmp_path / "norms.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_vector_h0(self, tmp_path):
+        from test_golden import PAIR
+
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(PAIR)
+        out = tmp_path / "out"
+        assert main(["norm", "--instance", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "norms.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(ROUTES)
+
+    def test_name_with_a_comma(self, tmp_path):
+        cfg = tmp_path / "comma.cfg"
+        cfg.write_text(bundled_instance_path("twobranch").read_text()
+                       .replace("name = twobranch", "name = two, branch"))
+        rc = main(["norm", "--instance", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "norms.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        inst, _ = load_instance(cfg)
+        assert rows == [["function_id", "route", "value"]] + [
+            ["two, branch", r, repr(lorentz_norm(inst.h0, inst.tau, r).value)]
+            for r in ROUTES]
 
     def test_weight_route_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -407,6 +431,23 @@ class TestInputErrors:
             texts.append((out / "audit.txt").read_text())
         assert "L_estimated = 1\n" in texts[0]
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("subcommand, value", [
+        ("solve", "1.5e308"),  # ||h0|| overflows
+        ("norm", "1.5e308"),
+        ("solve", "1e308"),  # ||h0|| is finite, the partial sum's is not
+    ])
+    def test_norm_that_overflows(self, tmp_path, capsys, subcommand, value):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(bundled_instance_path("twobranch").read_text()
+                       .replace("[h0]\nexpr = 1\n", f"[h0]\nexpr = {value}\n"))
+        out = tmp_path / "out"
+        rc = main([subcommand, "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "norm value must be finite" in err
+        assert not out.exists()
 
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

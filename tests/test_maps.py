@@ -9,7 +9,6 @@ from lorsolve import (
     PiecewiseMap,
     SampledFn,
     affine_map,
-    banach_indicatrix,
     change_of_variables_check,
     doubling_map,
     halving_map,
@@ -137,37 +136,31 @@ class TestEvaluate:
 
 class TestIndicatrix:
     def test_doubling_counts_two(self, unit):
-        counts, amb = indicatrix_profile(doubling_map(), unit, np.array([0.3]))
+        counts = indicatrix_profile(doubling_map(), unit, np.array([0.3]))
         assert counts.tolist() == [2]
-        assert not amb[0]
 
     def test_identity_counts_one(self, unit):
-        counts, _ = indicatrix_profile(identity_map(), unit, np.array([0.3]))
+        counts = indicatrix_profile(identity_map(), unit, np.array([0.3]))
         assert counts.tolist() == [1]
 
     def test_halving_counts_zero_above_half(self, unit):
-        counts, _ = indicatrix_profile(halving_map(), unit, np.array([0.9]))
+        counts = indicatrix_profile(halving_map(), unit, np.array([0.9]))
         assert counts.tolist() == [0]
 
     def test_tent_counts_three(self, unit):
-        counts, _ = indicatrix_profile(tent3_map(), unit, np.array([0.5]))
+        counts = indicatrix_profile(tent3_map(), unit, np.array([0.5]))
         assert counts.tolist() == [3]
 
     def test_restriction_set(self):
         E = Domain.from_intervals([(0.0, 0.5)])
         # preimages of 0.3 under doubling are 0.15 and 0.65; only one in E
-        assert banach_indicatrix(doubling_map(), E, 0.3).count == 1
-
-    def test_boundary_flagged_ambiguous(self, unit):
-        _, amb = indicatrix_profile(doubling_map(), unit, np.array([0.0]))
-        assert amb[0]
+        assert indicatrix_profile(doubling_map(), E, [0.3]).tolist() == [1]
 
     def test_level_where_E_cuts_a_branch_counts_right_limit(self):
         # E = [0, 0.5) cuts tent3's falling branch at 0.5, whose image 0.5
         # has the one preimage 1/6 in E; just above 0.5 there are two.
         E = Domain.from_intervals([(0.0, 0.5)])
-        c = banach_indicatrix(tent3_map(), E, 0.5)
-        assert c == (2, True)
+        assert indicatrix_profile(tent3_map(), E, [0.5]).tolist() == [2]
 
     def test_matches_affine_preimages(self):
         """Counts equal the preimages (y - c)/s that lie in E and in the
@@ -184,9 +177,7 @@ class TestIndicatrix:
             ys = ys[np.min(np.abs(ys[:, None] - np.array(ends)), axis=1) > 1e-9]
             want = [sum(lo <= (y - c) / s < hi and bool(E.contains((y - c) / s))
                         for lo, hi, s, c in pieces) for y in ys]
-            counts, amb = indicatrix_profile(F, E, ys)
-            assert counts.tolist() == want
-            assert not amb.any()
+            assert indicatrix_profile(F, E, ys).tolist() == want
 
 
 def _random_affine_pieces(rng):
@@ -215,7 +206,7 @@ class TestMultiplicityFromIndicatrix:
     @staticmethod
     def _max_count(F, D):
         ys = np.array([y for piece in F.piece_images(D.boxes) for y in piece])
-        return int(indicatrix_profile(F, D, ys)[0].max())
+        return int(indicatrix_profile(F, D, ys).max())
 
     @staticmethod
     def _depth(F, D):
@@ -265,13 +256,6 @@ class TestChangeOfVariables:
         rep = change_of_variables_check(square, H, unit, m=4096)
         assert rep.passed
         assert rep.lhs == pytest.approx(0.5, rel=1e-3)
-
-    def test_report_text(self, unit):
-        H = SampledFn.constant(unit, 64, 1.0)
-        rep = change_of_variables_check(identity_map(), H, unit, m=64)
-        text = rep.as_text()
-        assert "verdict = PASS" in text
-        assert "rel_gap" in text
 
 
 class TestFactories:

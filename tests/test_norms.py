@@ -21,7 +21,6 @@ from lorsolve import (
     distribution,
     grids,
     lorentz_norm,
-    lorentz_norm_vector,
     luxemburg_norm,
     monomial_young,
     norms,
@@ -109,14 +108,29 @@ class TestVectorNorm:
     def test_three_four_five_scaled(self, unit, tau2):
         vals = np.tile([3.0, 4.0], (64, 1))
         f = SampledFn(unit, 64, vals)
-        got = lorentz_norm_vector(f, tau2).value
-        assert got == pytest.approx(5.0 * SQRT2, rel=1e-12)
+        for route in ROUTES:
+            got = lorentz_norm(f, tau2, route).value
+            assert got == pytest.approx(5.0 * SQRT2, rel=1e-12)
 
     def test_scalar_passthrough(self, unit, tau2):
         f = SampledFn.constant(unit, 16, 2.0)
-        assert lorentz_norm_vector(f, tau2).value == pytest.approx(
+        assert lorentz_norm(f, tau2).value == pytest.approx(
             2.0 * SQRT2, rel=1e-12
         )
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("grid", ["unit", "unequal"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_vector_norm_is_the_norm_of_its_length(self, seed, grid, route):
+        # One cell width, and unequal widths; 1 to 4 components.
+        domain = _LADDER_DOMAINS[grid]
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 4
+        f = SampledFn(domain, 97, rng.uniform(-2.0, 2.0,
+                                              (len(domain.boxes) * 97, d)))
+        tau = derive_tau(power_young(_EXPONENTS[seed % len(_EXPONENTS)]))
+        assert _same_bits(lorentz_norm(f, tau, route).value,
+                          lorentz_norm(pointwise_norm(f), tau, route).value)
 
 
 # One cell width on each grid but the last; 1/3 is not dyadic.
@@ -181,11 +195,7 @@ class TestDistributionLadder:
         f, takes_ladder = _ladder_case(kind, _LADDER_DOMAINS[grid], m,
                                        np.random.default_rng(seed))
         tau = derive_tau(power_young(exponent))
-        if f.values.ndim == 1:
-            got = lorentz_norm(f, tau).value
-            assert _same_bits(lorentz_norm_vector(f, tau).value, got)
-        else:
-            got = lorentz_norm_vector(f, tau).value
+        got = lorentz_norm(f, tau).value
         assert _same_bits(got, _reference(f, tau))
         assert (norms._ladder[0] is tau) == takes_ladder
 
@@ -205,7 +215,7 @@ class TestDistributionLadder:
         f, one_width = _ladder_case(kind, domain, 100,
                                     np.random.default_rng(5))
         tau = derive_tau(power_young(2.0))
-        lorentz_norm_vector(f, tau)
+        lorentz_norm(f, tau)
         assert calls == [len(domain.boxes) * 100]
         assert (norms._ladder[0] is tau) == one_width  # ties included
 
@@ -284,7 +294,7 @@ class TestDistributionLadder:
             lorentz_norm(f, tau)
         # The length is refused as a cell value, with no warning.
         with pytest.raises(grids.GridError, match="values must be finite"):
-            lorentz_norm_vector(g, tau)
+            lorentz_norm(g, tau)
 
     @pytest.mark.parametrize("seed", [0, 2])
     @pytest.mark.parametrize("grid", ["0.3", "1/3"])
