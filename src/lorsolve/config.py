@@ -37,9 +37,12 @@ Schema (INI-style sections; `#` starts a comment; no interpolation):
     h0_lorentz_norm = 1.4142135623730951
 
 Maps and coefficients are numbered from 1 and must be consecutive and
-paired.  A branch's derivative is worked out from its value expression; a
-declared one is optional, and must agree with it at every probe point of
-the branch to a relative 1e-9.
+paired.  A branch's derivative is worked out from its value expression,
+and :class:`~lorsolve.maps.Branch` proves, by interval enclosure, that
+the branch is finite, smooth and strictly monotone on its closed
+interval.  A declared derivative is optional; it must agree with the
+derived one to a relative 1e-9 at ``_MONO_PROBES`` evenly spaced points
+of the closed interval, a sampled check, and the derived one is used.
 """
 
 import configparser
@@ -48,9 +51,10 @@ from importlib import resources
 
 import numpy as np
 
-from .expressions import ExpressionError, _parse, compile_expression
+from .expressions import (ExpressionError, _probed, _read_tree,
+                          compile_expression)
 from .grids import Domain, GridError, SampledFn
-from .maps import _MONO_PROBES, Branch, MapError, PiecewiseMap
+from .maps import Branch, MapError, PiecewiseMap
 from .transfer import InstanceError, ProblemInstance
 from .young import YoungFnError, young_family
 
@@ -62,8 +66,10 @@ __all__ = [
 
 BUNDLED_INSTANCES = ("doubling", "twobranch", "linear_h0")
 # The relative gap allowed between a declared derivative and the one
-# worked out from the branch's expression.
+# worked out from the branch's expression, and the number of evenly
+# spaced points of the closed branch interval where it is compared.
 _DERIV_RTOL = 1e-9
+_MONO_PROBES = 33
 
 
 class ConfigError(ValueError):
@@ -188,10 +194,16 @@ def _parse_map(cp, section, source):
         except (ExpressionError, MapError) as exc:
             raise ConfigError(f"{source}: [{section}] {key}: {exc}") from exc
         if len(bits) == 4:
-            declared = _compile(bits[3], f"[{section}] {key} derivative",
-                                source)
-            # The same tree agrees at every x; only another one is probed.
-            if _parse(declared.source) != branch.deriv_tree:
+            where = f"[{section}] {key} derivative"
+            try:
+                tree, text = _read_tree(bits[3])
+                # The same tree agrees at every x; only another one is
+                # compiled and probed.
+                declared = (None if tree == branch.deriv_tree
+                            else _probed(tree, text))
+            except ExpressionError as exc:
+                raise ConfigError(f"{source}: {where}: {exc}") from exc
+            if declared is not None:
                 _check_derivative(branch, declared,
                                   f"{source}: [{section}] {key}")
         branches.append(branch)

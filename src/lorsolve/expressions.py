@@ -16,11 +16,15 @@ Python's expressions with the same precedence, so Python's parser reads
 it and its tree is translated, refusing all that is outside the grammar.
 Errors carry a position in the original text; nothing is ever eval()ed.
 The derivative of a tree is a tree too, by the rules of calculus, which
-is how a map's branch gets its slope.
+is how a map's branch gets its slope, and a tree has an enclosure on an
+interval by outward-rounded interval arithmetic, which is how a branch
+proves its slope's sign.
 """
 
 import ast
 import contextlib
+import math
+import operator
 import re
 import warnings
 
@@ -195,6 +199,172 @@ def _derivative(tree, src):
                  ("mul", b, b))
 
 
+class _NoEnclosure(ArithmeticError):
+    """Raised where :func:`_enclose` fails closed, saying why."""
+
+
+class _Wraps(_NoEnclosure):
+    """Raised by :func:`_enclose` for a ``%`` whose quotient floor is not
+    the same over the interval."""
+
+
+# Veltkamp's splitter for doubles, 2^27 + 1.
+_SPLIT = 134217729.0
+
+
+def _exact_sum(a, b, s):
+    """Whether the float s = a + b is exact: Knuth's TwoSum error is 0."""
+    t = s - a
+    return (a - (s - t)) + (b - t) == 0.0
+
+
+def _exact_product(a, b, p):
+    """Whether the float p = a * b is exact: Dekker's product error is 0.
+
+    A product near the underflow range counts as exact only when a factor
+    is 0; one near overflow gives a NaN error term, so it never does.
+    """
+    if abs(p) < 2.0 ** -960:
+        return a == 0.0 or b == 0.0
+    c = _SPLIT * a
+    ah = c - (c - a)
+    c = _SPLIT * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl == 0.0
+
+
+def _add(a, b):
+    """Enclosure of x + y over the intervals a and b."""
+    lo, hi = a[0] + b[0], a[1] + b[1]
+    if lo != lo or hi != hi:
+        raise _NoEnclosure("an undefined operation (inf - inf)")
+    if not _exact_sum(a[0], b[0], lo):
+        lo = math.nextafter(lo, -math.inf)
+    if not _exact_sum(a[1], b[1], hi):
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _corners(op, exact, a, b):
+    """The least and greatest float ``op(x, y)`` over the ends x of the
+    interval ``a`` and y of ``b``, each moved out by one ulp unless
+    ``exact(x, y, v)`` holds for every pair of ends that gives it.
+
+    Right for an op monotone in each operand on the two intervals, since a
+    correctly rounded result below another one is below its exact value.
+    """
+    corners = [(op(x, y), x, y) for x in a for y in b]
+    lo = hi = corners[0][0]
+    for v, _, _ in corners:
+        if v != v:
+            raise _NoEnclosure("an undefined operation (0 * inf)")
+        lo, hi = min(lo, v), max(hi, v)
+    lo_exact = hi_exact = True
+    for v, x, y in corners:
+        if v == lo and lo_exact:
+            lo_exact = exact(x, y, v)
+        if v == hi and hi_exact:
+            hi_exact = exact(x, y, v)
+    return (lo if lo_exact else math.nextafter(lo, -math.inf),
+            hi if hi_exact else math.nextafter(hi, math.inf))
+
+
+def _exact_quotient(x, y, q):
+    """Whether the float q = x / y is exact: q * y is x without error."""
+    return q * y == x and _exact_product(q, y, x)
+
+
+def _power(v, k):
+    """v ** k as numpy takes it, with 0 ** -k and an overflow infinite."""
+    if v == 0.0 and k < 0.0:
+        return math.inf
+    try:
+        return v ** k
+    except OverflowError:
+        return math.copysign(math.inf, v) if k % 2.0 else math.inf
+
+
+def _pow_hull(a, k):
+    """Enclosure of x ** k over the interval a, for a float exponent k."""
+    lo, hi = a
+    if k != math.floor(k):
+        if lo < 0.0:
+            raise _NoEnclosure(
+                "a non-integer power of an interval with negative points")
+    elif k < 0.0 and lo <= 0.0 <= hi:
+        raise _NoEnclosure("division by an interval that holds 0")
+    # x ** k is monotone on either side of 0.  Powers go through libm,
+    # correct to within an ulp: two steps out cover that, unless the power
+    # is exact (x^0, x^1, 0^k, 1^k).
+    lows, highs = [], []
+    for v in {lo, hi}:
+        p = _power(v, k)
+        exact = k in (0.0, 1.0) or v in (0.0, 1.0)
+        lows.append(p if exact else _steps_toward(p, -math.inf))
+        highs.append(p if exact else _steps_toward(p, math.inf))
+    if k > 0.0 and k % 2.0 == 0.0 and lo < 0.0 < hi:
+        lows.append(0.0)     # an even power is least at 0
+    return min(lows), max(highs)
+
+
+def _steps_toward(v, to):
+    """The float two steps from v toward ``to``."""
+    return math.nextafter(math.nextafter(v, to), to)
+
+
+def _enclose(tree, lo, hi):
+    """(ylo, yhi) with ylo <= tree(x) <= yhi for every real x in the closed
+    [lo, hi], by interval arithmetic on Python floats (Moore, Kearfott and
+    Cloud, *Introduction to Interval Analysis*, SIAM 2009).
+
+    Constants are the floats the parser read; an exponent, which has no x,
+    is the float it evaluates to, as numpy takes it.  Each bound is
+    rounded outward unless the float result is exact, so a bound of 0 or
+    of a whole quotient stays where it is.  Fails closed, raising
+    :class:`_NoEnclosure`, on a ``%`` whose quotient floor is not the same
+    over the interval, a non-integer power of an interval with negative
+    points, division by an interval that holds 0, and an undefined
+    operation such as inf - inf.
+    """
+    op = tree[0]
+    if op == "const":
+        return tree[1], tree[1]
+    if op == "var":
+        return lo, hi
+    a = _enclose(tree[1], lo, hi)
+    if op == "neg":
+        return -a[1], -a[0]
+    if op == "pow":
+        try:
+            k = float(_evaluate(tree[2], None))
+        except (ArithmeticError, TypeError):
+            raise _NoEnclosure("an exponent that does not evaluate") from None
+        if not math.isfinite(k):
+            raise _NoEnclosure("an exponent that is not finite")
+        return _pow_hull(a, k)
+    b = _enclose(tree[2], lo, hi)
+    if op in ("div", "mod") and b[0] <= 0.0 <= b[1]:
+        raise _NoEnclosure("division by an interval that holds 0")
+    if op == "add":
+        return _add(a, b)
+    if op == "sub":
+        return _add(a, (-b[1], -b[0]))
+    if op == "mul":
+        return _corners(operator.mul, _exact_product, a, b)
+    q = _corners(operator.truediv, _exact_quotient, a, b)
+    if op == "div":
+        return q
+    # a % b is a - k*b while the floor k of a/b stays the same.
+    if not (math.isfinite(q[0]) and math.isfinite(q[1])):
+        raise _NoEnclosure("a '%' whose quotient is not finite")
+    k = math.floor(q[0])
+    if math.floor(q[1]) != k:
+        raise _Wraps("a '%' whose quotient floor changes")
+    kb = _corners(operator.mul, _exact_product, (float(k),), b)
+    return _add(a, (-kb[1], -kb[0]))
+
+
 @contextlib.contextmanager
 def _evaluation_errors(source):
     """Turn what parsing or evaluating ``source`` raises into an
@@ -226,6 +396,28 @@ def _vectorize(tree, source):
     return fn
 
 
+def _read_tree(src):
+    """(tree, source) of the text ``src``: its tree and its stripped text,
+    with the errors of :func:`compile_expression`."""
+    if not src or not src.strip():
+        raise ExpressionError("empty expression")
+    source = src.strip()
+    with _evaluation_errors(source):
+        return _parse(src), source
+
+
+def _probed(tree, source):
+    """The vectorized function of ``tree``, which :func:`_read_tree` read from
+    ``source``, once a probe shows that x-free parts evaluate."""
+    with _evaluation_errors(source):
+        fn = _vectorize(tree, source)
+        # Parts without x are Python floats and raise alike for every x, as
+        # does numpy on a complex operand of %, so one probe finds them all.
+        with np.errstate(all="ignore"):
+            fn(np.zeros(1))
+    return fn
+
+
 def compile_expression(src):
     """Parse ``src`` and return a vectorized function of x.
 
@@ -234,13 +426,4 @@ def compile_expression(src):
     input nested too deeply to parse or evaluate, and on input that no x
     can evaluate (``1/0``, ``10^400``, ``(0-1)^0.5``).
     """
-    if not src or not src.strip():
-        raise ExpressionError("empty expression")
-    source = src.strip()
-    with _evaluation_errors(source):
-        fn = _vectorize(_parse(src), source)
-        # Parts without x are Python floats and raise alike for every x, as
-        # does numpy on a complex operand of %, so one probe finds them all.
-        with np.errstate(all="ignore"):
-            fn(np.zeros(1))
-    return fn
+    return _probed(*_read_tree(src))

@@ -2,7 +2,8 @@
 
 A :class:`PiecewiseMap` is a finite list of branches, each a strictly
 monotone C^1 map on a half-open interval, given by an expression in x
-whose derivative is worked out from the expression's tree.  This branch
+whose derivative is worked out from the expression's tree, and proved
+monotone by interval enclosure of that derivative.  This branch
 class is exactly the one for which counting preimages is trivial (each
 branch is a bijection onto its image interval) and for which preimages of
 null sets are null, so the change-of-variables identity
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import (_derivative, _evaluate, _evaluation_errors,
-                          _parse, _vectorize)
+from .expressions import (_derivative, _enclose, _evaluation_errors,
+                          _NoEnclosure, _parse, _vectorize, _Wraps)
 from .grids import SampledFn
 
 __all__ = [
@@ -41,7 +42,9 @@ class MapError(ValueError):
     """Raised for branches that are not strictly monotone or do not cover."""
 
 
-_MONO_PROBES = 33
+# Bisections of a branch interval, at most, before a check that interval
+# arithmetic leaves open refuses the branch.
+_BISECTION_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -52,13 +55,27 @@ class Branch:
     :mod:`lorsolve.expressions` or as a tree of its parser.  The branch
     keeps that ``tree`` and the ``deriv_tree`` of its derivative, which
     the rules of :func:`lorsolve.expressions._derivative` work out, and
-    evaluates them with the vectorized ``fn`` and ``deriv``.  Strict
-    monotonicity is probed at construction on a uniform sample, and so is
-    smoothness: a ``%`` must not wrap inside the branch, that is, the
-    quotient floor(a/b) of each ``a % b`` must be the same at every probe.
-    Both checks are sampled, so a wrap between two probes passes;
-    interval evaluation of the tree would close that gap.  An expression
-    that cannot be parsed, evaluated or differentiated raises
+    evaluates them with the vectorized ``fn`` and ``deriv``; ``ends`` is
+    the pair of floats ``fn`` gives at lo and hi.
+
+    Construction proves, on the whole closed [lo, hi], what the branch
+    claims, by outward-rounded interval enclosures
+    (:func:`lorsolve.expressions._enclose`) on the pieces of a bisection
+    of at most ``_BISECTION_DEPTH`` levels:
+
+    - the values are finite and real;
+    - no ``%`` wraps: the quotient floor(a/b) of each ``a % b`` is the
+      same everywhere, so the branch is real-analytic inside;
+    - the derivative keeps one sign, the one in which ``ends`` differ.
+      An analytic function that is not constant is then strictly
+      monotone, so the sign need not be strict: ``1 - (1 - x)^4`` has
+      slope 0 at x = 1 and loads.
+
+    A check that the enclosures leave open refuses the branch, so a
+    branch can be refused that is monotone and smooth but too close to
+    the limit for interval arithmetic.  The proof is about the
+    expression in real arithmetic; ``fn`` evaluates it in floats.  An
+    expression that cannot be parsed, evaluated or differentiated raises
     :class:`~lorsolve.expressions.ExpressionError`.
     """
 
@@ -67,48 +84,98 @@ class Branch:
     expr: object
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo < self.hi):
-            raise MapError(f"bad branch interval [{self.lo}, {self.hi})")
+        lo, hi = self.lo, self.hi
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise MapError(f"bad branch interval [{lo}, {hi})")
         text = isinstance(self.expr, str)
         source = self.expr.strip() if text else repr(self.expr)
-        xs = np.linspace(self.lo, self.hi, _MONO_PROBES)
         with _evaluation_errors(source), np.errstate(all="ignore"):
             tree = _parse(self.expr) if text else self.expr
             deriv_tree = _derivative(tree, source)
             fn = _vectorize(tree, source)
             deriv = _vectorize(deriv_tree, source)
-            # Parts without x raise alike for every x, so the probes find
+            # Parts without x raise alike for every x, so the ends find
             # them all.
-            ys = fn(xs)
-            deriv(xs)
-            wraps = any(np.unique(np.floor_divide(_evaluate(a, xs),
-                                                  _evaluate(b, xs))).size > 1
-                        for _, a, b in _mod_nodes(tree))
-        if ys.dtype.kind == "c":
-            raise MapError(f"branch on [{self.lo}, {self.hi}) has a complex "
-                           "value where a real one is needed")
-        if not np.isfinite(ys).all():
-            raise MapError("branch values must be finite")
-        d = ys[1:] - ys[:-1]
-        if not ((d > 0).all() or (d < 0).all()):
-            raise MapError(
-                f"branch on [{self.lo}, {self.hi}) is not strictly monotone"
-            )
-        if wraps:
-            raise MapError(f"branch on [{self.lo}, {self.hi}) is not smooth: "
-                           f"a '%' in {source!r} wraps inside it")
+            ys = fn(np.array([lo, hi], dtype=float))
+            if deriv_tree[0] != "const":
+                deriv(np.array([lo, hi], dtype=float))
+            if ys.dtype.kind == "c":
+                raise MapError(f"branch on [{lo}, {hi}) has a complex value "
+                               "where a real one is needed")
+            y0, y1 = ends = tuple(ys.tolist())
+            if not (math.isfinite(y0) and math.isfinite(y1)):
+                raise MapError("branch values must be finite")
+            if y0 == y1:
+                raise MapError(
+                    f"branch on [{lo}, {hi}) is not strictly monotone")
+            gap = _unproved(tree, deriv_tree, float(lo), float(hi), y1 > y0)
+        if gap:
+            kind, where = gap
+            raise MapError({
+                "finite": "branch values must be finite",
+                "wrong": f"branch on [{lo}, {hi}) is not strictly monotone",
+                "wrap": f"branch on [{lo}, {hi}) is not smooth: a '%' in "
+                        f"{source!r} wraps inside it",
+                "open": f"branch on [{lo}, {hi}) is not proved strictly "
+                        f"monotone: its slope {where}",
+            }[kind])
         for name, value in [("tree", tree), ("deriv_tree", deriv_tree),
-                            ("fn", fn), ("deriv", deriv)]:
+                            ("fn", fn), ("deriv", deriv), ("ends", ends)]:
             object.__setattr__(self, name, value)
 
 
-def _mod_nodes(tree):
-    """Every ("mod", a, b) node of ``tree``."""
-    if tree[0] in ("const", "var"):
-        return []
-    return ([tree] if tree[0] == "mod" else []) + [
-        node for kid in tree[1:] for node in _mod_nodes(kid)]
+def _unproved(tree, deriv_tree, lo, hi, rising):
+    """What interval enclosures leave unproved of a branch with value
+    ``tree`` and slope ``deriv_tree`` on [lo, hi], whose ends rise (or
+    fall): None, or (kind, detail) for the first kind in this order that
+    some piece of the bisection leaves open.
+
+    - "finite": the values' enclosure fails or is not finite;
+    - "wrong": the slope has the wrong sign on a whole piece;
+    - "wrap": a ``%`` wraps, its quotient floor not the same;
+    - "open": the slope's enclosure holds both signs, or fails; the
+      detail says where.
+
+    A piece that leaves something open is split in two, down to
+    ``_BISECTION_DEPTH`` levels; a wrong sign is final at once.
+    """
+    found = {}
+    pieces = [(lo, hi, 0)]
+    while pieces:
+        a, b, depth = pieces.pop()
+        try:
+            ylo, yhi = _enclose(tree, a, b)
+            if not (math.isfinite(ylo) and math.isfinite(yhi)):
+                raise _NoEnclosure
+        except _Wraps:
+            kind = "wrap"
+        except _NoEnclosure:
+            kind = "finite"
+        else:
+            kind = "open"
+            try:
+                dlo, dhi = _enclose(deriv_tree, a, b)
+            except _NoEnclosure as exc:
+                why = f"meets {exc}"
+            else:
+                if (dlo >= 0.0) if rising else (dhi <= 0.0):
+                    continue
+                if (dhi < 0.0) if rising else (dlo > 0.0):
+                    found["wrong"] = None
+                    continue
+                why = f"has the enclosure [{dlo!r}, {dhi!r}]"
+        if depth < _BISECTION_DEPTH:
+            mid = a + 0.5 * (b - a)
+            pieces += [(mid, b, depth + 1), (a, mid, depth + 1)]
+        elif kind == "finite":
+            return kind, None
+        else:
+            found.setdefault(
+                kind, f"{why} on [{a!r}, {b!r}]" if kind == "open" else None)
+    for kind in ("wrong", "wrap", "open"):
+        if kind in found:
+            return kind, found[kind]
+    return None
 
 
 def _merge_intervals(ivals):
@@ -138,20 +205,47 @@ class PiecewiseMap:
                 )
         self.branches = branches
         self.label = label or f"piecewise[{len(branches)} branches]"
+        # Every branch's lo, then every branch's hi, for evaluate's search.
+        self._ends = np.array([[b.lo for b in branches],
+                               [b.hi for b in branches]], dtype=float)
 
     def evaluate(self, x):
         """(F(x), F'(x)) from one pass over the branches, both NaN where no
-        branch interval [lo, hi) holds x."""
+        branch interval [lo, hi) holds x.
+
+        Each branch is evaluated on the contiguous slice of an ascending
+        run of x that binary search finds for it.  Grid midpoints ascend
+        box by box, so their runs are the boxes, or fewer.  An x of as
+        many runs as there are branches, or more, is sorted once instead,
+        and the results are put back in x's order once.
+        """
         x = np.asarray(x, dtype=float)
-        val = np.full(x.shape, np.nan)
-        der = np.full(x.shape, np.nan)
-        for b in self.branches:
-            mask = (x >= b.lo) & (x < b.hi)
-            if mask.any():
-                xm = x[mask]
-                val[mask] = b.fn(xm)
-                der[mask] = b.deriv(xm)
-        return val, der
+        flat = x.ravel()
+        val = np.full(flat.shape, np.nan)
+        der = np.full(flat.shape, np.nan)
+        # Where x stops ascending, or meets a NaN.
+        cuts = np.flatnonzero(~(flat[1:] >= flat[:-1])) + 1
+        if cuts.size < len(self.branches):
+            edges = [0, *cuts.tolist(), flat.size]
+            for i, j in zip(edges, edges[1:]):
+                self._fill(flat[i:j], val[i:j], der[i:j])
+        else:
+            order = np.argsort(flat, kind="stable")
+            self._fill(flat[order], val, der)
+            val[order], der[order] = val.copy(), der.copy()
+        return val.reshape(x.shape), der.reshape(x.shape)
+
+    def _fill(self, xs, val, der):
+        """Evaluate each branch and its slope on its slice of the ascending
+        ``xs``, into the same slices of ``val`` and ``der``."""
+        starts, stops = np.searchsorted(xs, self._ends).tolist()
+        for b, i, j in zip(self.branches, starts, stops):
+            if i < j:
+                val[i:j] = b.fn(xs[i:j])
+                # A constant slope needs no array of its own.
+                slope = b.deriv_tree
+                der[i:j] = (slope[1] if slope[0] == "const"
+                            else b.deriv(xs[i:j]))
 
     def __call__(self, x):
         out = self.evaluate(x)[0]
@@ -170,9 +264,9 @@ class PiecewiseMap:
             for lo, hi in boxes:
                 a, c = max(b.lo, lo), min(b.hi, hi)
                 if a < c:
-                    images.append(tuple(sorted(
-                        np.asarray(b.fn(np.array([a, c])), dtype=float).tolist()
-                    )))
+                    ys = (b.ends if (a, c) == (b.lo, b.hi)
+                          else b.fn(np.array([a, c], dtype=float)).tolist())
+                    images.append(tuple(sorted(ys)))
         return images
 
 

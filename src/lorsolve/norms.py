@@ -157,7 +157,9 @@ def orlicz_modular(u, psi_orlicz, scale=1.0):
     g = pointwise_norm(u)
     if scale <= 0.0:
         raise NormError("modular scale must be positive")
-    levels = psi_orlicz.fn(g.values / scale)
+    # A level past the largest float is inf, and so is the modular.
+    with np.errstate(over="ignore"):
+        levels = psi_orlicz.fn(g.values / scale)
     return float(np.sum(levels * g.cell_measures))
 
 
@@ -205,7 +207,9 @@ def luxemburg_norm(u, psi_orlicz):
     for _ in range(200):
         if t_hi - t_lo <= _LUX_REL_WIDTH * t_hi:
             break
-        mid = 0.5 * (t_lo + t_hi)
+        # The sum t_lo + t_hi overflows when both ends pass half the
+        # largest float; the width never does.
+        mid = t_lo + 0.5 * (t_hi - t_lo)
         if modular(mid) <= 1.0:
             t_hi = mid
         else:

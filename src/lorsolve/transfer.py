@@ -18,8 +18,12 @@ of their images, and N is the number of maps.  K and L are declared by the
 caller and cross-checked against their exact values, swept from the
 images of the branch pieces on the domain that the instance computed
 (never silently inferred; a branch part outside the domain counts for
-neither).  The ratio |g_n|/|J_n| is sampled at midpoints, so a PASS is
-evidence at grid resolution; a FAIL is authoritative.
+neither).  Those images are exact because each branch is proved finite,
+smooth and strictly monotone on its closed interval by interval
+enclosure (:class:`~lorsolve.maps.Branch`), so each piece is a bijection
+onto the interval between its end values.  The ratio |g_n|/|J_n| is
+still sampled at midpoints, so a PASS is evidence at grid resolution; a
+FAIL is authoritative.
 """
 
 from dataclasses import dataclass

@@ -416,6 +416,23 @@ class TestInputErrors:
         assert "[map1] branch1" in err and "'%'" in err and "wraps" in err
         assert not out.exists()
 
+    def test_percent_that_wraps_between_any_two_probes(self, tmp_path,
+                                                       capsys):
+        # The dividend dips below 0 on (0.3/32, 0.7/32) only, where the
+        # value jumps up by 2 and back: neither monotone nor continuous.
+        cfg = tmp_path / "dip.cfg"
+        cfg.write_text(bundled_instance_path("linear_h0").read_text()
+                       .replace("branch1 = 0, 1, x, 1",
+                                "branch1 = 0, 1, x + 0.001*((1000*(x - 0.3/32)"
+                                "*(x - 0.7/32)) % 2000)"))
+        out = tmp_path / "out"
+        rc = main(["solve", "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "[map1] branch1" in err and "wraps" in err
+        assert not out.exists()
+
     def test_branch_part_outside_the_domain_does_not_count(self, tmp_path):
         # x/2 on [0, 2) and on [0, 1) give the same operator on [0, 1).
         texts = []
@@ -448,6 +465,27 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "norm value must be finite" in err
         assert not out.exists()
+
+    def test_bridge_near_the_largest_float_under_warnings_as_errors(
+            self, tmp_path):
+        # The Luxemburg bisection's midpoint and the modular's psi both
+        # overflow here unless guarded; a warning would be a traceback.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(bundled_instance_path("twobranch").read_text()
+                       .replace("[h0]\nexpr = 1\n", "[h0]\nexpr = 1e308\n"))
+        out = tmp_path / "out"
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lorsolve.cli", "bridge",
+             "--instance", str(cfg), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = (out / "bridge.txt").read_text().splitlines()
+        assert "modular = inf" in lines
+        assert "orlicz_norm = 1e+308" in lines
+        assert "verdict = NO_CLAIM" in lines
 
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

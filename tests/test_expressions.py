@@ -5,7 +5,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lorsolve import ExpressionError, compile_expression
-from lorsolve.expressions import _derivative, _evaluate, _parse
+from lorsolve.expressions import (_derivative, _enclose, _evaluate,
+                                  _NoEnclosure, _parse, _Wraps)
 
 
 class TestGrammar:
@@ -224,3 +225,77 @@ class TestDerivative:
         want = (_evaluate(_integral(tree), x) + 0 * x).deriv()
         got = _evaluate(_integral(_derivative(tree, "")), x)
         assert not (got - want).trim().coef.any()
+
+
+# Trees over x whose exponents and divisors have no x, as a branch's do:
+# a power takes one of a few exponents, a % a divisor away from 0.
+_signed = st.floats(-3.0, 3.0, allow_nan=False)
+_branch_trees = _trees(
+    _signed,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), kids, kids),
+        st.tuples(st.just("pow"), kids, st.sampled_from(
+            [0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -0.5]).map(
+                lambda k: ("const", k))),
+        st.tuples(st.just("mod"), kids, st.one_of(
+            st.floats(0.25, 3.0), st.floats(-3.0, -0.25)).map(
+                lambda c: ("const", c)))),
+    max_leaves=8)
+
+
+class TestEnclose:
+    @settings(max_examples=400, deadline=None)
+    @given(_branch_trees, _signed, st.floats(0.0, 2.0), st.data())
+    def test_every_sampled_value_lies_inside(self, tree, lo, width, data):
+        hi = lo + width
+        try:
+            ylo, yhi = _enclose(tree, lo, hi)
+        except _NoEnclosure:
+            return
+        assert ylo <= yhi
+        seed_ = data.draw(st.integers(0, 2**32 - 1))
+        xs = np.concatenate([[lo, hi], np.random.default_rng(seed_).uniform(
+            lo, hi, 32)])
+        try:
+            with np.errstate(all="ignore"):
+                ys = np.broadcast_to(_evaluate(tree, xs), xs.shape)
+        except (OverflowError, ZeroDivisionError):
+            return  # a part without x that Python floats refuse
+        bad = [(x, y) for x, y in zip(xs, ys) if not ylo <= y <= yhi]
+        assert not bad, (ylo, yhi, bad[:3])
+
+    @pytest.mark.parametrize("src, lo, hi, want", [
+        ("x", 0.25, 0.5, (0.25, 0.5)),
+        ("2*x - 1", 0.5, 0.75, (0.0, 0.5)),             # exact: no widening
+        ("1 - (1 - x)^4", 0.0, 1.0, (0.0, 1.0)),
+        ("(x + 0.25) % 1", 0.0, 0.5, (0.25, 0.75)),
+        ("x^-0.5", 0.0, 1.0, (1.0, float("inf"))),
+        ("-x", 1.0, 2.0, (-2.0, -1.0)),
+    ])
+    def test_exact_bounds_stay(self, src, lo, hi, want):
+        assert _enclose(_parse(src), lo, hi) == want
+
+    def test_an_inexact_bound_moves_out(self):
+        ylo, yhi = _enclose(_parse("x/3"), 1.0, 2.0)
+        assert ylo < 1.0 / 3.0 and yhi > 2.0 / 3.0
+        assert np.nextafter(ylo, 1.0) == 1.0 / 3.0
+        assert np.nextafter(yhi, 0.0) == 2.0 / 3.0
+
+    def test_a_power_from_libm_moves_out_two_steps(self):
+        # An even power is least at 0; its top comes from libm's pow.
+        ylo, yhi = _enclose(_parse("(x - 0.5)^2"), 0.0, 1.0)
+        assert ylo == 0.0
+        assert yhi == np.nextafter(np.nextafter(0.25, 1.0), 1.0)
+
+    @pytest.mark.parametrize("src, lo, hi, why", [
+        ("x % 0.5", 0.0, 0.5, "floor"),                   # 0.5 % 0.5 = 0
+        ("(x - 0.25)^0.5", 0.0, 1.0, "negative points"),
+        ("1/(x - 0.5)", 0.0, 1.0, "holds 0"),
+        ("(x - 0.5)^-1", 0.0, 1.0, "holds 0"),
+        ("x % (x - x)", 0.0, 1.0, "holds 0"),
+        ("x^-0.5 * 0", 0.0, 1.0, "undefined"),            # 0 * inf
+    ])
+    def test_fails_closed(self, src, lo, hi, why):
+        with pytest.raises(_NoEnclosure, match=why) as exc:
+            _enclose(_parse(src), lo, hi)
+        assert isinstance(exc.value, _Wraps) == (why == "floor")

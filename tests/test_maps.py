@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,15 +10,20 @@ from lorsolve import (
     ExpressionError,
     MapError,
     PiecewiseMap,
+    ProblemInstance,
     SampledFn,
     affine_map,
+    bundled_instance_path,
     change_of_variables_check,
     doubling_map,
     halving_map,
     identity_map,
     indicatrix_profile,
+    load_instance,
+    power_young,
     tent3_map,
 )
+from lorsolve.config import BUNDLED_INSTANCES
 from lorsolve.transfer import _max_depth
 
 
@@ -58,6 +66,44 @@ class TestBranch:
         b = Branch(0.0, 0.5, "(x + 0.25) % 1")
         assert b.fn(np.array([0.0, 0.25])).tolist() == [0.25, 0.5]
         assert PiecewiseMap([b]).piece_images([(0.0, 0.5)]) == [(0.25, 0.75)]
+
+    def test_percent_that_wraps_between_any_two_probes_rejected(self):
+        # The dividend dips below 0 on (0.3/32, 0.7/32) only, where the
+        # value jumps to about 2.0156 and back: no sample of 33 points sees
+        # it, and the enclosure of the dividend on [0, 1) does.
+        with pytest.raises(MapError, match="wraps"):
+            Branch(0.0, 1.0,
+                   "x + 0.001*((1000*(x - 0.3/32)*(x - 0.7/32)) % 2000)")
+
+    @pytest.mark.parametrize("lo, hi, expr", [
+        (0.0, 1.0, "x^0.5"),              # infinite slope at x = 0
+        (0.0, 1.0, "1 - (1 - x)^4"),      # slope 0 at x = 1
+        (0.0, 0.5, "(x + 0.25) % 1"),
+        (0.5, 1.0, "(x - 0.5) % 1"),      # the dividend is exactly 0 at lo
+        (0.0, 1.0, "(x - 0.5)^3"),        # slope 0 at x = 0.5
+    ])
+    def test_monotone_branch_with_a_slope_that_reaches_0_or_inf_loads(
+            self, lo, hi, expr):
+        b = Branch(lo, hi, expr)
+        assert list(b.ends) == b.fn(np.array([lo, hi])).tolist()
+
+    @pytest.mark.parametrize("lo, hi, expr, why", [
+        # Falls on [0, 0.3), though its ends rise.
+        (0.0, 1.0, "(x - 0.3)^2", "not strictly monotone"),
+        # Undefined on (0.25, 0.75), between finite ends.
+        (0.0, 1.0, "x + 0*((x - 0.25)*(x - 0.75))^0.5",
+         "branch values must be finite"),
+        # Infinite at 0 only, between finite ends.
+        (-1.0, 1.0, "1/x", "branch values must be finite"),
+        # Strictly monotone, but its slope 3*(x - 0.5)^2 expanded touches
+        # 0 at x = 0.5, where no enclosure of it keeps one sign.
+        (0.0, 1.0, "x^3 - 1.5*x^2 + 0.75*x",
+         r"not proved strictly monotone: its slope has the enclosure "
+         r"\[-[0-9.e-]+, [0-9.e-]+\] on \[0.4"),
+    ])
+    def test_branch_that_the_enclosures_refuse(self, lo, hi, expr, why):
+        with pytest.raises(MapError, match=why):
+            Branch(lo, hi, expr)
 
 
 class TestPiecewiseMap:
@@ -132,6 +178,130 @@ class TestEvaluate:
         F = doubling_map()
         assert isinstance(F(0.25), float) and F(0.25) == 0.5
         assert isinstance(F(1.5), float) and np.isnan(F(1.5))
+
+
+def _mask_evaluate(F, x):
+    """(F(x), F'(x)) by the formula evaluate replaced: one mask over all of
+    x per branch, NaN where no branch holds x."""
+    val = np.full(x.shape, np.nan)
+    der = np.full(x.shape, np.nan)
+    for b in F.branches:
+        mask = (x >= b.lo) & (x < b.hi)
+        if mask.any():
+            val[mask] = b.fn(x[mask])
+            der[mask] = b.deriv(x[mask])
+    return val, der
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+def _instance(boxes, maps, m=64):
+    domain = Domain.from_intervals(boxes)
+    h0 = SampledFn.constant(domain, m, 1.0)
+    g = SampledFn.constant(domain, m, 0.1)
+    return ProblemInstance(domain, maps, (g,) * len(maps), h0, K_decl=2,
+                           L_decl=len(maps), alpha=0.25,
+                           psi=power_young(2.0))
+
+
+def _map(*branches):
+    return PiecewiseMap([Branch(lo, hi, expr) for lo, hi, expr in branches])
+
+
+# Each domain sends every box into the domain, with branches of curved
+# values and slopes.
+_SLICE_CASES = {
+    # Boxes listed in descending order: the midpoints do not ascend.
+    "descending-boxes": (
+        [(2.0, 2.5), (0.0, 1.0)],
+        [_map((0.0, 1.0, "2 + 0.5*x^2"), (2.0, 2.5, "1 - 1.4*(2.5 - x)^0.5")),
+         _map((0.0, 0.5, "1 - 2*x"), (0.5, 1.0, "2 + (x - 0.5)^3"),
+              (2.0, 2.5, "0.25 + (x - 2)^2"))]),
+    # Touching boxes, and a branch across their common end.
+    "touching-boxes": (
+        [(0.0, 1.0), (1.0, 2.0)],
+        [_map((0.0, 1.5, "x^2/1.125"), (1.5, 2.0, "4 - 2*x")),
+         _map((0.0, 2.0, "2 - (x + 1)^0.5*0.8"))]),
+    # A branch across the gap between two boxes, which cut it.
+    "branch-cut-by-a-box-end": (
+        [(0.0, 0.5), (0.75, 1.0)],
+        [_map((0.0, 1.0, "0.5*x")),
+         _map((0.0, 1.0, "0.75 + 0.25*x^2"))]),
+}
+
+
+class TestSlicedEvaluation:
+    @pytest.mark.parametrize("case", sorted(_SLICE_CASES))
+    def test_keeps_the_bits_of_the_mask_formula(self, case):
+        boxes, maps = _SLICE_CASES[case]
+        inst = _instance(boxes, maps)
+        x = inst.h0.midpoints
+        rng = np.random.default_rng(7)
+        # The grid's midpoints, the same shuffled, and among them branch
+        # and box ends, points outside every branch, and NaN.
+        extra = np.array([np.nan, -1.0, 0.0, 0.5, 0.6, 1.5, 1.75, 2.0, 2.5,
+                          3.0, np.nan])
+        for pts in (x, rng.permutation(x),
+                    rng.permutation(np.concatenate([x, extra]))):
+            for F in maps:
+                got, want = F.evaluate(pts), _mask_evaluate(F, pts)
+                assert _same_bits(got[0], want[0])
+                assert _same_bits(got[1], want[1])
+        for F, idx in zip(maps, inst._target_idx):
+            y = _mask_evaluate(F, x)[0]
+            assert not np.isnan(y).any()
+            want = inst.h0.cell_index_of(y)
+            assert (want >= 0).all()
+            assert np.array_equal(idx, want)
+
+    def test_shapes_and_ranks_come_back(self):
+        F = _SLICE_CASES["touching-boxes"][1][1]
+        x = np.linspace(-0.5, 2.5, 24)[::-1].reshape(2, 3, 4)
+        y, d = F.evaluate(x)
+        assert y.shape == d.shape == x.shape
+        want = _mask_evaluate(F, x.ravel())
+        assert _same_bits(y.ravel(), want[0])
+        assert _same_bits(d.ravel(), want[1])
+
+
+def _bench_workloads():
+    """The seeded workload generator of the benchmark, read-only."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _every_instance(tmp_path):
+    for name in BUNDLED_INSTANCES:
+        yield name, bundled_instance_path(name)
+    workloads = _bench_workloads()
+    for name in ("rough-csv", "multibox-vec"):
+        for seed in (23, 31, 37):
+            where = tmp_path / f"{name}-{seed}"
+            workloads.generate(name, where, seed)
+            yield f"{name}-{seed}", where / "instance.cfg"
+
+
+def test_every_shipped_branch_loads_with_its_midpoint_bits(tmp_path):
+    # Each branch of the bundled instances and of the benchmark's seeded
+    # workloads passes the enclosure checks, and evaluate gives the bits
+    # of the mask formula at the grid midpoints.
+    for label, path in _every_instance(tmp_path):
+        inst, _ = load_instance(path)
+        x = inst.h0.midpoints
+        for F in inst.maps:
+            for b in F.branches:
+                assert list(b.ends) == \
+                    b.fn(np.array([b.lo, b.hi])).tolist(), label
+            got, want = F.evaluate(x), _mask_evaluate(F, x)
+            assert _same_bits(got[0], want[0]), label
+            assert _same_bits(got[1], want[1]), label
 
 
 class TestIndicatrix:
