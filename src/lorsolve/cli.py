@@ -97,19 +97,18 @@ def _atomic_write(out_dir, filename, text):
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-def _pin_malloc_thresholds(block):
-    """Serve blocks up to ``block`` bytes from glibc's heap from now on.
+def _pin_malloc_thresholds():
+    """Serve blocks up to 32 MiB from glibc's heap from now on.
 
     glibc's thresholds adapt by default: the first free of a large mmapped
     block raises the mmap threshold, and the heap top is returned to the
-    system whenever more than twice that is free.  Whether the grid-sized
-    temporaries of each solve step then reuse heap memory or are
-    page-faulted afresh depends on how the process left the heap before
-    the solve: one import order made the same 2^16-cell solve 20% slower
-    than another (2-core Xeon, glibc 2.36).  Pinned, blocks up to
-    ``block`` bytes (at most 32 MiB) come from the heap and freed memory
-    stays there for reuse; larger ones are still mapped and unmapped
-    whole.  Does nothing on other C libraries.
+    system whenever more than twice that is free.  Whether grid-sized
+    temporaries then reuse heap memory or are page-faulted afresh depends
+    on how the process left the heap before: one import order made the
+    same 2^16-cell solve 20% slower than another (2-core Xeon, glibc
+    2.36).  Pinned, blocks up to 32 MiB (a 2^21-cell complex step) come
+    from the heap and freed memory stays there for reuse; larger ones are
+    still mapped and unmapped whole.  Does nothing on other C libraries.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -117,7 +116,9 @@ def _pin_malloc_thresholds(block):
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, ValueError):
         return
-    mallopt(_M_MMAP_THRESHOLD, min(block, 32 * 2**20))
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
     mallopt(_M_TRIM_THRESHOLD, 256 * 2**20)
 
 
@@ -179,16 +180,18 @@ def _psi_from_flags(args, default_family="power", default_param=2.0):
 def _cmd_solve(args):
     """Audit, solve and write solution.csv, trace.csv, certificate.txt.
 
-    solution.csv and trace.csv are written straight into their atomic
-    files, solution.csv ``_CSV_CHUNK_ROWS`` rows at a time, so neither
-    text is ever built whole (at 2^16 cells solution.csv is 3.6 MB).
+    The malloc thresholds are pinned before the instance is loaded, so the
+    grid-sized temporaries of the load as well as of the solve reuse heap
+    memory.  solution.csv and trace.csv are written straight into their
+    atomic files, solution.csv ``_CSV_CHUNK_ROWS`` rows at a time, so
+    neither text is ever built whole (at 2^16 cells solution.csv is
+    3.6 MB).
     """
     _check_tol(args.tol)
     if args.max_steps < 0:
         raise _InputError(f"--max-steps must be >= 0, got {args.max_steps!r}")
+    _pin_malloc_thresholds()
     inst, _ = _load(args, require_admissible=True)
-    # A complex step doubles the bytes of a real h0.
-    _pin_malloc_thresholds(2 * inst.h0.values.nbytes + 2**16)
     try:
         solution, trace = solve_elementary(
             inst, tol=args.tol, max_steps=args.max_steps, force=args.force

@@ -224,10 +224,26 @@ def _parse_h0(cp, domain, m, source, base_dir):
         raise ConfigError(
             f"{source}: [h0] needs exactly one of expr / components / csv"
         )
+    if "csv" in given:
+        rel = cp.get("h0", "csv").strip()
+        path = (base_dir.joinpath(rel) if base_dir is not None
+                else pathlib.Path(rel))
+        try:
+            return SampledFn.from_csv(path, domain, m)
+        except OSError as exc:
+            raise ConfigError(
+                f"{source}: [h0] csv: cannot read {rel!r}: {exc}"
+            ) from exc
+        except GridError as exc:
+            raise ConfigError(f"{source}: [h0] csv {rel!r}: {exc}") from exc
+    mids = SampledFn.zeros(domain, m).midpoints
+    # A value that is not finite is refused by SampledFn, not warned of.
     if "expr" in given:
         fn = _compile(cp.get("h0", "expr"), "[h0] expr", source)
-        return SampledFn.from_callable(domain, m, fn)
-    if "components" in given:
+        with np.errstate(all="ignore"):
+            values = fn(mids)
+        where = "[h0] expr"
+    else:
         parts = [p for p in cp.get("h0", "components").split(";") if p.strip()]
         if not parts:
             raise ConfigError(f"{source}: [h0] components is empty")
@@ -235,25 +251,20 @@ def _parse_h0(cp, domain, m, source, base_dir):
             _compile(p, f"[h0] components[{i}]", source)
             for i, p in enumerate(parts)
         ]
-        mids = SampledFn.zeros(domain, m).midpoints
-        cols = [fn(mids) for fn in fns]
+        with np.errstate(all="ignore"):
+            cols = [fn(mids) for fn in fns]
         for i, col in enumerate(cols):
             if np.iscomplexobj(col):
                 raise ConfigError(
                     f"{source}: [h0] components[{i}]: a complex value "
                     "where a real one is needed"
                 )
-        return SampledFn(domain, m, np.stack(cols, axis=1))
-    rel = cp.get("h0", "csv").strip()
-    path = base_dir.joinpath(rel) if base_dir is not None else pathlib.Path(rel)
+        values = np.stack(cols, axis=1)
+        where = "[h0] components"
     try:
-        return SampledFn.from_csv(path, domain, m)
-    except OSError as exc:
-        raise ConfigError(
-            f"{source}: [h0] csv: cannot read {rel!r}: {exc}"
-        ) from exc
+        return SampledFn(domain, m, values)
     except GridError as exc:
-        raise ConfigError(f"{source}: [h0] csv {rel!r}: {exc}") from exc
+        raise ConfigError(f"{source}: {where}: {exc}") from exc
 
 
 def _read(path_or_text):

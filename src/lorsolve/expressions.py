@@ -15,6 +15,9 @@ like "0.25" sample cleanly onto a grid.  The language is a subset of
 Python's expressions with the same precedence, so Python's parser reads
 it and its tree is translated, refusing all that is outside the grammar.
 Errors carry a position in the original text; nothing is ever eval()ed.
+Python's parser reads each expression shape once per process: texts
+that differ only in their number literals, as the branches of a map
+mostly do, share one parse, each with its own numbers in the tree.
 The derivative of a tree is a tree too, by the rules of calculus, which
 is how a map's branch gets its slope, and a tree has an enclosure on an
 interval by outward-rounded interval arithmetic, which is how a branch
@@ -47,19 +50,69 @@ _CHARS = re.compile(r"[0-9A-Za-z_.+\-*/%^()\s]*")
 _BREAK = re.compile(r"[^\S \t]")
 _LEADING_ZEROS = re.compile(r"0(?<![\w.]0)(?<![eE][+-]0)0*(?=[0-9])")
 _NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_SIGNED_NUMBER = re.compile(rf"\s*(-?)\s*({_NUMBER.pattern})\s*")
+# A free literal: a number with no letter, digit, '_' or '.' on either
+# side, which Python reads as one number token.  Splitting on it leaves
+# the shape of a text ("2*x + 1" and "3*x + 0.5" share one) between its
+# literals.
+_FREE_NUMBER = re.compile(rf"(?<![\w.])({_NUMBER.pattern})(?![\w.])")
+# The tree of each shape _parse has read, by the text between its free
+# literals; past _SHAPES_MAX the oldest goes.
+_SHAPES = {}
+_SHAPES_MAX = 1024
 _BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div",
            ast.Mod: "mod", ast.Pow: "pow"}
 
 
 def _parse(src):
-    """The tree of ("const", v), ("var",), ("neg", a) and (op, a, b)."""
-    # Most coefficients and derivatives are one number, which needs no
-    # parser: the same tree at a small part of the cost.
-    number = _SIGNED_NUMBER.fullmatch(src)
-    if number:
-        const = ("const", float(number[2]))
-        return ("neg", const) if number[1] else const
+    """The tree of ("const", v), ("var",), ("neg", a) and (op, a, b).
+
+    A shape is parsed once per process: a text that differs from one read
+    before only in its free number literals gets a copy of that one's
+    tree with its own numbers.  Errors always come from the parser.
+    """
+    parts = _FREE_NUMBER.split(src)
+    shape = tuple(parts[::2])
+    template = _SHAPES.get(shape)
+    if template is not None:
+        return _fill(template, map(float, parts[1::2]))
+    tree = _parse_text(src)
+    # Python reads each free literal as one number token, so every text of
+    # this shape has the tokens of this one.  The tree is a template for
+    # them only if its constants are those literals, in their order.
+    if _constants(tree) == [float(v) for v in parts[1::2]]:
+        if len(_SHAPES) >= _SHAPES_MAX:
+            _SHAPES.pop(next(iter(_SHAPES)), None)
+        _SHAPES[shape] = tree
+    return tree
+
+
+def _constants(tree):
+    """The values of the constants of ``tree``, in the order of the text."""
+    values, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node[0] == "const":
+            values.append(node[1])
+        else:
+            stack += reversed(node[1:])
+    return values
+
+
+def _fill(tree, values):
+    """``tree`` with its constants, in the order of the text, taken from
+    the iterator ``values``."""
+    op = tree[0]
+    if op == "const":
+        return ("const", next(values))
+    if op == "var":
+        return tree
+    if op == "neg":
+        return ("neg", _fill(tree[1], values))
+    return (op, _fill(tree[1], values), _fill(tree[2], values))
+
+
+def _parse_text(src):
+    """The tree of ``src`` from Python's parser, or an ExpressionError."""
     bad = _CHARS.match(src).end()
     if bad < len(src):
         raise ExpressionError(

@@ -62,10 +62,15 @@ def _format_cells(col):
     once, so -0.0 and 0.0 keep their own text: real values by
     ``_text_matrix``, complex ones by ``repr``.  Real values are keyed on
     their bits as ``uint64`` (sorting a void dtype is ~3x slower); complex
-    values on both halves.
+    values on both halves.  A real column in which no value repeats, as
+    in most solutions, is formatted as it stands.
     """
     complex_col = col.dtype.kind == "c"
     col = np.ascontiguousarray(col, dtype=complex if complex_col else float)
+    if not complex_col:
+        bits = np.sort(col.view(np.uint64))
+        if (bits[1:] != bits[:-1]).all():
+            return _text_matrix(col)
     keys = col.view(f"V{col.itemsize}" if complex_col else np.uint64)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     if complex_col:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import SampledFn
+from .grids import GridError, SampledFn
 from .maps import PiecewiseMap, _merge_intervals
 from .norms import lorentz_norm
 from .young import derive_tau
@@ -128,7 +128,14 @@ class ProblemInstance:
         sampled = []
         for i, g in enumerate(coeffs):
             if not isinstance(g, SampledFn):
-                g = SampledFn(domain, h0.m, g(x))
+                # A value that is not finite is refused, not warned of.
+                with np.errstate(all="ignore"):
+                    values = g(x)
+                try:
+                    g = SampledFn(domain, h0.m, values)
+                except GridError as exc:
+                    raise InstanceError(f"the coefficient of map "
+                                        f"{maps[i].label!r}: {exc}") from exc
             if g.domain != h0.domain or g.m != h0.m:
                 raise InstanceError(f"coeff {i} is not on h0's grid")
             if g.is_vector:
@@ -183,6 +190,9 @@ class ProblemInstance:
                 clamped += 1
             idx_arrays.append(idx)
             jac_arrays.append(np.abs(jac))
+            # Freed before the next map is evaluated, whose arrays then
+            # take this heap memory rather than grow the heap.
+            del y, jac
         self._target_idx = tuple(idx_arrays)
         self._abs_jac = tuple(jac_arrays)
         self._midpoints = x

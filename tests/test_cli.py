@@ -9,6 +9,7 @@ import textwrap
 import pytest
 
 from lorsolve import ROUTES, bundled_instance_path, load_instance, lorentz_norm
+from lorsolve import cli
 from lorsolve.cli import _atomic_file, _atomic_write, main
 
 TIGHT = textwrap.dedent("""\
@@ -487,6 +488,51 @@ class TestInputErrors:
         assert "orlicz_norm = 1e+308" in lines
         assert "verdict = NO_CLAIM" in lines
 
+    @pytest.mark.parametrize("expr", ["x % 0", "(x - x)^-1", "(0 - x)^0.5",
+                                      "10^(400*x)"])
+    @pytest.mark.parametrize("old, new, where", [
+        ("[h0]\nexpr = 1\n", "[h0]\nexpr = {}\n", "[h0] expr: "),
+        ("[h0]\nexpr = 1\n", "[h0]\ncomponents = 1; {}\n",
+         "[h0] components: "),
+        ("[coeff1]\nexpr = 0.125\n", "[coeff1]\nexpr = {}\n",
+         "the coefficient of map 'map1': "),
+    ], ids=["h0", "components", "coeff"])
+    def test_values_that_are_not_finite(self, tmp_path, capsys, expr, old,
+                                        new, where):
+        # Refused by the finiteness check alone: a numpy warning on the
+        # way would fail this test, as it would be a traceback under -W.
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(bundled_instance_path("twobranch").read_text()
+                       .replace(old, new.format(expr)))
+        out = tmp_path / "out"
+        rc = main(["solve", "--instance", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{where}cell values must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("[h0]\nexpr = 1\n", "[h0]\nexpr = x % 0\n"),
+        ("[h0]\nexpr = 1\n", "[h0]\ncomponents = 1; (0 - x)^0.5\n"),
+        ("[coeff1]\nexpr = 0.125\n", "[coeff1]\nexpr = 10^(400*x)\n"),
+    ], ids=["h0", "components", "coeff"])
+    def test_values_that_are_not_finite_under_warnings_as_errors(
+            self, tmp_path, old, new):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(bundled_instance_path("twobranch").read_text()
+                       .replace(old, new))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lorsolve.cli", "solve",
+             "--instance", str(cfg), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "cell values must be finite" in lines[0]
+
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(TIGHT.replace("name = tight", "name = tight\u00e9")
@@ -722,3 +768,15 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_pins_the_heap_before_it_loads(monkeypatch, tmp_path):
+    calls = []
+    load = cli._load
+    monkeypatch.setattr(cli, "_pin_malloc_thresholds",
+                        lambda: calls.append("pin"))
+    monkeypatch.setattr(cli, "_load",
+                        lambda *a, **k: calls.append("load") or load(*a, **k))
+    assert main(["solve", "--instance", "twobranch", "--grid", "64",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == ["pin", "load"]

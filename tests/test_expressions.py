@@ -5,8 +5,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lorsolve import ExpressionError, compile_expression
-from lorsolve.expressions import (_derivative, _enclose, _evaluate,
-                                  _NoEnclosure, _parse, _Wraps)
+from lorsolve.expressions import (_FREE_NUMBER, _SHAPES, _SHAPES_MAX,
+                                  _derivative, _enclose, _evaluate,
+                                  _NoEnclosure, _parse, _parse_text, _Wraps)
 
 
 class TestGrammar:
@@ -299,3 +300,114 @@ class TestEnclose:
         with pytest.raises(_NoEnclosure, match=why) as exc:
             _enclose(_parse(src), lo, hi)
         assert isinstance(exc.value, _Wraps) == (why == "floor")
+
+
+def _outcome(parse, src):
+    """What ``parse(src)`` gives: the repr of its tree (which tells -0.0
+    from 0.0), or the type and message of what it raises."""
+    try:
+        return repr(parse(src))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Number texts that _NUMBER reads, leading zeros and bare dots included.
+_literals = st.from_regex(r"\A(?:0?[0-9]{1,3}\.?[0-9]{0,3}|\.[0-9]{1,3})"
+                          r"(?:[eE][+-]?[0-9]{1,3})?\Z")
+# What a mutation may glue to a literal or put in place of one.
+_glue = st.sampled_from(["x", "e", "j", "_", ".", "or", "if", "0x", "1_0",
+                         " ", "(", ")", "-", "+", "*", "^", "#", "", "\n"])
+
+
+@st.composite
+def _texts(draw):
+    """A printed tree, with each free literal kept, swapped for another
+    literal, or glued to a name, a dot or an underscore, and a few
+    characters inserted anywhere."""
+    text = _print(draw(_any_trees), 1, draw)
+    parts = _FREE_NUMBER.split(text)
+    for i in range(1, len(parts), 2):
+        how = draw(st.sampled_from(["keep", "swap", "swap", "glue"]))
+        if how == "swap":
+            parts[i] = draw(_literals)
+        elif how == "glue":
+            parts[i] = draw(_glue) + draw(_literals) + draw(_glue)
+    text = "".join(parts)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_glue) + text[at:]
+    return text
+
+
+class TestShapeCache:
+    @staticmethod
+    def _check(texts):
+        """Each text parses alike with the cache empty, cold and warm,
+        in the order given, so that a text meets the shapes the texts
+        before it cached."""
+        want = {}
+        for src in texts:
+            _SHAPES.clear()
+            want[src] = _outcome(_parse, src)
+            assert want[src] == _outcome(_parse_text, src), src
+        _SHAPES.clear()
+        for _ in range(2):          # cold, then warm
+            for src in texts:
+                assert _outcome(_parse, src) == want[src], src
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_texts(), min_size=1, max_size=4), st.data())
+    def test_random_texts_and_siblings(self, texts, data):
+        siblings = []
+        for src in texts:
+            parts = _FREE_NUMBER.split(src)
+            for i in range(1, len(parts), 2):
+                parts[i] = data.draw(_literals)
+            siblings.append("".join(parts))
+        self._check(texts + siblings)
+
+    @pytest.mark.parametrize("src, want", [
+        ("2x", ExpressionError),
+        ("1or x", ExpressionError),
+        ("1_0", ExpressionError),
+        ("08", ("const", 8.0)),
+        ("007 + 1", ("add", ("const", 7.0), ("const", 1.0))),
+        ("1.e5", ("const", 1e5)),
+        (".5", ("const", 0.5)),
+        ("1e5e3", ExpressionError),
+        ("2 .5", ExpressionError),
+        ("x^-1", ("pow", ("var",), ("neg", ("const", 1.0)))),
+        ("-0.0*x", ("mul", ("neg", ("const", 0.0)), ("var",))),
+        ("1e400*x", ("mul", ("const", float("inf")), ("var",))),
+    ])
+    def test_explicit_cases(self, src, want):
+        # Each after a text of its shape whose literals are all 1.
+        ones = _FREE_NUMBER.sub("1", src)
+        self._check([ones, src])
+        _SHAPES.clear()
+        _outcome(_parse, ones)
+        if isinstance(want, tuple):
+            assert repr(_parse(src)) == repr(want)
+        else:
+            with pytest.raises(want):
+                _parse(src)
+
+    @pytest.mark.parametrize("src, glued", [
+        ("2x + 1", "2x"), ("1or x", "1or"), ("1_0 + 1", "1_0"),
+        ("x*1j", "1j"), ("0x10 - x", "0x10"), ("1.5.3*x", "1.5.3"),
+        ("1e5e3 + x", "1e5e3"),
+    ])
+    def test_glued_literals_keep_their_text_in_the_shape(self, src, glued):
+        assert glued in "".join(_FREE_NUMBER.split(src)[::2])
+
+    def test_past_its_bound_the_oldest_shape_goes(self):
+        _SHAPES.clear()
+        texts = [f"x{' ' * k}+ {k}" for k in range(_SHAPES_MAX + 10)]
+        for k, src in enumerate(texts):
+            assert _parse(src) == ("add", ("var",), ("const", float(k)))
+        assert len(_SHAPES) == _SHAPES_MAX
+        assert ("x+ ", "") not in _SHAPES
+        for k, src in enumerate(texts):
+            assert _parse(src.replace(f"{k}", f"{k + 0.5}")) == \
+                ("add", ("var",), ("const", k + 0.5))
+        assert len(_SHAPES) == _SHAPES_MAX

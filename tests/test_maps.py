@@ -24,6 +24,7 @@ from lorsolve import (
     tent3_map,
 )
 from lorsolve.config import BUNDLED_INSTANCES
+from lorsolve.expressions import _SHAPES
 from lorsolve.transfer import _max_depth
 
 
@@ -302,6 +303,27 @@ def test_every_shipped_branch_loads_with_its_midpoint_bits(tmp_path):
             got, want = F.evaluate(x), _mask_evaluate(F, x)
             assert _same_bits(got[0], want[0]), label
             assert _same_bits(got[1], want[1]), label
+
+
+def test_every_shipped_branch_is_the_same_with_the_shape_cache(tmp_path):
+    # A branch built while the shape cache is warm, as load_instance
+    # builds all but the first of each shape, has the tree, slope, ends
+    # and midpoint bits of one built from Python's parse of its text.
+    for label, path in _every_instance(tmp_path):
+        _SHAPES.clear()
+        inst, _ = load_instance(path)
+        x = inst.h0.midpoints
+        for F in inst.maps:
+            for b in F.branches:
+                _SHAPES.clear()
+                cold = Branch(b.lo, b.hi, b.expr)
+                warm = Branch(b.lo, b.hi, b.expr)
+                for other in (cold, warm):
+                    assert repr(other.tree) == repr(b.tree), label
+                    assert repr(other.deriv_tree) == repr(b.deriv_tree), label
+                    assert other.ends == b.ends, label
+                    with np.errstate(all="ignore"):
+                        assert _same_bits(other.fn(x), b.fn(x)), label
 
 
 class TestIndicatrix:
