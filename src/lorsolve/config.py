@@ -51,7 +51,7 @@ from importlib import resources
 
 import numpy as np
 
-from .expressions import (ExpressionError, _probed, _read_tree,
+from .expressions import (ExpressionError, _negated, _probed, _read_tree,
                           compile_expression)
 from .grids import Domain, GridError, SampledFn
 from .maps import Branch, MapError, PiecewiseMap
@@ -198,7 +198,10 @@ def _parse_map(cp, section, source):
             try:
                 tree, text = _read_tree(bits[3])
                 # The same tree agrees at every x; only another one is
-                # compiled and probed.
+                # compiled and probed.  A declared "-k" reads as the
+                # negation of k, which the derived slope folds into -k.
+                if tree[0] == "neg":
+                    tree = _negated(tree[1])
                 declared = (None if tree == branch.deriv_tree
                             else _probed(tree, text))
             except ExpressionError as exc:

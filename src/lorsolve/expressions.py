@@ -194,16 +194,21 @@ def _evaluate(node, x):
 _ZERO, _ONE = ("const", 0.0), ("const", 1.0)
 
 
+def _negated(a):
+    """("neg", a), or ("const", -k) for a constant a = ("const", k)."""
+    return ("const", -a[1]) if a[0] == "const" else ("neg", a)
+
+
 def _node(op, a, b):
     """(op, a, b) for op in add, sub, mul and div, with a zero term, a zero
     or unit factor and a unit divisor cut short, and the result of two
-    constants folded."""
+    constants folded, as is 0 - k into -k."""
     if op == "mul" and _ZERO in (a, b) or op == "div" and a == _ZERO:
         return _ZERO
     if b == (_ONE if op in ("mul", "div") else _ZERO):
         return a
     if op != "div" and a == (_ONE if op == "mul" else _ZERO):
-        return ("neg", b) if op == "sub" else b
+        return _negated(b) if op == "sub" else b
     if a[0] == b[0] == "const" and (op != "div" or b[1]):
         return ("const", _evaluate((op, a, b), None))
     return (op, a, b)
@@ -234,7 +239,7 @@ def _derivative(tree, src):
     if all(d == _ZERO for d in slopes):
         return _ZERO
     if op == "neg":
-        return ("neg", slopes[0])
+        return _negated(slopes[0])
     (a, b), (da, db) = tree[1:], slopes
     if op in ("add", "sub"):
         return _node(op, da, db)
@@ -288,9 +293,11 @@ def _exact_product(a, b, p):
 
 
 def _add(a, b):
-    """Enclosure of x + y over the intervals a and b."""
+    """Enclosure of x + y over the intervals a and b; one that reaches inf
+    and one that reaches -inf may give inf - inf at some x."""
     lo, hi = a[0] + b[0], a[1] + b[1]
-    if lo != lo or hi != hi:
+    if (lo != lo or hi != hi or a[0] == -math.inf and b[1] == math.inf
+            or a[1] == math.inf and b[0] == -math.inf):
         raise _NoEnclosure("an undefined operation (inf - inf)")
     if not _exact_sum(a[0], b[0], lo):
         lo = math.nextafter(lo, -math.inf)
@@ -404,6 +411,10 @@ def _enclose(tree, lo, hi):
     if op == "sub":
         return _add(a, (-b[1], -b[0]))
     if op == "mul":
+        # Corners miss a 0 inside one interval meeting inf in the other.
+        if (math.inf in map(abs, a) and b[0] <= 0.0 <= b[1]
+                or math.inf in map(abs, b) and a[0] <= 0.0 <= a[1]):
+            raise _NoEnclosure("an undefined operation (0 * inf)")
         return _corners(operator.mul, _exact_product, a, b)
     q = _corners(operator.truediv, _exact_quotient, a, b)
     if op == "div":

@@ -426,10 +426,18 @@ class SampledFn:
 
     @property
     def midpoints(self):
-        """(ncells,) midpoint coordinates in cell order, built per read."""
+        """(ncells,) midpoint coordinates ``lo + (k + 0.5)*(hi - lo)/m`` in
+        cell order, built per read, each interval in place in its slice."""
         m = self.m
-        return np.concatenate([lo + (np.arange(m) + 0.5) * (hi - lo) / m
-                               for lo, hi in self.domain.boxes])
+        boxes = self.domain.boxes
+        out = np.empty(len(boxes) * m)
+        k = np.arange(0.5, m)     # k + 0.5, exact
+        for b, (lo, hi) in enumerate(boxes):
+            x = out[b * m:(b + 1) * m]
+            np.multiply(k, hi - lo, out=x)
+            x /= m
+            x += lo
+        return out
 
     def _interval_edges(self):
         """Per interval, its m + 1 cell edges ``lo + k*(hi - lo)/m`` (one
@@ -849,18 +857,23 @@ def _levels(f):
     grid of one cell width ``w`` the fresh ``np.abs`` array is sorted in
     place, the measure of {|f| >= u_j} is (n - starts[j]) * w, rounded
     once (exact on dyadic widths), and ``mu`` is None.  On unequal widths
-    ``w`` is None, one ``argsort`` orders the cells, and ``mu[j]`` is the
-    running sum of the cell measures in value order from the top down to
-    the first cell of level j.
+    ``w`` is None: each interval's cells are sorted in place, one stable
+    ``argsort`` merges those sorted runs, and ``mu[j]`` is the running sum
+    of the cell measures in that order from the top down to the first cell
+    of level j.  Equal values are summed from the last interval back to
+    the first, which shows in the bits only on widths that are not dyadic.
     """
     a = np.abs(f.values)
     # The cell width of each interval, computed as ``cell_measures`` does.
-    widths = {(hi - lo) / f.m for lo, hi in f.domain.boxes}
-    w = widths.pop() if len(widths) == 1 else None
+    widths = [(hi - lo) / f.m for lo, hi in f.domain.boxes]
+    w = widths[0] if len(set(widths)) == 1 else None
     if w is None:
-        perm = np.argsort(a)
+        # A cell keeps its interval, and so its width, through the sort of
+        # its interval's row; timsort merges the presorted rows.
+        a.reshape(len(widths), f.m).sort()
+        perm = np.argsort(a, kind="stable")
         a = a[perm]
-        mu = np.cumsum(f.cell_measures[perm[::-1]])[::-1]
+        mu = np.cumsum(np.take(widths, perm // f.m)[::-1])[::-1]
     else:
         a.sort()
         mu = None

@@ -208,6 +208,10 @@ class PiecewiseMap:
         # Every branch's lo, then every branch's hi, for evaluate's search.
         self._ends = np.array([[b.lo for b in branches],
                                [b.hi for b in branches]], dtype=float)
+        # Each branch's constant slope, or None: a constant fills its slice
+        # with one scalar and needs no array of its own.
+        self._slopes = [b.deriv_tree[1] if b.deriv_tree[0] == "const"
+                        else None for b in branches]
 
     def evaluate(self, x):
         """(F(x), F'(x)) from one pass over the branches, both NaN where no
@@ -217,39 +221,71 @@ class PiecewiseMap:
         run of x that binary search finds for it.  Grid midpoints ascend
         box by box, so their runs are the boxes, or fewer.  An x of as
         many runs as there are branches, or more, is sorted once instead,
-        and the results are put back in x's order once.
+        and the results are put back in x's order once.  ``F(x)`` and
+        ``F.slope(x)`` take the same pass for one of the two.
         """
+        return self._sweep(x, value=True, slope=True)
+
+    def __call__(self, x):
+        """F(x) alone, as :meth:`evaluate` gives it; a float for a scalar x."""
+        out = self._sweep(x, value=True, slope=False)[0]
+        return out if out.ndim else float(out)
+
+    def slope(self, x, out=None):
+        """F'(x) alone, as :meth:`evaluate` gives it, into ``out`` (a
+        contiguous float array of x's shape) when given; a float for a
+        scalar x."""
+        d = self._sweep(x, value=False, slope=True, out=out)[0]
+        return d if d.ndim else float(d)
+
+    def _sweep(self, x, value, slope, out=None):
+        """(F(x),) if value, then (F'(x),) if slope, by :meth:`evaluate`'s
+        pass; the slope goes into ``out`` when given."""
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        val = np.full(flat.shape, np.nan)
-        der = np.full(flat.shape, np.nan)
-        # Where x stops ascending, or meets a NaN.
-        cuts = np.flatnonzero(~(flat[1:] >= flat[:-1])) + 1
-        if cuts.size < len(self.branches):
-            edges = [0, *cuts.tolist(), flat.size]
+        val = np.empty(flat.shape) if value else None
+        der = None
+        if slope:
+            # A view of ``out``, which is contiguous.
+            der = np.empty(flat.shape) if out is None else out.reshape(-1)
+        found = [a for a in (val, der) if a is not None]
+        # Where x stops ascending, or meets a NaN: most often nowhere.
+        up = flat[1:] >= flat[:-1]
+        cuts = () if up.all() else np.flatnonzero(~up) + 1
+        if len(cuts) < len(self.branches):
+            edges = [0, *np.asarray(cuts, dtype=int).tolist(), flat.size]
             for i, j in zip(edges, edges[1:]):
-                self._fill(flat[i:j], val[i:j], der[i:j])
+                self._fill(flat[i:j], *[None if a is None else a[i:j]
+                                        for a in (val, der)])
         else:
             order = np.argsort(flat, kind="stable")
             self._fill(flat[order], val, der)
-            val[order], der[order] = val.copy(), der.copy()
-        return val.reshape(x.shape), der.reshape(x.shape)
+            for a in found:
+                a[order] = a.copy()
+        return tuple(a.reshape(x.shape) for a in found)
 
     def _fill(self, xs, val, der):
-        """Evaluate each branch and its slope on its slice of the ascending
-        ``xs``, into the same slices of ``val`` and ``der``."""
+        """Evaluate each branch, and its slope, on its slice of the
+        ascending ``xs``, into the same slices of ``val`` and ``der``, and
+        NaN between the slices; either output may be None, and is then
+        left out."""
         starts, stops = np.searchsorted(xs, self._ends).tolist()
-        for b, i, j in zip(self.branches, starts, stops):
+        outs = [a for a in (val, der) if a is not None]
+        # ``done``: the end of the last slice, after which the points up to
+        # the next slice are held by no branch.
+        done = 0
+        for b, slope, i, j in zip(self.branches, self._slopes, starts, stops):
+            if done < i:
+                for out in outs:
+                    out[done:i] = np.nan
             if i < j:
-                val[i:j] = b.fn(xs[i:j])
-                # A constant slope needs no array of its own.
-                slope = b.deriv_tree
-                der[i:j] = (slope[1] if slope[0] == "const"
-                            else b.deriv(xs[i:j]))
-
-    def __call__(self, x):
-        out = self.evaluate(x)[0]
-        return out if out.ndim else float(out)
+                if val is not None:
+                    val[i:j] = b.fn(xs[i:j])
+                if der is not None:
+                    der[i:j] = b.deriv(xs[i:j]) if slope is None else slope
+            done = j
+        for out in outs:
+            out[done:] = np.nan
 
     def piece_images(self, boxes):
         """Image (ylo, yhi) of each branch cut to each interval of ``boxes``.

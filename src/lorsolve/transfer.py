@@ -24,6 +24,11 @@ enclosure (:class:`~lorsolve.maps.Branch`), so each piece is a bijection
 onto the interval between its end values.  The ratio |g_n|/|J_n| is
 still sampled at midpoints, so a PASS is evidence at grid resolution; a
 FAIL is authoritative.
+
+An instance keeps only what P reads, the sampled weights and the target
+cell of each midpoint image, besides the branch-piece images and h0.
+The audit works out |J_n| = |f_n'| at the midpoints itself, one map at a
+time, so no per-cell slope array outlives it.
 """
 
 from dataclasses import dataclass
@@ -81,6 +86,9 @@ class ProblemInstance:
     the target cell index of every midpoint image.  Such an image
     leaves the domain only by rounding onto a box's closed right end: it
     goes to that box's last cell and is counted in ``clamped_images``.
+    Only the maps' values are evaluated.  Of the per-cell arrays, the
+    instance keeps those that :meth:`apply` reads, the coefficients and
+    target indices, besides h0: no slopes and no midpoints.
     """
 
     def __init__(self, domain, maps, coeffs, h0, K_decl, L_decl, alpha, psi,
@@ -121,8 +129,8 @@ class ProblemInstance:
         self.tau = derive_tau(psi)
         self.label = label or "instance"
 
-        # Read-only: the coefficient callables, the maps and the audit all
-        # read this one array.
+        # Read-only: the coefficient callables and the maps both read this
+        # one array, which the instance does not keep.
         x = h0.midpoints
         x.setflags(write=False)
         sampled = []
@@ -170,10 +178,9 @@ class ProblemInstance:
         tops = {hi: b * h0.m + h0.m - 1
                 for b, (_, hi) in enumerate(domain.boxes)}
         idx_arrays = []
-        jac_arrays = []
         clamped = 0
         for F in maps:
-            y, jac = F.evaluate(x)
+            y = F(x)
             nan = int(np.isnan(y).sum())
             if nan:
                 raise InstanceError(
@@ -189,13 +196,10 @@ class ProblemInstance:
                 idx[i] = tops[y[i]]
                 clamped += 1
             idx_arrays.append(idx)
-            jac_arrays.append(np.abs(jac))
-            # Freed before the next map is evaluated, whose arrays then
-            # take this heap memory rather than grow the heap.
-            del y, jac
+            # Freed before the next map is evaluated, whose image then
+            # takes this heap memory rather than grows the heap.
+            del y
         self._target_idx = tuple(idx_arrays)
-        self._abs_jac = tuple(jac_arrays)
-        self._midpoints = x
         self.clamped_images = clamped
 
     # -- derived quantities --------------------------------------------------
@@ -356,20 +360,32 @@ def audit_contraction(inst):
     branch evaluated: K is the depth of one map's piece images (each lies
     inside one interval of the domain's closure, so no clip is needed), L
     that of the maps' merged images (:func:`estimate_overlap_L`).
+
+    The instance keeps no slopes: |f_n'| is worked out here, at
+    ``inst.h0.midpoints``, one map at a time (:meth:`PiecewiseMap.slope`),
+    and it, |g_n| and the ratio each take one buffer that every map
+    reuses.
     """
     n = inst.n_maps
     kl = float(inst.K_decl * inst.L_decl)
     per_map_worst = []
     worst = 0.0
     witness = "none"
-    mids = inst._midpoints
-    for i, g in enumerate(inst.coeffs):
-        absg = np.abs(g.values)
-        absj = inst._abs_jac[i]
+    mids = inst.h0.midpoints
+    absg, absj, ratio = (np.empty(mids.shape) for _ in range(3))
+    for i, (F, g) in enumerate(zip(inst.maps, inst.coeffs)):
+        np.abs(g.values, out=absg)
+        np.abs(F.slope(mids, out=absj), out=absj)
+        # |g| * max{K*L/|J|, N}, with 0 where g is 0.
         with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.maximum(kl / absj, float(n))
-            ratio = np.where(absg == 0.0, 0.0, absg * factor)
-        w = float(np.max(ratio))
+            np.divide(kl, absj, out=ratio)
+            np.maximum(ratio, float(n), out=ratio)
+            np.multiply(absg, ratio, out=ratio)
+        w = float(ratio.max())
+        if w != w:
+            # A NaN: 0 * inf where |J| is 0, or a slope that is NaN.
+            np.copyto(ratio, 0.0, where=absg == 0.0)
+            w = float(ratio.max())
         per_map_worst.append(w)
         if w > worst or witness == "none":
             worst = w

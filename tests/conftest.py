@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,13 @@ def random_step(domain, m, rng, signed=True, scale=2.0):
     vals = rng.uniform(-scale if signed else 0.0, scale,
                        SampledFn.zeros(domain, m).ncells)
     return SampledFn(domain, m, vals)
+
+
+def bench_workloads():
+    """The seeded workload generator of the benchmark, read-only."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -12,6 +12,8 @@ from lorsolve import (
     bundled_instance_path,
     load_instance,
 )
+from lorsolve import config
+from conftest import bench_workloads
 
 MINIMAL = textwrap.dedent("""\
     [instance]
@@ -146,6 +148,23 @@ class TestRejections:
         assert all(np.array_equal(i, j)
                    for i, j in zip(a._target_idx, b._target_idx))
         assert audit_contraction(a).as_text() == audit_contraction(b).as_text()
+
+    def test_declared_negative_slope_is_not_probed(self, tmp_path,
+                                                   monkeypatch):
+        # Half the branches of the benchmark's many-branch workload are
+        # "c - s*(x - a), -s": the derived slope folds to the constant -s,
+        # which is the declared "-s", so nothing is compiled or checked.
+        def refuse(*args):
+            raise AssertionError("a declared derivative was probed")
+
+        monkeypatch.setattr(config, "_probed", refuse)
+        monkeypatch.setattr(config, "_check_derivative", refuse)
+        bench_workloads().generate("multibox-vec", tmp_path, 23, cells=16)
+        inst, _ = load_instance(tmp_path / "instance.cfg")
+        slopes = [b.deriv_tree for F in inst.maps for b in F.branches]
+        assert len(slopes) == 168
+        assert all(tree[0] == "const" for tree in slopes)
+        assert sum(tree[1] < 0.0 for tree in slopes) == 84
 
     @pytest.mark.parametrize("declared", ["", ", 0.5*x^-0.5"],
                              ids=["derived", "declared"])

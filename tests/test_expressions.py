@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from lorsolve import ExpressionError, compile_expression
 from lorsolve.expressions import (_FREE_NUMBER, _SHAPES, _SHAPES_MAX,
                                   _derivative, _enclose, _evaluate,
-                                  _NoEnclosure, _parse, _parse_text, _Wraps)
+                                  _NoEnclosure, _node, _parse, _parse_text,
+                                  _Wraps)
 
 
 class TestGrammar:
@@ -214,6 +215,24 @@ class TestDerivative:
             _derivative(_parse(src), src)
         assert repr(src) in str(exc.value)
 
+    def test_negated_constant_folds(self):
+        assert _node("sub", ("const", 0.0), ("const", 2.5)) == \
+            ("const", -2.5)
+        assert _node("sub", ("const", 0.0), ("var",)) == ("neg", ("var",))
+        # A decreasing affine branch, and a negation, have constant slopes.
+        for src in ("0.75 - 0.25*(x - 2.0)", "-(0.25*x) + 1"):
+            assert _derivative(_parse(src), src) == ("const", -0.25)
+
+    def test_parse_trees_keep_their_negations(self):
+        # The fold is the derivative's: a parse keeps what the text says,
+        # and a shape read before still fills from the cache.
+        _SHAPES.clear()
+        for text in ("0 - 3", "0 - 4"):
+            assert _parse(text) == ("sub", ("const", 0.0),
+                                    ("const", float(text[-1])))
+        assert len(_SHAPES) == 1
+        assert _parse("-2") == ("neg", ("const", 2.0))
+
     def test_parts_without_x_add_nothing(self):
         tree = _parse("0.5 + (x - 0.25)*3 % 1 + 2^-3")
         assert _derivative(tree, "") == ("const", 3.0)
@@ -264,6 +283,21 @@ class TestEnclose:
             return  # a part without x that Python floats refuse
         bad = [(x, y) for x, y in zip(xs, ys) if not ylo <= y <= yhi]
         assert not bad, (ylo, yhi, bad[:3])
+
+    @pytest.mark.parametrize("tree, why", [
+        # x^-2 overflows to inf near 0, where x - x is 0: a NaN in floats,
+        # with 0 inside an interval and not at a corner.
+        (("mul", ("pow", ("var",), ("const", -2.0)),
+          ("sub", ("var",), ("var",))), "0 * inf"),
+        (("sub", ("pow", ("var",), ("const", -2.0)),
+          ("pow", ("var",), ("const", -2.0))), "inf - inf"),
+    ])
+    def test_nan_in_floats_fails_closed(self, tree, why):
+        lo = 2.4106951187319588e-169
+        with np.errstate(all="ignore"):
+            assert np.isnan(_evaluate(tree, np.array([lo])))
+        with pytest.raises(_NoEnclosure, match=why.replace("*", r"\*")):
+            _enclose(tree, lo, lo + 1.0)
 
     @pytest.mark.parametrize("src, lo, hi, want", [
         ("x", 0.25, 0.5, (0.25, 0.5)),

@@ -937,6 +937,43 @@ class TestLevels:
         assert mu.tolist() == [1.5]
         assert distribution(f).measures.tolist() == [1.5]
 
+    @pytest.mark.parametrize("boxes", [
+        # dyadic widths 1, 1/2, 1/4, 1/8; widths 0.3, 0.7, 0.1 (not dyadic)
+        [(0.0, 1.0), (2.0, 2.5), (3.0, 3.25), (4.0, 4.125)],
+        [(0.0, 0.3), (1.0, 1.7), (2.0, 2.1)],
+    ], ids=["dyadic", "non-dyadic"])
+    @pytest.mark.parametrize("kind", ["ties", "distinct"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_interval_sorts_merged(self, boxes, kind, seed):
+        # Each interval sorted on its own, the sorted runs merged: the
+        # levels, and a running sum of the cell measures in the stable
+        # order of |f|, equal values from the last cell back.
+        domain = Domain.from_intervals(boxes)
+        m = 64
+        rng = np.random.default_rng(seed)
+        n = len(boxes) * m
+        vals = (_tied_values(rng, n, 6) if kind == "ties"
+                else rng.normal(size=n))
+        f = SampledFn(domain, m, vals)
+        levels, starts, w, mu = grids._levels(f)
+        assert w is None
+        assert _same_bits(f.values, vals)  # sorted a copy, not f's values
+        mags, cells = np.abs(vals), f.cell_measures
+        ref_levels, ref_mu = _ref_level_measures(mags, cells)
+        assert _same_bits(levels, ref_levels)
+        assert _same_bits(mu, ref_mu)
+        assert (starts is None) == (kind == "distinct")
+        if starts is not None:
+            assert _same_bits(np.sort(mags)[starts], levels)
+        # The unstable order of one argsort of all cells sums equal values
+        # in another order; that shows only on widths that are not dyadic.
+        order = np.argsort(mags)
+        unstable = np.cumsum(cells[order[::-1]])[::-1]
+        if starts is not None:
+            unstable = unstable[starts]
+        if kind == "distinct" or boxes[1] == (2.0, 2.5):
+            assert _same_bits(mu, unstable)
+
     def test_level_measure_is_count_times_width(self):
         # 0.3 / 4096 is not dyadic: a running sum of the width drifts, while
         # count * width rounds once.
@@ -990,14 +1027,14 @@ def _ref_level_measures(values, cells):
     of each, coded apart from ``grids._levels``.  ``cells`` is the one cell
     width (a float) or the per-cell measures.  One width: the exact product
     of the count and the width, rounded once.  Unequal widths: a running
-    sum of the cell measures in a Python loop, from the top of the
-    ``argsort`` order down."""
+    sum of the cell measures in a Python loop, from the top of the stable
+    ``argsort`` order down, so equal values go from the last cell back."""
     if np.ndim(cells) == 0:
         uniq, counts = np.unique(values, return_counts=True)
         above = np.cumsum(counts[::-1])[::-1]
         return uniq, np.array([float(Fraction(int(c)) * Fraction(cells))
                                for c in above])
-    order = np.argsort(values)
+    order = np.argsort(values, kind="stable")
     running, sums = 0.0, []
     for i in order[::-1]:
         running += float(cells[i])

@@ -1,6 +1,3 @@
-import importlib.util
-import pathlib
-
 import numpy as np
 import pytest
 
@@ -26,6 +23,7 @@ from lorsolve import (
 from lorsolve.config import BUNDLED_INSTANCES
 from lorsolve.expressions import _SHAPES
 from lorsolve.transfer import _max_depth
+from conftest import bench_workloads
 
 
 class TestBranch:
@@ -37,7 +35,7 @@ class TestBranch:
     def test_decreasing_branch(self):
         b = Branch(0.0, 1.0, "1 - x")
         assert PiecewiseMap([b]).piece_images([(0.0, 1.0)]) == [(0.0, 1.0)]
-        assert b.deriv_tree == ("neg", ("const", 1.0))
+        assert b.deriv_tree == ("const", -1.0)
 
     def test_constant_rejected(self):
         with pytest.raises(MapError):
@@ -258,30 +256,48 @@ class TestSlicedEvaluation:
             assert (want >= 0).all()
             assert np.array_equal(idx, want)
 
+    @pytest.mark.parametrize("case", sorted(_SLICE_CASES))
+    def test_values_and_slopes_alone_keep_the_bits(self, case):
+        # F(x) and F.slope(x) take evaluate's pass for one of its outputs.
+        boxes, maps = _SLICE_CASES[case]
+        x = _instance(boxes, maps).h0.midpoints
+        rng = np.random.default_rng(7)
+        extra = np.array([np.nan, -1.0, 0.0, 0.5, 0.6, 1.5, 1.75, 2.0, 2.5,
+                          3.0, np.nan])
+        for pts in (x, rng.permutation(x),
+                    rng.permutation(np.concatenate([x, extra]))):
+            for F in maps:
+                want = _mask_evaluate(F, pts)
+                assert _same_bits(F(pts), want[0])
+                assert _same_bits(F.slope(pts), want[1])
+                # Into a buffer that holds garbage: every cell is written.
+                out = np.full(pts.shape, 7.0)
+                assert np.shares_memory(F.slope(pts, out=out), out)
+                assert _same_bits(out, want[1])
+
+    def test_scalar_point_gives_a_float(self):
+        F = _SLICE_CASES["touching-boxes"][1][0]
+        b = F.branches[0]
+        assert isinstance(F.slope(0.75), float)
+        assert F.slope(0.75) == b.deriv(np.array([0.75]))[0]
+        assert np.isnan(F.slope(-1.0)) and np.isnan(F(-1.0))
+
     def test_shapes_and_ranks_come_back(self):
         F = _SLICE_CASES["touching-boxes"][1][1]
         x = np.linspace(-0.5, 2.5, 24)[::-1].reshape(2, 3, 4)
         y, d = F.evaluate(x)
-        assert y.shape == d.shape == x.shape
+        assert y.shape == d.shape == F(x).shape == F.slope(x).shape == x.shape
         want = _mask_evaluate(F, x.ravel())
         assert _same_bits(y.ravel(), want[0])
         assert _same_bits(d.ravel(), want[1])
-
-
-def _bench_workloads():
-    """The seeded workload generator of the benchmark, read-only."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
-        "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+        assert _same_bits(F(x).ravel(), want[0])
+        assert _same_bits(F.slope(x).ravel(), want[1])
 
 
 def _every_instance(tmp_path):
     for name in BUNDLED_INSTANCES:
         yield name, bundled_instance_path(name)
-    workloads = _bench_workloads()
+    workloads = bench_workloads()
     for name in ("rough-csv", "multibox-vec"):
         for seed in (23, 31, 37):
             where = tmp_path / f"{name}-{seed}"

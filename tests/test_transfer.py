@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +22,10 @@ from lorsolve import (
     power_young,
     tent3_map,
 )
+from lorsolve.config import BUNDLED_INSTANCES
 from lorsolve.transfer import _max_depth
-from conftest import make_doubling_instance, make_twobranch_instance
+from conftest import (bench_workloads, make_doubling_instance,
+                      make_twobranch_instance)
 
 
 class TestApply:
@@ -279,8 +285,10 @@ class TestEstimates:
         def refuse(*args):
             raise AssertionError("the audit evaluated a branch")
 
+        # No branch value: the audit reads only the slopes at the midpoints.
         monkeypatch.setattr(PiecewiseMap, "piece_images", refuse)
         monkeypatch.setattr(PiecewiseMap, "evaluate", refuse)
+        monkeypatch.setattr(PiecewiseMap, "__call__", refuse)
         assert audit_contraction(inst).as_text() == want
 
 
@@ -390,3 +398,102 @@ class TestExcursionFarFromZero:
         with pytest.raises(InstanceError, match="'shifted'.*outside"):
             ProblemInstance(domain, (shifted,), (g,), h0, K_decl=1,
                             L_decl=1, alpha=0.25, psi=power_young(2.0))
+
+
+def _audit_text_from_evaluate(inst):
+    """``as_text()`` of the audit by the formula it had when the instance
+    kept |f'| from ``F.evaluate(h0.midpoints)``: fresh arrays for each
+    map, and ``np.where`` for the cells where g is 0."""
+    report = audit_contraction(inst)
+    x = inst.h0.midpoints
+    n, kl = inst.n_maps, float(inst.K_decl * inst.L_decl)
+    worst, witness, per_map = 0.0, "none", []
+    for i, (F, g) in enumerate(zip(inst.maps, inst.coeffs)):
+        absg = np.abs(g.values)
+        absj = np.abs(F.evaluate(x)[1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.maximum(kl / absj, float(n))
+            ratio = np.where(absg == 0.0, 0.0, absg * factor)
+        w = float(np.max(ratio))
+        per_map.append(w)
+        if w > worst or witness == "none":
+            worst = w
+            c = int(np.argmax(ratio))
+            witness = (
+                f"map {i + 1}, cell {c} at x = {x[c:c + 1].tolist()!r}: "
+                f"|g| = {float(absg[c])!r}, |J| = {float(absj[c])!r}, "
+                f"ratio = {float(ratio[c])!r}"
+            )
+    passed = (worst <= inst.alpha and inst.K_decl >= report.k_est
+              and inst.L_decl >= report.l_est)
+    return dataclasses.replace(
+        report, per_map_worst=tuple(per_map), feasible_alpha=worst,
+        worst_witness=witness, passed=bool(passed)).as_text()
+
+
+def _flat_spot_instance(g):
+    """One cubic branch whose slope is exactly 0 at the midpoint 15/32 of
+    a 16-cell grid, with the coefficient ``g``."""
+    unit = Domain.unit_interval()
+    F = PiecewiseMap([Branch(0.0, 1.0, "0.5 + 3*(x - 0.46875)^3")])
+    return ProblemInstance(unit, [F], [g], SampledFn.constant(unit, 16, 1.0),
+                           K_decl=1, L_decl=1, alpha=0.25,
+                           psi=power_young(2.0))
+
+
+class TestAuditWorksOutTheSlopes:
+    @pytest.mark.parametrize("name", BUNDLED_INSTANCES)
+    def test_bundled_instances(self, name):
+        inst, _ = load_instance(bundled_instance_path(name))
+        assert audit_contraction(inst).as_text() == \
+            _audit_text_from_evaluate(inst)
+
+    @pytest.mark.parametrize("seed", [0, 23])
+    def test_fourteen_maps_on_three_boxes(self, tmp_path, seed):
+        bench_workloads().generate("multibox-vec", tmp_path, seed,
+                                   cells=2**10)
+        inst, _ = load_instance(tmp_path / "instance.cfg")
+        assert (inst.n_maps, len(inst.domain.boxes)) == (14, 3)
+        assert audit_contraction(inst).as_text() == \
+            _audit_text_from_evaluate(inst)
+
+    @pytest.mark.parametrize("g, worst", [
+        # g is 0 where |J| is: 0 * inf counts as 0, and the worst cell is
+        # the next one down.
+        (lambda x: x - 0.46875, "cell 6 at x = [0.40625]"),
+        (lambda x: 0.01 + 0.0 * x, "cell 7 at x = [0.46875]: |g| = 0.01, "
+                                   "|J| = 0.0, ratio = inf"),
+    ])
+    def test_slope_zero_at_a_midpoint(self, g, worst):
+        inst = _flat_spot_instance(g)
+        assert inst.h0.midpoints[7] == 0.46875
+        text = audit_contraction(inst).as_text()
+        assert text == _audit_text_from_evaluate(inst)
+        assert f"worst_witness = map 1, {worst}" in text
+
+
+class TestInstanceMemory:
+    def test_holds_what_apply_reads_and_no_more(self, tmp_path):
+        # Per map, a target index (8 B) and a sampled coefficient (8 B) per
+        # cell; no slopes and no midpoints.  A 14-map instance that kept
+        # |f'| would hold 8 B per map and cell more, 344 KiB here.
+        bench_workloads().generate("multibox-vec", tmp_path, 23,
+                                   cells=2**10)
+        inst, _ = load_instance(tmp_path / "instance.cfg")
+        coeffs = [lambda x, k=k: (0.001 + 0.0001 * k) + 0.0 * x
+                  for k in range(inst.n_maps)]
+        args = (inst.domain, inst.maps, coeffs, inst.h0, inst.K_decl,
+                inst.L_decl, inst.alpha, inst.psi)
+        ProblemInstance(*args)      # warm every lazy import and cache
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = ProblemInstance(*args)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        ncells = inst.h0.ncells
+        assert built.n_maps * ncells == 14 * 3072
+        assert held <= built.n_maps * ncells * 16 + 64 * 1024
