@@ -331,9 +331,13 @@ def load_instance(path_or_text, grid=None, psi_family=None, psi_param=None,
     maps = [_parse_map(cp, s, source) for s in map_sections]
 
     coeff_sections = [f"coeff{i}" for i in range(1, len(maps) + 1)]
-    coeffs = []
+    coeffs, trees = [], []
     for s in coeff_sections:
-        coeffs.append(_compile(_get(cp, s, "expr", source), f"[{s}] expr", source))
+        text = _get(cp, s, "expr", source)
+        coeffs.append(_compile(text, f"[{s}] expr", source))
+        # The tree that the audit encloses on each cell; a second read of
+        # the text finds its shape cached.
+        trees.append(_read_tree(text)[0])
     extra = [
         s for s in cp.sections()
         if s.startswith("coeff") and s not in coeff_sections
@@ -378,6 +382,7 @@ def load_instance(path_or_text, grid=None, psi_family=None, psi_param=None,
             alpha=alpha,
             psi=psi,
             label=label or _label_from_source(source),
+            coeff_trees=trees,
         )
     except InstanceError as exc:
         raise ConfigError(f"{source}: {exc}") from exc

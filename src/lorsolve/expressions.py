@@ -373,7 +373,7 @@ def _steps_toward(v, to):
     return math.nextafter(math.nextafter(v, to), to)
 
 
-def _enclose(tree, lo, hi):
+def _enclose(tree, lo, hi, memo=None):
     """(ylo, yhi) with ylo <= tree(x) <= yhi for every real x in the closed
     [lo, hi], by interval arithmetic on Python floats (Moore, Kearfott and
     Cloud, *Introduction to Interval Analysis*, SIAM 2009).
@@ -386,13 +386,27 @@ def _enclose(tree, lo, hi):
     over the interval, a non-integer power of an interval with negative
     points, division by an interval that holds 0, and an undefined
     operation such as inf - inf.
+
+    ``memo``, a dict, keeps the enclosure of each subtree by ``id``, for
+    a caller that asks for many subtrees of one tree on one interval.
     """
+    if memo is None:
+        return _enclose_node(tree, lo, hi, None)
+    found = memo.get(id(tree))
+    if found is None:
+        found = memo[id(tree)] = _enclose_node(tree, lo, hi, memo)
+    return found
+
+
+def _enclose_node(tree, lo, hi, memo):
+    """:func:`_enclose` of the root of ``tree``, its subtrees through
+    ``memo``."""
     op = tree[0]
     if op == "const":
         return tree[1], tree[1]
     if op == "var":
         return lo, hi
-    a = _enclose(tree[1], lo, hi)
+    a = _enclose(tree[1], lo, hi, memo)
     if op == "neg":
         return -a[1], -a[0]
     if op == "pow":
@@ -403,7 +417,7 @@ def _enclose(tree, lo, hi):
         if not math.isfinite(k):
             raise _NoEnclosure("an exponent that is not finite")
         return _pow_hull(a, k)
-    b = _enclose(tree[2], lo, hi)
+    b = _enclose(tree[2], lo, hi, memo)
     if op in ("div", "mod") and b[0] <= 0.0 <= b[1]:
         raise _NoEnclosure("division by an interval that holds 0")
     if op == "add":
@@ -427,6 +441,407 @@ def _enclose(tree, lo, hi):
         raise _Wraps("a '%' whose quotient floor changes")
     kb = _corners(operator.mul, _exact_product, (float(k),), b)
     return _add(a, (-kb[1], -kb[0]))
+
+
+# A float's spacing is at most |v|·2^-52 above the subnormals and 2^-1074
+# among them.  A correctly rounded operation errs by half that at most, so
+# these also bound its error with room for the rounding of error bounds
+# that are computed in floats (:class:`_PolyBounds`).
+_EPS = 2.0 ** -52
+_TINY = 2.0 ** -1074
+# How many floats numpy's pow, which may be SIMD code rather than libm,
+# may miss by; a correctly rounded operation misses by less than one.
+_POW_ULPS = 4
+
+
+def _widen(v, up, ulps=1):
+    """The float array ``v``, a computed bound, moved ``ulps`` floats or
+    more toward +inf (``up``) or -inf, in place, by SIMD arithmetic:
+    ``v ± (|v|·ulps·2^-52 + ulps·2^-1074)``, four passes where
+    ``np.nextafter`` would take one slow one.
+
+    The step is at least ``ulps`` spacings of v, and rounding to nearest
+    cannot undo it, since the float the exact sum reaches lies at or past
+    the one ``ulps`` steps away.  An infinity moved toward 0 becomes NaN,
+    never a finite bound.
+    """
+    step = np.abs(v)
+    step *= ulps * _EPS
+    step += ulps * _TINY
+    if up:
+        v += step
+    else:
+        v -= step
+    return v
+
+
+def _out(lo, hi, ulps=1):
+    """(lo, hi), freshly computed arrays, rounded outward in place."""
+    return _widen(lo, False, ulps), _widen(hi, True, ulps)
+
+
+def _cell_corners(op, a, b):
+    """The least and greatest of ``op`` over the ends of a and b, each
+    rounded outward: right for an op monotone in each operand."""
+    c = [op(x, y) for x in a for y in b]
+    return _out(np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3])),
+                np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3])))
+
+
+def _holds_zero(b):
+    """Whether some interval of the enclosure b holds 0."""
+    return not np.all((np.asarray(b[0]) > 0.0) | (np.asarray(b[1]) < 0.0))
+
+
+def _unsigned_power(v, n, up):
+    """A bound on v ** n for an array v >= 0 and an integer n >= 2, from
+    above (``up``) or below, by squaring and multiplying, each product
+    rounded the same way."""
+    result = None
+    while n:
+        if n & 1:
+            result = v if result is None else _widen(result * v, up)
+        n >>= 1
+        if n:
+            v = _widen(v * v, up)
+    return result
+
+
+def _exponent(node):
+    """The float exponent of a ``pow`` node, as numpy takes it."""
+    try:
+        k = float(_evaluate(node[2], None))
+    except (ArithmeticError, TypeError):
+        raise _NoEnclosure("an exponent that does not evaluate") from None
+    if not math.isfinite(k):
+        raise _NoEnclosure("an exponent that is not finite")
+    return k
+
+
+def _cell_power(a, k):
+    """Enclosure of x ** k over the enclosure a = (lo, hi), for a float
+    exponent k."""
+    lo, hi = a
+    if k == 0.0:
+        return 1.0, 1.0
+    if k == 1.0:
+        return a
+    if k != math.floor(k):
+        if np.any(lo < 0.0):
+            raise _NoEnclosure(
+                "a non-integer power of an interval with negative points")
+        ends = np.power(lo, k), np.power(hi, k)
+        return _out(*(ends if k > 0.0 else ends[::-1]), ulps=_POW_ULPS)
+    n = int(abs(k))
+    if n == 1:
+        p = a
+    elif n % 2:
+        # x^n = x * x^(n-1), which keeps the sign of x.
+        p = _cell_corners(operator.mul, a, _cell_power(a, n - 1.0))
+    else:
+        # |x| runs over [mig, mag] on the interval; x^n = |x|^n rises in it.
+        mig = np.maximum(np.maximum(lo, -hi), 0.0)
+        mag = np.maximum(-lo, hi)
+        p = _unsigned_power(mig, n, False), _unsigned_power(mag, n, True)
+    if k > 0.0:
+        return p
+    if _holds_zero(p):
+        raise _NoEnclosure("division by an interval that holds 0")
+    # 1/y falls on each side of 0.
+    return _out(1.0 / p[1], 1.0 / p[0])
+
+
+def _cells(tree, lo, hi):
+    """(lower, upper) bounds of ``tree`` on each closed cell [lo, hi] by
+    the rules of :func:`_enclose`, every bound with x rounded outward by
+    :func:`_widen`, exact or not; NaN and infinite bounds pass through."""
+    if not _has_x(tree):
+        return _enclose(tree, 0.0, 0.0)
+    op = tree[0]
+    if op == "var":
+        return lo, hi
+    a = _cells(tree[1], lo, hi)
+    if op == "neg":
+        return -a[1], -a[0]
+    if op == "pow":
+        return _cell_power(a, _exponent(tree))
+    b = _cells(tree[2], lo, hi)
+    if op == "add":
+        return _out(a[0] + b[0], a[1] + b[1])
+    if op == "sub":
+        return _out(a[0] - b[1], a[1] - b[0])
+    if op == "mul":
+        return _cell_corners(operator.mul, a, b)
+    if _holds_zero(b):
+        raise _NoEnclosure("division by an interval that holds 0")
+    q = _cell_corners(operator.truediv, a, b)
+    if op == "div":
+        return q
+    # a % b is a - k*b while the floor k of a/b stays the same.
+    k = np.floor(q[0])
+    if not np.all(k == np.floor(q[1])):
+        raise _Wraps("a '%' whose quotient floor changes")
+    kb = _cell_corners(operator.mul, (k, k), b)
+    return _out(a[0] - kb[1], a[1] - kb[0])
+
+
+def _enclose_cells(tree, lo, hi):
+    """(ylo, yhi) with ylo <= tree(x) <= yhi for every real x in each
+    closed cell [lo, hi] of the arrays ``lo`` and ``hi``: the vectorized
+    form of :func:`_enclose` (floats for a tree without x).
+
+    A polynomial tree takes :class:`_PolyBounds`, any other
+    :func:`_cells`.  Fails closed, raising :class:`_NoEnclosure`, where
+    :func:`_enclose` does on any cell (a ``%`` whose quotient floor
+    changes inside a cell, a non-integer power of an interval with
+    negative points, division by an interval that holds 0), and on a
+    bound that is NaN or infinite.
+    """
+    if not _has_x(tree):
+        return _enclose(tree, 0.0, 0.0)
+    with np.errstate(all="ignore"):
+        ylo, yhi = _PolyBounds.try_pair(tree, lo, hi) or _cells(tree, lo, hi)
+    if not (np.isfinite(ylo).all() and np.isfinite(yhi).all()):
+        raise _NoEnclosure("a bound that is not finite")
+    return ylo, yhi
+
+
+# The largest exponent whose power a polynomial tree takes in
+# round-to-nearest.
+_POLY_MAX_POWER = 64
+
+
+def _polynomial(tree):
+    """Whether ``tree`` takes only sums, differences, negations, products
+    and powers with an exponent in 0..64 of parts with x."""
+    op = tree[0]
+    if op in ("const", "var") or not _has_x(tree):
+        return True
+    if op == "pow":
+        try:
+            k = _exponent(tree)
+        except _NoEnclosure:
+            return False
+        return (k == math.floor(k) and 0.0 <= k <= _POLY_MAX_POWER
+                and _polynomial(tree[1]))
+    return op in ("neg", "add", "sub", "mul") and all(
+        map(_polynomial, tree[1:]))
+
+
+class _PolyBounds:
+    """Per-cell bounds of a polynomial tree (:func:`_polynomial`) on the
+    closed cells [lo, hi], by the rules of :func:`_enclose` but in
+    round-to-nearest, each side worked out only where it is needed, with
+    a float E that bounds its distance from the bound exact arithmetic
+    gives.  A product by a constant takes one side of the other operand,
+    and so does a power of a base on one side of 0, as over all cells
+    the hull shows.
+
+    E follows from u = ``_EPS``, twice the unit roundoff, and the
+    magnitude H of each node,
+    which interval arithmetic over all cells at once bounds
+    (:func:`_enclose` on the hull): a sum adds u*H to the error of its
+    operands, a product by a constant c scales it by |c| and adds u*H
+    plus the subnormal ``_TINY``, and so on.  So the passes round nothing;
+    :meth:`sup_abs` and :meth:`pair` add E at the end, grown to cover the
+    rounding of that one sum.  An array that only
+    one parent reads is overwritten by it.  Fails closed, with
+    :class:`_NoEnclosure`, where the hull has no finite enclosure.
+    """
+
+    def __init__(self, lo, hi, xlo, xhi):
+        self.x = {False: lo, True: hi}
+        self.hull = (float(xlo), float(xhi))
+        self.hulls = {}
+        self.with_x = {}
+
+    def has_x(self, node):
+        """:func:`_has_x`, kept per node."""
+        key = id(node)
+        if key not in self.with_x:
+            self.with_x[key] = _has_x(node)
+        return self.with_x[key]
+
+    def point(self, node):
+        """The value of a part without x whose enclosure is one float, or
+        None."""
+        if self.has_x(node):
+            return None
+        lo, hi = self.enclose(node)
+        return lo if lo == hi else None
+
+    def enclose(self, node):
+        """:func:`_enclose` of ``node`` over all cells at once."""
+        return _enclose(node, *self.hull, self.hulls)
+
+    def mag(self, node):
+        """A bound on |value| over all cells, and so on every exact
+        per-cell bound of ``node``."""
+        lo, hi = self.enclose(node)
+        h = max(-lo, hi)
+        if not math.isfinite(h):
+            raise _NoEnclosure("a bound that is not finite")
+        return h
+
+    def sup_abs(self, tree):
+        """Per cell, a bound on sup |tree| over the cell: the upper bound
+        plus its E, or minus the lower one plus its E, each E grown by the
+        rounding of that one sum.  NaN and infinite bounds pass through."""
+        hlo, hhi = self.enclose(tree)
+        h = self.mag(tree)
+        if hlo >= 0.0:
+            return _apply(np.add, self.bound(tree, True), self._last(h))
+        if hhi <= 0.0:
+            v, e, own = self.bound(tree, False)
+            return _apply(np.subtract, (v, e, own), self._last(h), swap=True)
+        lo, hi = self.bound(tree, False), self.bound(tree, True)
+        return np.maximum(_apply(np.subtract, lo, self._last(h), swap=True),
+                          _apply(np.add, hi, self._last(h)))
+
+    def pair(self, tree):
+        """Per cell, (lower, upper) bounds of tree, each moved out by its
+        E and rounded."""
+        h = self.mag(tree)
+        return (_apply(np.subtract, self.bound(tree, False), self._last(h)),
+                _apply(np.add, self.bound(tree, True), self._last(h)))
+
+    @classmethod
+    def try_pair(cls, tree, lo, hi):
+        """:meth:`pair` over the cells [lo, hi], or None for a tree that
+        is not a polynomial or whose hull has no finite enclosure."""
+        if not _polynomial(tree):
+            return None
+        try:
+            return cls(lo, hi, float(np.min(lo)), float(np.max(hi))).pair(tree)
+        except (_NoEnclosure, OverflowError):
+            return None
+
+    @staticmethod
+    def _last(h):
+        """E -> E' with fl(v ± E') at least v ± E for any |v| <= h + E:
+        the sum's rounding, at most u*(h + E + E'), is inside E' - E."""
+        return lambda e: (e + _EPS * (h + 2.0 * e)) * (1.0 + _EPS)
+
+    def bound(self, node, up):
+        """(value, E, owned) of the lower (or upper, if ``up``) bound of
+        node; ``owned`` says that no one else reads the value array."""
+        if not self.has_x(node):
+            return self.enclose(node)[up], 0.0, False
+        op = node[0]
+        if op == "var":
+            return self.x[up], 0.0, False
+        if op == "neg":
+            v, e, own = self.bound(node[1], not up)
+            return np.negative(v, out=_owned(v, own)), e, True
+        h = self.mag(node)
+        if op in ("add", "sub"):
+            a = self.bound(node[1], up)
+            b = self.bound(node[2], up == (op == "add"))
+            s = a[1] + b[1]
+            ufunc = np.add if op == "add" else np.subtract
+            return _combine(ufunc, a, b), s + _EPS * (h + s), True
+        if op == "pow":
+            n = int(_exponent(node))
+            if n == 0:
+                return 1.0, 0.0, False
+            base = node[1]
+            if n % 2:
+                # x^n rises in x for an odd n.
+                return self._power(self.bound(base, up), n, self.mag(base))
+            blo, bhi = self.enclose(base)
+            if blo >= 0.0 or bhi <= 0.0:
+                # |x|^n rises in |x|, which rises (or falls) in x.
+                b = self.bound(base, up == (blo >= 0.0))
+                return self._power(b, n, self.mag(base))
+            # |x| runs over [mig, mag] on each cell.
+            (v, e, _), (w, f, _) = (self.bound(base, False),
+                                    self.bound(base, True))
+            end = np.maximum(-v, w) if up else np.maximum(
+                np.maximum(v, -w), 0.0)
+            return self._power((end, max(e, f), True), n, self.mag(base))
+        # A product.
+        a, b = node[1], node[2]
+        c = self.point(b)
+        if c is None:
+            a, b, c = b, a, self.point(a)
+        if c is not None:
+            v, e, own = self.bound(a, up == (c >= 0.0))
+            return (np.multiply(v, c, out=_owned(v, own)),
+                    abs(c) * e * (1.0 + _EPS) + _EPS * h + _TINY, True)
+        (va, ea, _), (wa, fa, _) = self.bound(a, False), self.bound(a, True)
+        (vb, eb, _), (wb, fb, _) = self.bound(b, False), self.bound(b, True)
+        ha, hb = self.mag(a), self.mag(b)
+        e, f = max(ea, fa), max(eb, fb)
+        err = e * (hb + f) + ha * f + _EPS * (ha + e) * (hb + f) + _TINY
+        corners = [p * q for p in (va, wa) for q in (vb, wb)]
+        pick = np.maximum if up else np.minimum
+        return pick(pick(corners[0], corners[1]),
+                    pick(corners[2], corners[3])), err, True
+
+    @staticmethod
+    def _power(base, n, h):
+        """(v ** n, E, owned) by squaring and multiplying, for a base
+        (v, e, owned) within e of an exact bound of magnitude at most h."""
+        v, e, own = base
+        if n == 1:
+            return base
+        if n == 2:
+            result = np.multiply(v, v, out=_owned(v, own))
+        else:
+            result, p, k = None, v, n
+            while k:
+                if k & 1:
+                    result = p if result is None else result * p
+                k >>= 1
+                if k:
+                    p = p * p
+        r = h + e
+        gamma = (n - 1) * _EPS / (1.0 - (n - 1) * _EPS)
+        # A subnormal error grows by 2|p| in each squaring: n^2 covers
+        # the factors 2 and the count of products.
+        err = (n * r ** (n - 1) * e + gamma * r ** n
+               + n * n * _TINY * max(1.0, r) ** (n - 1))
+        return result, err, True
+
+
+def _combine(ufunc, a, b):
+    """ufunc of the values of the bounds a and b, into an array that one
+    of them owns where it can."""
+    (v, _, own_v), (w, _, own_w) = a, b
+    out = _owned(v, own_v)
+    return ufunc(v, w, out=_owned(w, own_w) if out is None else out)
+
+
+def _apply(ufunc, bound, last, swap=False):
+    """ufunc(value, E'), or ufunc(E', value) if ``swap``, of a bound
+    (value, E, owned), with E' = last(E); in place where it is owned."""
+    v, e, own = bound
+    out = _owned(v, own)
+    return ufunc(last(e), v, out=out) if swap else ufunc(v, last(e), out=out)
+
+
+def _owned(v, own):
+    """``v`` where it is an array that may be overwritten, else None."""
+    return v if own and isinstance(v, np.ndarray) else None
+
+
+def _sup_abs_cells(tree, lo, hi, xlo, xhi):
+    """Per closed cell [lo, hi], all inside [xlo, xhi], an upper bound on
+    sup |tree(x)|: an array, or a float for a tree without x.  A
+    polynomial tree is bounded by :class:`_PolyBounds`, any other by
+    :func:`_cells`; raises :class:`_NoEnclosure` where the
+    enclosure fails closed.  A bound that comes out NaN or infinite is
+    returned as it is, for the caller to refuse."""
+    if not _has_x(tree):
+        return max(map(abs, _enclose(tree, 0.0, 0.0)))
+    with np.errstate(all="ignore"):
+        if _polynomial(tree):
+            try:
+                return _PolyBounds(lo, hi, xlo, xhi).sup_abs(tree)
+            except (_NoEnclosure, OverflowError):
+                pass    # the hull's magnitudes overflow; round each step
+        glo, ghi = _cells(tree, lo, hi)
+        return np.maximum(-glo, ghi)
 
 
 @contextlib.contextmanager

@@ -447,7 +447,11 @@ class SampledFn:
         m = self.m
         edges = []
         for lo, hi in self.domain.boxes:
-            e = lo + np.arange(m + 1) * (hi - lo) / m
+            # In place, with the bits of lo + k * (hi - lo) / m.
+            e = np.arange(m + 1, dtype=float)
+            e *= hi - lo
+            e /= m
+            e += lo
             e[0], e[-1] = lo, hi
             edges.append(e)
         return edges

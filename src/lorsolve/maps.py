@@ -221,33 +221,23 @@ class PiecewiseMap:
         run of x that binary search finds for it.  Grid midpoints ascend
         box by box, so their runs are the boxes, or fewer.  An x of as
         many runs as there are branches, or more, is sorted once instead,
-        and the results are put back in x's order once.  ``F(x)`` and
-        ``F.slope(x)`` take the same pass for one of the two.
+        and the results are put back in x's order once.  ``F(x)`` takes
+        the same pass for the values alone.
         """
-        return self._sweep(x, value=True, slope=True)
+        return self._sweep(x, slope=True)
 
     def __call__(self, x):
         """F(x) alone, as :meth:`evaluate` gives it; a float for a scalar x."""
-        out = self._sweep(x, value=True, slope=False)[0]
+        out = self._sweep(x, slope=False)[0]
         return out if out.ndim else float(out)
 
-    def slope(self, x, out=None):
-        """F'(x) alone, as :meth:`evaluate` gives it, into ``out`` (a
-        contiguous float array of x's shape) when given; a float for a
-        scalar x."""
-        d = self._sweep(x, value=False, slope=True, out=out)[0]
-        return d if d.ndim else float(d)
-
-    def _sweep(self, x, value, slope, out=None):
-        """(F(x),) if value, then (F'(x),) if slope, by :meth:`evaluate`'s
-        pass; the slope goes into ``out`` when given."""
+    def _sweep(self, x, slope):
+        """(F(x),), and F'(x) after it if ``slope``, by :meth:`evaluate`'s
+        pass."""
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        val = np.empty(flat.shape) if value else None
-        der = None
-        if slope:
-            # A view of ``out``, which is contiguous.
-            der = np.empty(flat.shape) if out is None else out.reshape(-1)
+        val = np.empty(flat.shape)
+        der = np.empty(flat.shape) if slope else None
         found = [a for a in (val, der) if a is not None]
         # Where x stops ascending, or meets a NaN: most often nowhere.
         up = flat[1:] >= flat[:-1]
@@ -255,8 +245,8 @@ class PiecewiseMap:
         if len(cuts) < len(self.branches):
             edges = [0, *np.asarray(cuts, dtype=int).tolist(), flat.size]
             for i, j in zip(edges, edges[1:]):
-                self._fill(flat[i:j], *[None if a is None else a[i:j]
-                                        for a in (val, der)])
+                self._fill(flat[i:j], val[i:j],
+                           None if der is None else der[i:j])
         else:
             order = np.argsort(flat, kind="stable")
             self._fill(flat[order], val, der)
@@ -267,8 +257,8 @@ class PiecewiseMap:
     def _fill(self, xs, val, der):
         """Evaluate each branch, and its slope, on its slice of the
         ascending ``xs``, into the same slices of ``val`` and ``der``, and
-        NaN between the slices; either output may be None, and is then
-        left out."""
+        NaN between the slices; ``der`` may be None, and is then left
+        out."""
         starts, stops = np.searchsorted(xs, self._ends).tolist()
         outs = [a for a in (val, der) if a is not None]
         # ``done``: the end of the last slice, after which the points up to
@@ -279,8 +269,7 @@ class PiecewiseMap:
                 for out in outs:
                     out[done:i] = np.nan
             if i < j:
-                if val is not None:
-                    val[i:j] = b.fn(xs[i:j])
+                val[i:j] = b.fn(xs[i:j])
                 if der is not None:
                     der[i:j] = b.deriv(xs[i:j]) if slope is None else slope
             done = j

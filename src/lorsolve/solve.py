@@ -3,7 +3,19 @@
 The series sum_{k>=0} P^k h0 solves phi = P phi + h0 whenever the audited
 contraction inequality holds, and its tails obey the geometric bound
 
-    || sum_{k>=m} P^k h0 ||  <=  (2*alpha)^m / (1 - 2*alpha) * ||h0||.
+    || sum_{k>=m} P^k h0 ||  <=  r^m / (1 - r) * ||h0||,   r = 2*alpha.
+
+The paper's theorem gives ||P|| <= 2*alpha for any alpha with which the
+inequality holds on all of the domain.  So when the audit PASSed in
+``audit_mode = cell-enclosure``, proved on every closed grid cell, the
+rate is r = 2*min(alpha, audited alpha), the theorem with alpha computed
+rather than declared; after a midpoint-sampled audit, or a forced run on
+a FAILed one, it is the declared 2*alpha.  The trace keeps the declared
+alpha, and the certificate's line ``audited_alpha`` the audited one
+(``none`` after a midpoint-sampled audit).  Like every bound here, the
+rate is about the grid operator, whose composition is a midpoint lookup:
+the certificate bounds the distance to that operator's fixed point, not
+to the solution of the equation.
 
 The solver iterates the partial sums S_m = sum_{k<m} P^k h0, records one
 trace row per step, and stops as soon as the tail bound drops below the
@@ -76,6 +88,7 @@ class IterationTrace:
     rows: tuple
     stop_reason: str
     audit_passed: bool = True
+    audited_alpha: float | None = None
 
     @property
     def m_stop(self):
@@ -105,6 +118,7 @@ class IterationTrace:
             f"instance = {self.instance_label}",
             f"psi = {self.psi_label}",
             f"alpha = {self.alpha!r}",
+            f"audited_alpha = {_field(self.audited_alpha) or 'none'}",
             f"h0_norm = {self.h0_norm!r}",
             f"tol = {self.tol!r}",
             f"steps = {self.m_stop}",
@@ -141,7 +155,7 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     certificate reports verdict FAIL even when the tolerance is reached.
     ``tol`` is absolute in norm units and defaults to 1e-8 * ||h0||; a
     given ``tol`` must be finite, > 0 and at least one ulp of the bound
-    ||h0|| / (1 - 2*alpha) on ||phi|| (:class:`ToleranceError` otherwise:
+    ||h0|| / (1 - r) on ||phi|| (:class:`ToleranceError` otherwise:
     an infinite ``tol`` would certify nothing at step 0, and the others
     are never reached, or reached only when the tail bound underflows,
     while the stored values are already further off than ``tol``).  The
@@ -158,8 +172,12 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     checked once, when the solution is wrapped: a sum that overflowed
     raises :class:`~lorsolve.grids.GridError`.
 
+    The tail bound, the resolution check of ``tol`` and the growth check
+    all use the rate r of the module docstring: 2*min(alpha, audited
+    alpha) after a cell-enclosure PASS, else 2*alpha.
+
     Raises :class:`DivergenceError` when term norms grow faster than the
-    certified factor 2*alpha for 3 consecutive steps.
+    certified factor r for 3 consecutive steps.
     """
     if tol is not None and not 0.0 < tol < np.inf:
         raise ToleranceError(f"tol must be > 0 and finite, got {tol!r}")
@@ -170,7 +188,7 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
         raise AuditFailure(report)
 
     h0_norm = inst.norm(inst.h0)
-    rate = 2.0 * inst.alpha
+    rate = 2.0 * _rate_alpha(inst, report)
     prefactor = h0_norm / (1.0 - rate)
     resolution = sys.float_info.epsilon * prefactor
     if tol is None:
@@ -178,7 +196,8 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
     elif tol < resolution:
         raise ToleranceError(
             f"tol {tol!r} is below float resolution {resolution!r}, one ulp "
-            f"of the bound ||h0||/(1-2*alpha) = {prefactor!r} on ||phi||"
+            f"of the bound ||h0||/(1-r) = {prefactor!r} on ||phi||, "
+            f"r = {rate!r}"
         )
     tol = float(tol)
 
@@ -230,8 +249,17 @@ def solve_elementary(inst, tol=None, max_steps=_DEFAULT_MAX_STEPS, force=False):
         rows=tuple(rows),
         stop_reason=stop_reason,
         audit_passed=report.passed,
+        audited_alpha=report.audited_alpha,
     )
     return partial, trace
+
+
+def _rate_alpha(inst, report):
+    """The alpha of the rate 2*alpha: min(alpha, audited alpha) when the
+    audit PASSed on every cell, else the declared alpha."""
+    if report.passed and report.audited_alpha is not None:
+        return min(inst.alpha, report.audited_alpha)
+    return inst.alpha
 
 
 def residual(phi, inst):

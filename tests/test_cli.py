@@ -159,6 +159,55 @@ class TestAudit:
         assert "verdict = FAIL" in (tmp_path / "audit.txt").read_text()
 
 
+    def _doubling(self, tmp_path, coeff, alpha):
+        """The bundled doubling instance with the coefficient ``coeff``
+        and the declared ``alpha``."""
+        text = bundled_instance_path("doubling").read_text()
+        assert "[coeff1]\nexpr = 0.25\n" in text and "alpha = 0.25\n" in text
+        cfg = tmp_path / "doubling.cfg"
+        cfg.write_text(text.replace("[coeff1]\nexpr = 0.25\n",
+                                    f"[coeff1]\nexpr = {coeff}\n")
+                       .replace("alpha = 0.25\n", f"alpha = {alpha}\n"))
+        return cfg
+
+    def test_ratio_at_a_cell_end_fails(self, tmp_path, capsys):
+        # |g| = 0.25*(1 - x) reaches 1/4 at x = 0, the left end of the
+        # first cell, where no midpoint lies: the midpoint audit passed
+        # alpha = 0.2499 at 0.2498779296875.
+        cfg = self._doubling(tmp_path, "0.25*(1 - x)", 0.2499)
+        out = tmp_path / "out"
+        assert main(["audit", "--instance", str(cfg), "--out", str(out)]) == 1
+        text = (out / "audit.txt").read_text()
+        assert "audit_mode = cell-enclosure\n" in text
+        assert "verdict = FAIL\n" in text
+        feasible = float(text.split("feasible_alpha = ")[1].split("\n")[0])
+        assert 0.25 <= feasible < 0.25 * (1 + 1e-12)
+        assert "cell 0 on [0.0, 0.0009765625]" in text
+        assert main(["solve", "--instance", str(cfg), "--out", str(out)]) == 1
+        assert "use --force" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
+    def test_coefficient_that_wraps_in_a_cell_is_sampled(self, tmp_path):
+        # 7x % 1 wraps at x = k/7, inside a cell of the 1024-cell grid:
+        # the audit falls back to the midpoints, and the solve to the
+        # declared rate 2*alpha.
+        cfg = self._doubling(tmp_path, "0.2*((7*x) % 1)", 0.25)
+        out = tmp_path / "out"
+        assert main(["audit", "--instance", str(cfg), "--out", str(out)]) == 0
+        text = (out / "audit.txt").read_text()
+        assert "audit_mode = midpoint-sampled\n" in text
+        assert "grid resolution" in text
+        assert main(["solve", "--instance", str(cfg), "--out", str(out)]) == 0
+        cert = (out / "certificate.txt").read_text()
+        assert "audited_alpha = none\n" in cert
+        rows = list(csv.DictReader((out / "trace.csv").open()))
+        h0_norm = float(rows[0]["term_norm"])
+        for row in rows:
+            m = int(row["m"])
+            assert float(row["tail_bound"]) == pytest.approx(
+                h0_norm / (1 - 0.5) * 0.5**m, rel=1e-12)
+
+
 class TestNorm:
     def test_all_routes(self, tmp_path):
         rc = main(["norm", "--instance", "linear_h0", "--out",

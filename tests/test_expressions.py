@@ -5,10 +5,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lorsolve import ExpressionError, compile_expression
+import math
+
 from lorsolve.expressions import (_FREE_NUMBER, _SHAPES, _SHAPES_MAX,
-                                  _derivative, _enclose, _evaluate,
-                                  _NoEnclosure, _node, _parse, _parse_text,
-                                  _Wraps)
+                                  _derivative, _enclose, _enclose_cells,
+                                  _evaluate, _NoEnclosure, _node, _parse,
+                                  _parse_text, _polynomial, _sup_abs_cells,
+                                  _widen, _Wraps)
 
 
 class TestGrammar:
@@ -263,6 +266,17 @@ _branch_trees = _trees(
     max_leaves=8)
 
 
+# Polynomials over x with signed constants and exponents 0..5, which the
+# cell enclosure evaluates in round-to-nearest.
+_signed_polynomials = _trees(
+    _signed,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), kids, kids),
+        st.tuples(st.just("pow"), kids,
+                  st.integers(0, 5).map(lambda k: ("const", float(k))))),
+    max_leaves=8)
+
+
 class TestEnclose:
     @settings(max_examples=400, deadline=None)
     @given(_branch_trees, _signed, st.floats(0.0, 2.0), st.data())
@@ -334,6 +348,122 @@ class TestEnclose:
         with pytest.raises(_NoEnclosure, match=why) as exc:
             _enclose(_parse(src), lo, hi)
         assert isinstance(exc.value, _Wraps) == (why == "floor")
+
+
+def _steps(v, ulps, up):
+    """v moved ``ulps`` floats toward +inf (``up``) or -inf."""
+    for _ in range(ulps):
+        v = math.nextafter(v, math.inf if up else -math.inf)
+    return v
+
+
+def _widen_inputs():
+    """Random normal floats of every scale, subnormals, zeros, the ends of
+    the normal range, and both signs of each."""
+    rng = np.random.default_rng(11)
+    normal = rng.standard_normal(200) * 10.0 ** rng.uniform(-300, 300, 200)
+    subnormal = rng.integers(1, 2**52, 50) * 2.0 ** -1074
+    ends = [0.0, 2.0 ** -1074, 2.0 ** -1022, 2.0 ** -1022 - 2.0 ** -1074,
+            1.0, 2.0, 1.7976931348623157e308]
+    v = np.concatenate([normal, subnormal, ends])
+    return np.concatenate([v, -v])
+
+
+class TestWiden:
+    @pytest.mark.parametrize("ulps", [1, 4])
+    @pytest.mark.parametrize("up", [True, False])
+    def test_moves_at_least_ulps_floats(self, ulps, up):
+        v = _widen_inputs()
+        with np.errstate(over="ignore"):
+            got = _widen(v.copy(), up, ulps)
+        for x, y in zip(v.tolist(), got.tolist()):
+            want = _steps(x, ulps, up)
+            # At least ulps floats out, and at most 2*ulps + 1.
+            assert (y >= want) if up else (y <= want), (x, y)
+            far = _steps(x, 2 * ulps + 1, up)
+            assert (y <= far) if up else (y >= far), (x, y)
+
+    def test_infinities_never_move_inward_to_a_float(self):
+        v = np.array([math.inf, -math.inf])
+        with np.errstate(invalid="ignore"):
+            up, down = _widen(v.copy(), True), _widen(v.copy(), False)
+        assert up[0] == math.inf and math.isnan(up[1])
+        assert down[1] == -math.inf and math.isnan(down[0])
+
+
+class TestEncloseCells:
+    @settings(max_examples=300, deadline=None)
+    @given(_branch_trees, _signed, st.lists(st.floats(0.0, 0.5), min_size=1,
+                                            max_size=6), st.data())
+    def test_every_sampled_value_lies_inside_its_cell(self, tree, lo,
+                                                      widths, data):
+        tree = _parse(_print(tree, 1, data.draw))
+        edges = lo + np.concatenate([[0.0], np.cumsum(widths)])
+        left, right = edges[:-1], edges[1:]
+        try:
+            ylo, yhi = _enclose_cells(tree, left, right)
+        except _NoEnclosure:
+            return
+        ylo, yhi = (np.broadcast_to(b, left.shape) for b in (ylo, yhi))
+        assert (ylo <= yhi).all()
+        seed_ = data.draw(st.integers(0, 2**32 - 1))
+        inside = np.random.default_rng(seed_).uniform(left, right,
+                                                      (16, left.size))
+        xs = np.vstack([left, right, inside])
+        try:
+            with np.errstate(all="ignore"):
+                ys = np.broadcast_to(_evaluate(tree, xs), xs.shape)
+        except (OverflowError, ZeroDivisionError):
+            return  # a part without x that Python floats refuse
+        bad = ~((ylo <= ys) & (ys <= yhi))
+        assert not bad.any(), (xs[bad][:3], ys[bad][:3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_signed_polynomials, _signed, st.lists(st.floats(0.0, 0.5),
+                                                  min_size=1, max_size=6),
+           st.data())
+    def test_polynomial_bounds_hold_every_sampled_value(self, tree, lo,
+                                                        widths, data):
+        # Polynomials take round-to-nearest and one error bound per side.
+        tree = _parse(_print(tree, 1, data.draw))
+        assert _polynomial(tree)
+        edges = lo + np.concatenate([[0.0], np.cumsum(widths)])
+        left, right = edges[:-1], edges[1:]
+        ylo, yhi = (np.broadcast_to(b, left.shape)
+                    for b in _enclose_cells(tree, left, right))
+        sup = np.broadcast_to(_sup_abs_cells(tree, left, right, edges[0],
+                                             edges[-1]), left.shape)
+        seed_ = data.draw(st.integers(0, 2**32 - 1))
+        inside = np.random.default_rng(seed_).uniform(left, right,
+                                                      (16, left.size))
+        xs = np.vstack([left, right, inside])
+        ys = np.broadcast_to(_evaluate(tree, xs), xs.shape)
+        assert ((ylo <= ys) & (ys <= yhi)).all()
+        assert (np.abs(ys) <= sup).all()
+
+    @pytest.mark.parametrize("src, why", [
+        ("(7*x) % 1", "floor"),            # wraps at 1/7, inside cell 0
+        ("1/(x - 0.3)", "holds 0"),
+        ("(x - 0.3)^0.5", "negative points"),
+        ("x^-0.5 * 0", "not finite"),      # 0 * inf on the cell at 0
+    ])
+    def test_fails_closed_on_any_cell(self, src, why):
+        left = np.array([0.0, 0.25, 0.5])
+        with pytest.raises(_NoEnclosure, match=why) as exc:
+            _enclose_cells(_parse(src), left, left + 0.25)
+        assert isinstance(exc.value, _Wraps) == (why == "floor")
+
+    def test_a_tree_without_x_gives_floats(self):
+        left = np.array([0.0, 0.5])
+        assert _enclose_cells(_parse("0.25"), left, left + 0.5) == (0.25, 0.25)
+
+    def test_bounds_are_per_cell(self):
+        left = np.array([0.0, 0.5, 1.0])
+        ylo, yhi = _enclose_cells(_parse("(x - 0.5)^2"), left, left + 0.5)
+        assert (ylo <= [0.0, 0.0, 0.25]).all()
+        assert (ylo > [-1e-15, -1e-15, 0.2499999]).all()
+        assert (yhi >= [0.25, 0.25, 1.0]).all()
+        assert (yhi < [0.2500001, 0.2500001, 1.0000001]).all()
 
 
 def _outcome(parse, src):

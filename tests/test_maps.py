@@ -257,8 +257,8 @@ class TestSlicedEvaluation:
             assert np.array_equal(idx, want)
 
     @pytest.mark.parametrize("case", sorted(_SLICE_CASES))
-    def test_values_and_slopes_alone_keep_the_bits(self, case):
-        # F(x) and F.slope(x) take evaluate's pass for one of its outputs.
+    def test_values_alone_keep_the_bits(self, case):
+        # F(x) takes evaluate's pass for its values alone.
         boxes, maps = _SLICE_CASES[case]
         x = _instance(boxes, maps).h0.midpoints
         rng = np.random.default_rng(7)
@@ -269,29 +269,23 @@ class TestSlicedEvaluation:
             for F in maps:
                 want = _mask_evaluate(F, pts)
                 assert _same_bits(F(pts), want[0])
-                assert _same_bits(F.slope(pts), want[1])
-                # Into a buffer that holds garbage: every cell is written.
-                out = np.full(pts.shape, 7.0)
-                assert np.shares_memory(F.slope(pts, out=out), out)
-                assert _same_bits(out, want[1])
 
     def test_scalar_point_gives_a_float(self):
         F = _SLICE_CASES["touching-boxes"][1][0]
         b = F.branches[0]
-        assert isinstance(F.slope(0.75), float)
-        assert F.slope(0.75) == b.deriv(np.array([0.75]))[0]
-        assert np.isnan(F.slope(-1.0)) and np.isnan(F(-1.0))
+        assert isinstance(F(0.75), float)
+        assert F(0.75) == b.fn(np.array([0.75]))[0]
+        assert np.isnan(F(-1.0))
 
     def test_shapes_and_ranks_come_back(self):
         F = _SLICE_CASES["touching-boxes"][1][1]
         x = np.linspace(-0.5, 2.5, 24)[::-1].reshape(2, 3, 4)
         y, d = F.evaluate(x)
-        assert y.shape == d.shape == F(x).shape == F.slope(x).shape == x.shape
+        assert y.shape == d.shape == F(x).shape == x.shape
         want = _mask_evaluate(F, x.ravel())
         assert _same_bits(y.ravel(), want[0])
         assert _same_bits(d.ravel(), want[1])
         assert _same_bits(F(x).ravel(), want[0])
-        assert _same_bits(F.slope(x).ravel(), want[1])
 
 
 def _every_instance(tmp_path):

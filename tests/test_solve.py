@@ -168,6 +168,45 @@ class TestAuditGate:
         assert np.max(np.abs(solution.values - 4.0 / 3.0)) <= 1e-10
 
 
+class TestAuditedRate:
+    def test_stops_at_the_audited_rate(self):
+        # Declared alpha 1/4, audited 1/5 on every cell: the tail falls
+        # by 2/5 a step, and the certificate says which alpha did it.
+        inst = make_doubling_instance(m=256, g=0.2, alpha=0.25)
+        solution, trace = solve_elementary(inst)
+        assert trace.alpha == 0.25 and trace.audited_alpha == 0.2
+        prefactor = trace.h0_norm / (1.0 - 0.4)
+        for row in trace.rows:
+            assert row.tail_bound == pytest.approx(prefactor * 0.4**row.m,
+                                                   rel=1e-12)
+        assert trace.certified and trace.m_stop == 21
+        assert np.max(np.abs(solution.values - 1.0 / 0.8)) <= 1e-8
+        text = trace.certificate_text()
+        assert "alpha = 0.25\naudited_alpha = 0.2\n" in text
+
+    def test_forced_run_keeps_the_declared_rate(self):
+        # The audit FAILs (0.25 > 0.2): the audited alpha is reported,
+        # but the rate stays the declared 2*alpha.
+        inst = make_doubling_instance(m=64, alpha=0.2)
+        _, trace = solve_elementary(inst, force=True)
+        assert trace.audited_alpha == 0.25
+        assert trace.rows[3].tail_bound == pytest.approx(
+            trace.h0_norm / 0.6 * 0.4**3, rel=1e-12)
+        assert "audited_alpha = 0.25\n" in trace.certificate_text()
+
+    def test_sampled_audit_keeps_the_declared_rate(self, unit):
+        h0 = SampledFn.constant(unit, 64, 1.0)
+        inst = ProblemInstance(unit, (affine_map([(0.0, 0.5, 2.0, 0.0),
+                                                  (0.5, 1.0, 2.0, -1.0)]),),
+                               (lambda x: 0.2 + 0.0 * x,), h0, K_decl=2,
+                               L_decl=1, alpha=0.25, psi=power_young(2.0))
+        _, trace = solve_elementary(inst)
+        assert trace.audited_alpha is None
+        assert trace.rows[3].tail_bound == pytest.approx(
+            trace.h0_norm / 0.5 * 0.5**3, rel=1e-12)
+        assert "audited_alpha = none\n" in trace.certificate_text()
+
+
 class TestDivergenceGuard:
     def test_expanding_coefficient_aborts(self):
         inst = make_doubling_instance(m=128, g=1.2, alpha=0.3)

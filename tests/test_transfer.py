@@ -23,6 +23,7 @@ from lorsolve import (
     tent3_map,
 )
 from lorsolve.config import BUNDLED_INSTANCES
+from lorsolve.expressions import _parse, compile_expression
 from lorsolve.transfer import _max_depth
 from conftest import (bench_workloads, make_doubling_instance,
                       make_twobranch_instance)
@@ -373,10 +374,17 @@ class TestAudit:
         assert rep.feasible_alpha == 0.0
 
     def test_report_text_disclaims_grid_resolution(self):
-        rep = audit_contraction(make_doubling_instance(m=64))
-        text = rep.as_text()
-        assert "grid resolution" in text
-        assert "verdict = PASS" in text
+        # Only a midpoint-sampled PASS is evidence at grid resolution; a
+        # cell-enclosure PASS is proved on every closed cell.
+        sampled = audit_contraction(
+            _midpoint_sampled(make_doubling_instance(m=64))).as_text()
+        assert "audit_mode = midpoint-sampled\n" in sampled
+        assert "grid resolution" in sampled
+        assert "verdict = PASS" in sampled
+        proved = audit_contraction(make_doubling_instance(m=64)).as_text()
+        assert "audit_mode = cell-enclosure\n" in proved
+        assert "grid resolution" not in proved
+        assert "verdict = PASS" in proved
 
     def test_complex_coefficient_uses_magnitude(self):
         inst = make_doubling_instance(m=64, g=0.25j)
@@ -398,6 +406,16 @@ class TestExcursionFarFromZero:
         with pytest.raises(InstanceError, match="'shifted'.*outside"):
             ProblemInstance(domain, (shifted,), (g,), h0, K_decl=1,
                             L_decl=1, alpha=0.25, psi=power_young(2.0))
+
+
+def _midpoint_sampled(inst):
+    """``inst`` with each coefficient given as a callable that returns
+    its sampled values: the audit has no tree to enclose and samples the
+    midpoints."""
+    coeffs = [lambda x, v=g.values: v for g in inst.coeffs]
+    return ProblemInstance(inst.domain, inst.maps, coeffs, inst.h0,
+                           inst.K_decl, inst.L_decl, inst.alpha, inst.psi,
+                           label=inst.label)
 
 
 def _audit_text_from_evaluate(inst):
@@ -442,9 +460,12 @@ def _flat_spot_instance(g):
 
 
 class TestAuditWorksOutTheSlopes:
+    # The midpoint mode, which a coefficient without a tree takes, keeps
+    # the formula and the witness it had before cells were enclosed.
     @pytest.mark.parametrize("name", BUNDLED_INSTANCES)
     def test_bundled_instances(self, name):
         inst, _ = load_instance(bundled_instance_path(name))
+        inst = _midpoint_sampled(inst)
         assert audit_contraction(inst).as_text() == \
             _audit_text_from_evaluate(inst)
 
@@ -454,6 +475,7 @@ class TestAuditWorksOutTheSlopes:
                                    cells=2**10)
         inst, _ = load_instance(tmp_path / "instance.cfg")
         assert (inst.n_maps, len(inst.domain.boxes)) == (14, 3)
+        inst = _midpoint_sampled(inst)
         assert audit_contraction(inst).as_text() == \
             _audit_text_from_evaluate(inst)
 
@@ -497,3 +519,124 @@ class TestInstanceMemory:
         ncells = inst.h0.ncells
         assert built.n_maps * ncells == 14 * 3072
         assert held <= built.n_maps * ncells * 16 + 64 * 1024
+
+
+def _certified_instances(tmp_path):
+    """(name, instance) of the three bundled instances, and of the two
+    generated bench workloads at full size and seeds 0 and 23."""
+    for name in BUNDLED_INSTANCES:
+        yield name, load_instance(bundled_instance_path(name))[0]
+    workloads = bench_workloads()
+    for name in ("rough-csv", "multibox-vec"):
+        for seed in (0, 23):
+            where = tmp_path / f"{name}-{seed}"
+            workloads.generate(name, where, seed)
+            yield f"{name}-{seed}", load_instance(where / "instance.cfg")[0]
+
+
+def _rate_instance(branches, g, m=4):
+    """One map of the given branches on (0, 1), coefficient text ``g``,
+    K = L = 1, alpha = 0.45."""
+    unit = Domain.unit_interval()
+    F = PiecewiseMap([Branch(lo, hi, expr) for lo, hi, expr in branches])
+    return ProblemInstance(unit, [F], [compile_expression(g)],
+                           SampledFn.constant(unit, m, 1.0), K_decl=1,
+                           L_decl=1, alpha=0.45, psi=power_young(2.0),
+                           coeff_trees=[_parse(g)])
+
+
+class TestCellAudit:
+    def test_proved_ratio_is_at_least_the_sampled_one(self, tmp_path):
+        for name, inst in _certified_instances(tmp_path):
+            proved = audit_contraction(inst)
+            sampled = audit_contraction(_midpoint_sampled(inst))
+            assert proved.audit_mode == "cell-enclosure", name
+            assert sampled.audit_mode == "midpoint-sampled", name
+            assert proved.feasible_alpha >= sampled.feasible_alpha, name
+            for p, s in zip(proved.per_map_worst, sampled.per_map_worst):
+                assert p >= s, name
+            assert proved.passed, name
+
+    def test_bench_rates_at_seed_23(self, tmp_path):
+        # The audited alpha at seed 23 lies above the midpoint value and
+        # close enough to it for the step counts the rate gives.
+        workloads = bench_workloads()
+        for name, low, high in [("rough-csv", 0.21656525998322979, 0.2189),
+                                ("multibox-vec", 0.11589103905432335,
+                                 0.1187)]:
+            workloads.generate(name, tmp_path / name, 23)
+            inst, _ = load_instance(tmp_path / name / "instance.cfg")
+            rep = audit_contraction(inst)
+            assert rep.audit_mode == "cell-enclosure"
+            assert low <= rep.audited_alpha < high
+
+    @pytest.mark.parametrize("name", ["doubling", "twobranch"])
+    def test_constant_coefficients_keep_a_quarter(self, name):
+        inst, _ = load_instance(bundled_instance_path(name), grid=2**16)
+        rep = audit_contraction(inst)
+        assert rep.audit_mode == "cell-enclosure"
+        assert rep.feasible_alpha == 0.25 and rep.passed
+
+    def test_constant_coefficients_allocate_no_cell_array(self):
+        # Constant g and constant slopes: one scalar ratio per branch
+        # slice, and no array of one float per cell (512 KiB here).
+        inst, _ = load_instance(bundled_instance_path("twobranch"),
+                                grid=2**16)
+        want = audit_contraction(inst)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = audit_contraction(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < inst.h0.ncells * 8 // 8
+
+    def test_sampled_function_coefficient_is_exact_per_cell(self):
+        # A SampledFn is the weight itself, constant on each cell.
+        rep = audit_contraction(make_doubling_instance(m=64, g=0.2))
+        assert rep.audit_mode == "cell-enclosure"
+        assert rep.feasible_alpha == rep.audited_alpha == 0.2
+
+    def test_callable_coefficient_is_sampled(self, unit):
+        h0 = SampledFn.constant(unit, 64, 1.0)
+        inst = ProblemInstance(unit, (doubling_map(),),
+                               (lambda x: 0.25 * (1.0 - x),), h0, K_decl=2,
+                               L_decl=1, alpha=0.25, psi=power_young(2.0))
+        rep = audit_contraction(inst)
+        assert rep.audit_mode == "midpoint-sampled"
+        assert rep.audited_alpha is None
+        assert rep.feasible_alpha == 0.25 * (1.0 - 0.5 / 64)
+
+    def test_trees_pair_with_coefficients(self, unit):
+        h0 = SampledFn.constant(unit, 8, 1.0)
+        with pytest.raises(InstanceError, match="1 coefficients but 2 trees"):
+            ProblemInstance(unit, (doubling_map(),), (lambda x: 0.1 + 0 * x,),
+                            h0, K_decl=2, L_decl=1, alpha=0.25,
+                            psi=power_young(2.0),
+                            coeff_trees=[("const", 0.1)] * 2)
+
+    def test_branch_end_inside_a_cell_takes_the_worse_slope(self):
+        # 0.3 cuts cell 1 = [0.25, 0.5]: its right end, where |g| = 0.05,
+        # counts with the slope 1/4 of the branch on its left.
+        inst = _rate_instance([(0.0, 0.3, "x/4"),
+                               (0.3, 1.0, "0.075 + (x - 0.3)")], "0.1*x")
+        rep = audit_contraction(inst)
+        assert rep.audit_mode == "cell-enclosure"
+        assert 0.2 <= rep.feasible_alpha < 0.2 * (1 + 1e-12)
+        assert rep.worst_witness.startswith(
+            "map 1, cell 1 on [0.25, 0.5]: |g| <= ")
+        assert audit_contraction(_midpoint_sampled(inst)).feasible_alpha \
+            == 0.1 * 0.875
+
+    def test_varying_slope_is_enclosed_per_cell(self):
+        # F' = 0.5 + 0.5x is least, 0.5, at the left end of cell 0.
+        inst = _rate_instance([(0.0, 1.0, "0.5*x + 0.25*x^2")], "0.1", m=16)
+        rep = audit_contraction(inst)
+        assert rep.audit_mode == "cell-enclosure"
+        assert 0.2 <= rep.feasible_alpha < 0.2 * (1 + 1e-12)
+        assert "cell 0 on [0.0, 0.0625]" in rep.worst_witness
+        sampled = audit_contraction(_midpoint_sampled(inst))
+        assert sampled.feasible_alpha == pytest.approx(
+            0.1 / (0.5 + 0.5 * (0.5 / 16)), rel=1e-15)
