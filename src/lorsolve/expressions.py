@@ -615,8 +615,12 @@ def _polynomial(tree):
     """Whether ``tree`` takes only sums, differences, negations, products
     and powers with an exponent in 0..64 of parts with x."""
     op = tree[0]
-    if op in ("const", "var") or not _has_x(tree):
+    if op in ("const", "var"):
         return True
+    if op in ("neg", "add", "sub", "mul"):
+        return all(map(_polynomial, tree[1:]))
+    if not _has_x(tree):
+        return True     # a constant
     if op == "pow":
         try:
             k = _exponent(tree)
@@ -624,8 +628,7 @@ def _polynomial(tree):
             return False
         return (k == math.floor(k) and 0.0 <= k <= _POLY_MAX_POWER
                 and _polynomial(tree[1]))
-    return op in ("neg", "add", "sub", "mul") and all(
-        map(_polynomial, tree[1:]))
+    return False
 
 
 class _PolyBounds:

@@ -71,7 +71,9 @@ SOLVE_FILES = ("solution.csv", "trace.csv", "certificate.txt")
 # Every certificate.txt digest changed when the certificate gained the
 # line audited_alpha, and every audit.txt digest when the audit, now
 # proved on every closed cell, gained the line audit_mode = cell-enclosure,
-# its own note and a witness cell given by its edges.  solve-pair audits
+# its own note and a witness cell given by its edges; audit-pair's
+# worst_ratio_map_2 is the bound 0.10000000000000005 on the cells of the
+# box [2, 2.5] instead of 0.0996875 at its last midpoint.  solve-pair audits
 # alpha 0.2 < the declared 0.25, so it stops at the rate 0.4 after 21
 # steps instead of 28: its trace.csv changed, its solution.csv did not
 # (the terms past step 21 are below an ulp of the sum).
