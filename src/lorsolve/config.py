@@ -37,7 +37,8 @@ Schema (INI-style sections; `#` starts a comment; no interpolation):
     h0_lorentz_norm = 1.4142135623730951
 
 Maps and coefficients are numbered from 1 and must be consecutive and
-paired.  A branch's derivative is worked out from its value expression,
+paired; maps whose ``[coeffN] expr`` texts are the same share one weight.
+A branch's derivative is worked out from its value expression,
 and :class:`~lorsolve.maps.Branch` proves, by interval enclosure, that
 the branch is finite, smooth and strictly monotone on its closed
 interval.  A declared derivative is optional; it must agree with the
@@ -296,8 +297,11 @@ def load_instance(path_or_text, grid=None, psi_family=None, psi_param=None,
     an ``[h0] csv`` path is relative to the file's directory (to the
     working directory for text).  ``grid``, ``psi_family`` and
     ``psi_param`` override the file's values (for refinement studies and
-    norm sweeps); the file's own values are still checked.  Returns
-    (instance, oracle dict).
+    norm sweeps); the file's own values are still checked.  Each distinct
+    ``[coeffN] expr`` text is compiled once: maps whose weights have the
+    same text get the same callable and the same expression tree, so the
+    instance samples and keeps one array for them and the audit encloses
+    that tree once.  Returns (instance, oracle dict).
     """
     text, source, base_dir = _read(path_or_text)
     if not text.strip():
@@ -331,13 +335,21 @@ def load_instance(path_or_text, grid=None, psi_family=None, psi_param=None,
     maps = [_parse_map(cp, s, source) for s in map_sections]
 
     coeff_sections = [f"coeff{i}" for i in range(1, len(maps) + 1)]
+    # (callable, tree) per distinct text: maps whose weights read alike
+    # share both objects, which the instance samples and the audit
+    # encloses once.
+    compiled = {}
     coeffs, trees = [], []
     for s in coeff_sections:
         text = _get(cp, s, "expr", source)
-        coeffs.append(_compile(text, f"[{s}] expr", source))
-        # The tree that the audit encloses on each cell; a second read of
-        # the text finds its shape cached.
-        trees.append(_read_tree(text)[0])
+        if text not in compiled:
+            # The tree that the audit encloses on each cell; a second read
+            # of the text finds its shape cached.
+            compiled[text] = (_compile(text, f"[{s}] expr", source),
+                              _read_tree(text)[0])
+        fn, tree = compiled[text]
+        coeffs.append(fn)
+        trees.append(tree)
     extra = [
         s for s in cp.sections()
         if s.startswith("coeff") and s not in coeff_sections

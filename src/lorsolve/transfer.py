@@ -35,10 +35,11 @@ branch is proved finite, smooth and strictly monotone on its closed
 interval by interval enclosure (:class:`~lorsolve.maps.Branch`), so each
 piece is a bijection onto the interval between its end values.
 
-An instance keeps only what P reads, the sampled weights and the target
-cell of each midpoint image, besides the branch-piece images, h0 and the
-coefficients' expression trees.  The audit works out its per-cell bounds
-one map at a time, and none of them outlives it.
+An instance keeps only what P reads, one sampled weight per distinct
+coefficient and the target cell of each midpoint image, besides the
+branch-piece images, h0 and the coefficients' expression trees.  The
+audit works out its per-cell bounds one map at a time, enclosing each
+distinct tree once, and none of them outlives it.
 """
 
 import math
@@ -80,6 +81,17 @@ class AuditFailure(RuntimeError):
         )
 
 
+def _one_value_view(g):
+    """``g`` on a read-only stride-0 view of its first value where every
+    cell holds that value's bits (so -0.0 and 0.0 stay apart), else ``g``
+    itself."""
+    v = g.values
+    bits = v.view(f"u{math.gcd(v.itemsize, 8)}").reshape(v.shape[0], -1)
+    if not (bits == bits[0]).all():
+        return g
+    return SampledFn._owning(np.broadcast_to(np.array(v[0]), v.shape), g)
+
+
 class ProblemInstance:
     """Fixed data of one functional equation phi = P phi + h0.
 
@@ -90,10 +102,16 @@ class ProblemInstance:
     expression tree its callable evaluates, or None; the audit encloses
     each tree on every cell, and samples a callable without one at the
     midpoints.  A SampledFn coefficient needs no tree: it is the weight
-    itself, constant on each cell.  K_decl and L_decl are the declared multiplicity and overlap
-    bounds entering the audited inequality; alpha in [0, 1/2) is the
-    declared contraction parameter; psi selects the Young function
-    generating the norm.
+    itself, constant on each cell.  K_decl and L_decl are the declared
+    multiplicity and overlap bounds entering the audited inequality; alpha
+    in [0, 1/2) is the declared contraction parameter; psi selects the
+    Young function generating the norm.
+
+    Maps may share a weight.  Each distinct coefficient object, matched by
+    identity (``is``, never by equal values or trees), is sampled once,
+    and every map with it gets the same read-only SampledFn in
+    ``coeffs``.  A sampled weight whose cells all hold the same bits is
+    kept as a stride-0 view of that one value (-0.0 and 0.0 differ).
 
     Construction checks, from the branch ends, that every map covers each
     box of the domain and sends it into the domain's closure (the image of
@@ -104,8 +122,8 @@ class ProblemInstance:
     leaves the domain only by rounding onto a box's closed right end: it
     goes to that box's last cell and is counted in ``clamped_images``.
     Only the maps' values are evaluated.  Of the per-cell arrays, the
-    instance keeps those that :meth:`apply` reads, the coefficients and
-    target indices, besides h0: no slopes and no midpoints.
+    instance keeps those that :meth:`apply` reads, the distinct weights
+    and the target indices, besides h0: no slopes and no midpoints.
     """
 
     def __init__(self, domain, maps, coeffs, h0, K_decl, L_decl, alpha, psi,
@@ -155,13 +173,19 @@ class ProblemInstance:
         # one array, which the instance does not keep.
         x = h0.midpoints
         x.setflags(write=False)
-        sampled = []
         # A SampledFn is the weight itself, constant on each cell.
         self._piecewise = tuple(isinstance(g, SampledFn) for g in coeffs)
         self.coeff_trees = tuple(None if exact else tree for exact, tree
                                  in zip(self._piecewise, coeff_trees))
-        for i, g in enumerate(coeffs):
-            if not isinstance(g, SampledFn):
+        # The weight of each distinct coefficient object, by identity: a
+        # tree or value that merely compares equal may differ in the sign
+        # of a zero, or not be what a callable evaluates.
+        sampled = {}
+        for i, coeff in enumerate(coeffs):
+            if id(coeff) in sampled:
+                continue
+            g = coeff
+            if not self._piecewise[i]:
                 # A value that is not finite is refused, not warned of.
                 with np.errstate(all="ignore"):
                     values = g(x)
@@ -174,8 +198,9 @@ class ProblemInstance:
                 raise InstanceError(f"coeff {i} is not on h0's grid")
             if g.is_vector:
                 raise InstanceError(f"coeff {i} must be scalar-valued")
-            sampled.append(g)
-        self.coeffs = tuple(sampled)
+            sampled[id(coeff)] = (g if self._piecewise[i]
+                                  else _one_value_view(g))
+        self.coeffs = tuple(sampled[id(g)] for g in coeffs)
 
         closure = _merge_intervals(domain.boxes)
         self.piece_images = tuple(F.piece_images(domain.boxes) for F in maps)
@@ -431,6 +456,9 @@ class _Cells:
         self.grid = inst.h0
         self._pieces = {}
         self._edges = None
+        self._sup = {}
+        # The last map with each tree object, after which its bound goes.
+        self._last = {id(t): i for i, t in enumerate(inst.coeff_trees)}
 
     def pieces(self, lo, hi):
         """The flat cells [first, stop) of each box whose half-open cell
@@ -474,14 +502,22 @@ class _Cells:
                                  np.concatenate([e[1:] for e in boxes])))
         return self._edges
 
-    def sup_abs(self, tree):
-        """Per cell a bound on sup |tree|; a float for a tree without x.
-        The bounds of the subtrees go when it returns."""
-        if not _has_x(tree):
-            return _sup_abs_cells(tree, None, None, None, None)
-        return _sup_abs_cells(tree, *self.edges(),
-                              min(lo for lo, _ in self.boxes),
-                              max(hi for _, hi in self.boxes))
+    def sup_abs(self, tree, i):
+        """Per cell a bound on sup |tree| for map ``i`` (0-based); a float
+        for a tree without x.  Each tree object is enclosed once, and its
+        bound kept until the last map with it; the bounds of the subtrees
+        go when the enclosure returns."""
+        key = id(tree)
+        G = self._sup.pop(key, None)
+        if G is None:
+            G = (_sup_abs_cells(tree, None, None, None, None)
+                 if not _has_x(tree)
+                 else _sup_abs_cells(tree, *self.edges(),
+                                     min(lo for lo, _ in self.boxes),
+                                     max(hi for _, hi in self.boxes)))
+        if self._last[key] > i:
+            self._sup[key] = G
+        return G
 
 
 def _up_unless_exact(v, exact):
@@ -627,7 +663,7 @@ def audit_contraction(inst):
         if inst._piecewise[i] or tree is not None:
             try:
                 G = (np.abs(g.values) if inst._piecewise[i]
-                     else cells.sup_abs(tree))
+                     else cells.sup_abs(tree, i))
                 found = _cell_worst(cells, F, G, kl, n, i)
             except _NoEnclosure:
                 pass

@@ -1,5 +1,8 @@
+import configparser
 import dataclasses
 import gc
+import hashlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -20,10 +23,13 @@ from lorsolve import (
     identity_map,
     load_instance,
     power_young,
+    solve_elementary,
     tent3_map,
 )
+from lorsolve import config, transfer
 from lorsolve.config import BUNDLED_INSTANCES
-from lorsolve.expressions import _parse, compile_expression
+from lorsolve.expressions import (_parse, _sup_abs_cells, _vectorize,
+                                  compile_expression)
 from lorsolve.transfer import _max_depth
 from conftest import (bench_workloads, make_doubling_instance,
                       make_twobranch_instance)
@@ -520,6 +526,66 @@ class TestInstanceMemory:
         assert built.n_maps * ncells == 14 * 3072
         assert held <= built.n_maps * ncells * 16 + 64 * 1024
 
+    def test_holds_one_array_per_distinct_weight(self, tmp_path,
+                                                 monkeypatch):
+        # 14 target indices and 3 weight arrays of 8 B per cell; one array
+        # per map would add 264 KiB here.
+        bench_workloads().generate("multibox-vec", tmp_path, 23,
+                                   cells=2**10)
+        text = (tmp_path / "instance.cfg").read_text()
+        kwargs = _instance_arguments(text, monkeypatch)
+        built, held = _held_by(lambda: ProblemInstance(**kwargs))
+        distinct = len(_coeff_texts(text))
+        assert (built.n_maps, distinct) == (14, 3)
+        assert held <= (built.n_maps + distinct) * built.h0.ncells * 8 \
+            + 64 * 1024
+
+    def test_constant_weight_holds_no_cell_array(self, monkeypatch):
+        # twobranch's two weights are one value, 0.125: besides the two
+        # target indices, nothing of 8 B per cell (512 KiB here).
+        kwargs = _instance_arguments(bundled_instance_path("twobranch"),
+                                     monkeypatch, grid=2**16)
+        built, held = _held_by(lambda: ProblemInstance(**kwargs))
+        assert held <= built.n_maps * built.h0.ncells * 8 + 64 * 1024
+
+
+def _instance_arguments(source, monkeypatch, **overrides):
+    """The keyword arguments with which ``load_instance`` builds the
+    instance of ``source``."""
+    captured = {}
+
+    def capture(**kwargs):
+        captured.update(kwargs)
+        return ProblemInstance(**kwargs)
+
+    monkeypatch.setattr(config, "ProblemInstance", capture)
+    load_instance(source, **overrides)
+    return captured
+
+
+def _held_by(build):
+    """(result, bytes still held after it) of ``build()``, traced after one
+    call that warms every lazy import and cache."""
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        gc.collect()
+        return built, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _coeff_texts(text):
+    """The distinct ``[coeffN] expr`` texts of an instance file."""
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=("#",))
+    cp.read_string(text)
+    return {cp.get(s, "expr") for s in cp.sections()
+            if s.startswith("coeff")}
+
 
 def _certified_instances(tmp_path):
     """(name, instance) of the three bundled instances, and of the two
@@ -640,3 +706,118 @@ class TestCellAudit:
         sampled = audit_contraction(_midpoint_sampled(inst))
         assert sampled.feasible_alpha == pytest.approx(
             0.1 / (0.5 + 0.5 * (0.5 / 16)), rel=1e-15)
+
+
+def _copy_tree(tree):
+    """An equal expression tree that shares no node with ``tree``."""
+    return tuple(_copy_tree(a) if isinstance(a, tuple) else a for a in tree)
+
+
+def _unshared(inst):
+    """``inst`` rebuilt with a fresh callable and a fresh tree for each
+    map, so that no two maps share a weight."""
+    trees = [_copy_tree(t) for t in inst.coeff_trees]
+    return ProblemInstance(inst.domain, inst.maps,
+                           [_vectorize(t, "g") for t in trees], inst.h0,
+                           inst.K_decl, inst.L_decl, inst.alpha, inst.psi,
+                           label=inst.label, coeff_trees=trees)
+
+
+def _artifact_digests(inst):
+    """sha256 of what ``lorsolve solve`` and ``lorsolve audit`` write for
+    ``inst``."""
+    solution, trace = solve_elementary(inst)
+    texts = {"certificate.txt": trace.certificate_text(),
+             "audit.txt": audit_contraction(inst).as_text()}
+    for name, artifact in (("solution.csv", solution), ("trace.csv", trace)):
+        buf = io.StringIO()
+        artifact.write_csv(buf)
+        texts[name] = buf.getvalue()
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in texts.items()}
+
+
+def _two_map_instance(unit, coeffs, m=16):
+    return ProblemInstance(unit, (doubling_map(), identity_map()), coeffs,
+                           SampledFn.constant(unit, m, 1.0), K_decl=2,
+                           L_decl=2, alpha=0.25, psi=power_young(2.0))
+
+
+class TestSharedWeights:
+    @pytest.mark.parametrize("seed", [0, 23])
+    def test_one_array_per_distinct_text(self, tmp_path, seed):
+        bench_workloads().generate("multibox-vec", tmp_path, seed,
+                                   cells=2**10)
+        path = tmp_path / "instance.cfg"
+        inst, _ = load_instance(path)
+        texts = _coeff_texts(path.read_text())
+        assert (inst.n_maps, len(texts)) == (14, 3)
+        assert len({id(g.values) for g in inst.coeffs}) == len(texts)
+        assert len({id(t) for t in inst.coeff_trees}) == len(texts)
+
+    def test_constant_weights_are_one_view(self):
+        inst, _ = load_instance(bundled_instance_path("twobranch"))
+        g, h = inst.coeffs
+        assert g is h
+        assert not g.values.flags.writeable
+        assert g.values.strides == (0,)
+        assert g.values.shape == (inst.h0.ncells,)
+        assert g.values[0] == 0.125
+
+    def test_signed_zeros_stay_apart(self, unit):
+        inst = _two_map_instance(unit, (lambda x: np.full(x.shape, -0.0),
+                                        lambda x: np.zeros(x.shape)))
+        neg, pos = inst.coeffs
+        assert neg is not pos
+        assert neg.values.strides == pos.values.strides == (0,)
+        assert np.signbit(neg.values).all()
+        assert not np.signbit(pos.values).any()
+
+    def test_zeros_of_both_signs_keep_every_cell(self, unit):
+        inst = _two_map_instance(unit, [lambda x: np.where(x < 0.5, -0.0,
+                                                            0.0)] * 2)
+        g = inst.coeffs[0]
+        assert g.values.strides == (8,)
+        assert (np.signbit(g.values) == (inst.h0.midpoints < 0.5)).all()
+
+    def test_a_callable_is_sampled_once_per_object(self, unit):
+        calls = []
+
+        def g(x):
+            calls.append(1)
+            return 0.1 * x
+
+        inst = _two_map_instance(unit, (g, g))
+        assert len(calls) == 1
+        assert inst.coeffs[0] is inst.coeffs[1]
+        # Two callables of equal values stay two weights.
+        inst = _two_map_instance(unit, (g, lambda x: 0.1 * x))
+        a, b = inst.coeffs
+        assert len(calls) == 2
+        assert a is not b and not np.shares_memory(a.values, b.values)
+        assert np.array_equal(a.values, b.values)
+
+    def test_sharing_keeps_every_artifact_byte(self, tmp_path):
+        for name, inst in _certified_instances(tmp_path):
+            alone = _unshared(inst)
+            assert len({id(g) for g in alone.coeffs}) == inst.n_maps, name
+            assert _artifact_digests(inst) == _artifact_digests(alone), name
+
+    def test_audit_encloses_each_tree_once(self, tmp_path, monkeypatch):
+        bench_workloads().generate("multibox-vec", tmp_path, 23,
+                                   cells=2**10)
+        path = tmp_path / "instance.cfg"
+        inst, _ = load_instance(path)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _sup_abs_cells(*args)
+
+        monkeypatch.setattr(transfer, "_sup_abs_cells", counted)
+        shared = audit_contraction(inst).as_text()
+        assert len(calls) == len({id(t) for t in calls}) == 3
+        assert len(calls) == len(_coeff_texts(path.read_text()))
+        calls.clear()
+        assert audit_contraction(_unshared(inst)).as_text() == shared
+        assert len(calls) == inst.n_maps
